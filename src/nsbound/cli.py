@@ -1,8 +1,9 @@
 """Command line front end: analyze, density, verify, example.
 
 Data (CSV) goes to stdout or --out; diagnostics go to stderr.  Exit codes:
-0 success, 1 verification failure, 2 parse error, 3 zero matrix, 4 minor
-search budget exceeded, 5 quadrature cost guard exceeded.
+0 success, 1 verification failure, 2 parse error, invalid option or a
+number beyond floating-point range, 3 zero matrix, 4 minor search budget
+exceeded, 5 quadrature cost guard exceeded.
 """
 
 from __future__ import annotations
@@ -336,6 +337,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ValueError("--grid must be at least 2")
         if args.points < 2:
             raise ValueError("--points must be at least 2")
+        if args.workers < 1:
+            raise ValueError("--workers must be at least 1")
         fields.update(
             grid_n=args.grid,
             lattice_total=args.lattice,
@@ -379,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     except CostGuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

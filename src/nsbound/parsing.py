@@ -352,7 +352,8 @@ def _build_poly(
     for coeff, exps in raw_terms:
         exp = [0] * dim
         for idx, e in exps.items():
-            exp[idx] = e
+            if e:  # z_j^0 is 1; j may lie beyond the inferred dimension
+                exp[idx] = e
         terms.append((tuple(exp), coeff))
     return LaurentPoly(dim, terms)
 

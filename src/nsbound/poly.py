@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -352,9 +352,8 @@ class LaurentPoly:
         phases = angles @ exps.T
         return np.exp(1j * phases) @ coeffs
 
-    def eval_at(self, point) -> complex:
-        """Evaluate at a single torus point (a TorusPoint or angle sequence)."""
-        angles = getattr(point, "angles", point)
+    def eval_at(self, angles: Sequence[float]) -> complex:
+        """Evaluate at one torus point given by its angles, z_j = exp(i*angles[j])."""
         return complex(self.eval_block(np.array([tuple(angles)], dtype=np.float64))[0])
 
 

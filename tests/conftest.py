@@ -57,9 +57,3 @@ def arc_measure(r: float, lam: float) -> float:
     x = (1.0 + r * r - lam * lam) / (2.0 * r)
     return math.acos(min(1.0, max(-1.0, x))) / math.pi
 
-
-def hermitian_2x2_eigs(a: float, b: float, c: complex) -> tuple[float, float]:
-    """Closed-form eigenvalues of [[a, c], [conj(c), b]], ascending."""
-    mean = 0.5 * (a + b)
-    disc = math.sqrt(0.25 * (a - b) ** 2 + abs(c) ** 2)
-    return mean - disc, mean + disc

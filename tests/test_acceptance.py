@@ -35,7 +35,7 @@ from nsbound import (
 )
 from nsbound.cli import main
 from nsbound.density import hermitian_eigenvalues, matrix_density
-from conftest import EXAMPLE_MATRIX_TEXT, arc_measure, hermitian_2x2_eigs, random_poly
+from conftest import EXAMPLE_MATRIX_TEXT, arc_measure, random_poly
 
 
 def _report(n: int, text: str) -> None:
@@ -306,21 +306,19 @@ def test_criterion_11_eigensolver(capsys):
         H = G @ np.conj(np.swapaxes(G, 1, 2))
         eig = hermitian_eigenvalues(H)
         traces = np.einsum("bii->b", H).real
+        frob2 = (np.abs(H) ** 2).sum(axis=(1, 2))
         assert np.all(
             np.abs(eig.sum(axis=1) - traces) <= 1e-10 * np.abs(traces)
         )
+        assert np.all(np.abs((eig**2).sum(axis=1) - frob2) <= 1e-10 * frob2)
         if m == 2:
-            for i in range(batch):
-                lo, hi = hermitian_2x2_eigs(
-                    H[i, 0, 0].real, H[i, 1, 1].real, H[i, 0, 1]
-                )
-                scale = max(1.0, abs(hi))
-                assert abs(eig[i, 0] - lo) <= 1e-10 * scale
-                assert abs(eig[i, 1] - hi) <= 1e-10 * scale
+            ref = np.linalg.eigvalsh(H)
+            scale = np.maximum(1.0, np.abs(ref[:, 1:]))
+            assert np.all(np.abs(eig - ref) <= 1e-10 * scale)
         total += batch
     with capsys.disabled():
-        _report(11, "500 Jacobi solves: trace identities to 1e-10 and 2x2 "
-                    "closed-form agreement")
+        _report(11, "500 eigen solves: trace and Frobenius identities to 1e-10 "
+                    "and 2x2 agreement with LAPACK eigvalsh")
 
 
 def test_criterion_12_parser_round_trip_and_pipeline(capsys, tmp_path):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nsbound.cli import main
 
@@ -50,6 +52,33 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "ragged" in err
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    [
+        # the leading coefficient's modulus underflows to zero as a float
+        ("tiny.poly", "1/1" + "0" * 400 + " * z1 + 1\n"),
+        # the leading coefficient's squared modulus overflows a float
+        ("huge.mat", "[[1" + "0" * 200 + "*z1 + 1, 1], [z1, 2]]\n"),
+    ],
+    ids=["tiny-lead", "huge-coefficient"],
+)
+def test_float_range_exit_2(capsys, tmp_path, name, text):
+    f = tmp_path / name
+    f.write_text(text)
+    code, out, err = run(capsys, "analyze", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_2(capsys, example_file, workers):
+    code, out, err = run(capsys, "verify", example_file, "--grid", "8", "--workers", workers)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --workers must be at least 1\n"
 
 
 def test_zero_matrix_exit_3(capsys, tmp_path):
@@ -184,3 +213,47 @@ def test_example_command(capsys):
     assert "all exact checks passed" in out
     assert "2*z1" in out
     assert "18" in out
+
+
+DOCUMENTED_EXIT_CODES = {0, 1, 2, 3, 4, 5}
+COEFFICIENTS = [str(c) for c in range(1, 10)] + [
+    "1" + "0" * 200,
+    "1/1" + "0" * 400,
+    "3/4i",
+    "(1/2 + 3/4i)",
+]
+
+
+@st.composite
+def matrix_texts(draw):
+    nvars = draw(st.integers(1, 2))
+
+    def term():
+        factors = [draw(st.sampled_from(COEFFICIENTS))]
+        for v in range(1, nvars + 1):
+            if draw(st.booleans()):
+                factors.append(f"z{v}^{draw(st.integers(-3, 3))}")
+        return "*".join(factors)
+
+    def entry():
+        text = draw(st.sampled_from(["", "-"])) + term()
+        for _ in range(draw(st.integers(0, 2))):
+            text += draw(st.sampled_from([" + ", " - "])) + term()
+        return text
+
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, 3))
+    return "[" + ", ".join(
+        "[" + ", ".join(entry() for _ in range(cols)) + "]" for _ in range(rows)
+    ) + "]"
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(matrix_texts(), st.sampled_from(["-1", "0", "1", "2"]))
+def test_cli_never_escapes_on_random_small_inputs(tmp_path, text, workers):
+    f = tmp_path / "random.mat"
+    f.write_text(text)
+    assert main(["analyze", str(f)]) in DOCUMENTED_EXIT_CODES
+    code = main(["verify", str(f), "--grid", "8", "--workers", workers])
+    assert code in DOCUMENTED_EXIT_CODES

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
@@ -14,12 +13,9 @@ from nsbound import (
     LaurentPoly,
     PolyMatrix,
     TorusGrid,
-    TorusPoint,
     alpha_fit,
     det_domination_check,
-    gram_spectrum,
     matrix_density,
-    op_norm_estimate,
     parse_matrix,
     parse_poly,
     product_inequality_check,
@@ -29,10 +25,9 @@ from nsbound.density import (
     InsufficientDataError,
     default_fit_window,
     hermitian_eigenvalues,
-    jacobi_diagonalize,
 )
 
-from conftest import arc_measure, hermitian_2x2_eigs, random_poly
+from conftest import arc_measure, random_poly
 
 
 def random_hermitian_psd(rng, m, batch=1):
@@ -83,77 +78,55 @@ def test_lattice_density_agrees_with_midpoint():
 # -- eigensolver ----------------------------------------------------------------
 
 
-def test_jacobi_matches_closed_form_2x2():
+def test_eigen_2x2_matches_eigvalsh():
     rng = np.random.default_rng(1)
     H = random_hermitian_psd(rng, 2, batch=200)
     eig = hermitian_eigenvalues(H)
-    for i in range(H.shape[0]):
-        lo, hi = hermitian_2x2_eigs(
-            H[i, 0, 0].real, H[i, 1, 1].real, H[i, 0, 1]
-        )
-        assert eig[i, 0] == pytest.approx(lo, rel=1e-10, abs=1e-10)
-        assert eig[i, 1] == pytest.approx(hi, rel=1e-10, abs=1e-10)
+    ref = np.linalg.eigvalsh(H)
+    scale = np.maximum(1.0, np.abs(ref[:, 1:]))
+    assert np.all(np.abs(eig - ref) <= 1e-10 * scale)
 
 
-def test_jacobi_eigensum_matches_trace():
+def test_eigen_trace_and_frobenius_identities():
     rng = np.random.default_rng(2)
     for m in range(1, 7):
         H = random_hermitian_psd(rng, m, batch=100)
         eig = hermitian_eigenvalues(H)
         traces = np.einsum("bii->b", H).real
-        assert np.allclose(eig.sum(axis=1), traces, rtol=1e-10, atol=1e-12)
+        frob2 = (np.abs(H) ** 2).sum(axis=(1, 2))
+        assert np.all(np.abs(eig.sum(axis=1) - traces) <= 1e-10 * traces)
+        assert np.all(np.abs((eig**2).sum(axis=1) - frob2) <= 1e-10 * frob2)
 
 
-def test_jacobi_offdiagonal_residual():
-    rng = np.random.default_rng(3)
-    for m in (2, 4, 6):
-        H = random_hermitian_psd(rng, m, batch=50)
-        D = jacobi_diagonalize(H)
-        offmask = ~np.eye(m, dtype=bool)
-        off = np.sqrt((np.abs(D[:, offmask]) ** 2).sum(axis=1))
-        traces = np.einsum("bii->b", H).real
-        assert np.all(off <= 1e-12 * traces)
+def test_eigen_rank1_2x2_smallest_is_zero():
+    # second row a complex multiple of the first: the gram is singular, and
+    # the closed form must resolve its zero eigenvalue to round-off of trace
+    rng = np.random.default_rng(4)
+    batch = 500
+    row = rng.normal(size=(batch, 3)) + 1j * rng.normal(size=(batch, 3))
+    mult = 10.0 ** rng.uniform(-3, 3, batch) * np.exp(2j * np.pi * rng.random(batch))
+    values = np.stack([row, mult[:, None] * row], axis=1)
+    H = np.einsum("bik,bjk->bij", values, np.conj(values))
+    eig = hermitian_eigenvalues(H)
+    traces = np.einsum("bii->b", H).real
+    assert np.all(np.abs(eig[:, 0]) <= 1e-12 * traces)
+    assert np.all(np.abs(eig[:, 1] - traces) <= 1e-10 * traces)
 
 
-def test_jacobi_diagonal_input_untouched():
+def test_eigen_diagonal_input_sorted():
     H = np.zeros((1, 3, 3), dtype=np.complex128)
     H[0] = np.diag([3.0, 1.0, 2.0])
     eig = hermitian_eigenvalues(H)
     assert eig[0].tolist() == [1.0, 2.0, 3.0]
 
 
-def test_hermitian_spectrum_clamps_roundoff_negatives():
-    from nsbound import HermitianSpectrum
-
-    sp = HermitianSpectrum((-5e-11, 2.0))
-    assert sp.eigenvalues == (0.0, 2.0)
-    with pytest.raises(ValueError):
-        HermitianSpectrum((-1e-6, 1.0))
-
-
-def test_gram_spectrum_identity():
-    I2 = parse_matrix("[[1, 0], [0, 1]]")
-    sp = gram_spectrum(I2, TorusPoint((0.3,)))
-    assert sp.eigenvalues == pytest.approx((1.0, 1.0), abs=1e-12)
-
-
-def test_gram_spectrum_scalar():
-    A = parse_matrix("[[z1 - 1]]")
-    sp = gram_spectrum(A, TorusPoint((math.pi,)))
-    assert sp.eigenvalues[0] == pytest.approx(4.0, abs=1e-12)
-
-
-def test_gram_spectrum_example_corner(example_matrix):
-    # B(1,1) = [[1, -1], [-14, 1]] has gram [[2, -15], [-15, 197]]; the
-    # closed-form quadratic roots are the oracle for the Jacobi path
-    B = example_matrix.submatrix([0, 1], [0, 1])
-    sp = gram_spectrum(B, TorusPoint((0.0, 0.0)))
-    lo, hi = hermitian_2x2_eigs(2.0, 197.0, -15.0)
-    assert (lo, hi) == pytest.approx(
-        (0.8529017152557117, 198.1470982847443), rel=1e-14
-    )
-    assert sp.eigenvalues[0] == pytest.approx(lo, rel=1e-10)
-    assert sp.eigenvalues[1] == pytest.approx(hi, rel=1e-10)
+def test_eigen_example_corner_gram():
+    # B(1,1) = [[1, -1], [-14, 1]] of the reference matrix has gram
+    # [[2, -15], [-15, 197]]; its quadratic's roots are the oracle
+    H = np.array([[[2.0, -15.0], [-15.0, 197.0]]], dtype=np.complex128)
+    lo, hi = hermitian_eigenvalues(H)[0]
+    assert lo == pytest.approx(0.8529017152557117, rel=1e-10)
+    assert hi == pytest.approx(198.1470982847443, rel=1e-10)
 
 
 # -- scalar density ----------------------------------------------------------------
@@ -315,26 +288,6 @@ def test_matrix_density_wide_vs_tall_agree(example_matrix):
     tall = matrix_density(example_matrix.star_transpose(), 2, lams, g)
     assert wide.f_zero == tall.f_zero == 1
     assert wide.counts == tall.counts
-
-
-def test_op_norm_estimate_unit_variable():
-    A = parse_matrix("[[z1]]")
-    assert op_norm_estimate(A, TorusGrid.midpoint(1, 100)) == pytest.approx(1.0)
-
-
-def test_op_norm_estimate_z_minus_one():
-    A = parse_matrix("[[z1 - 1]]")
-    est = op_norm_estimate(A, TorusGrid.midpoint(1, 1000))
-    assert est == pytest.approx(2.0, abs=1e-4)
-    assert est <= 2.0 + 1e-9
-
-
-def test_op_norm_estimate_below_upper_bound(example_matrix):
-    B = example_matrix.submatrix([0, 1], [0, 1])
-    est = op_norm_estimate(B, TorusGrid.midpoint(2, 60))
-    assert 0.0 < est <= 72.0 + 1e-9
-    est_a = op_norm_estimate(example_matrix, TorusGrid.midpoint(2, 60))
-    assert est_a <= example_matrix.op_norm_upper() + 1e-9
 
 
 # -- inequality checks ------------------------------------------------------------------

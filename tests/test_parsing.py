@@ -67,6 +67,13 @@ def test_parse_pure_imaginary_forms():
     assert parse_poly("-i*z1") == parse_poly("(0 - i)*z1")
 
 
+def test_parse_zero_exponent_beyond_dimension():
+    # z_j^0 is 1 and does not raise the ambient dimension to j
+    assert parse_poly("z2^0") == parse_poly("1")
+    assert parse_poly("1 + z3^0") == parse_poly("1") * 2
+    assert parse_matrix("[[z2^0, z1]]") == parse_matrix("[[1, z1]]")
+
+
 def test_parse_expected_dim_embeds_and_rejects():
     p = parse_poly("z1 + 1", expected_dim=3)
     assert p.dim == 3

@@ -180,13 +180,6 @@ def test_eval_example_at_origin():
     assert p.eval_at((0.0, 0.0)) == pytest.approx(-13.0, abs=1e-12)
 
 
-def test_eval_accepts_torus_point():
-    from nsbound import TorusPoint
-
-    p = parse_poly("z1 - 1")
-    assert p.eval_at(TorusPoint((math.pi,))) == pytest.approx(-2.0, abs=1e-12)
-
-
 @settings(max_examples=100, deadline=None)
 @given(polys(max_terms=5), polys(max_terms=5), st.randoms(use_true_random=False))
 def test_eval_ring_homomorphism(p, q, rnd):
