@@ -77,7 +77,6 @@ class BoundParameters:
     wd: int
     lead_abs: float
     b_l1: float
-    constant: float = SPECTRAL_CONSTANT
 
     def __post_init__(self):
         if self.k < 1 or self.d < 1 or self.wd < 0:
@@ -94,7 +93,7 @@ def matrix_bound(params: BoundParameters, lam: float) -> float:
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     inner = (p.k ** (2 * p.k - 2)) * (p.b_l1 ** (p.k - 1)) * lam / p.lead_abs
-    return p.constant * p.k * p.d * p.wd * inner ** (1.0 / (p.d * p.wd))
+    return SPECTRAL_CONSTANT * p.k * p.d * p.wd * inner ** (1.0 / (p.d * p.wd))
 
 
 def bound_coefficient(params: BoundParameters) -> float:
@@ -103,7 +102,7 @@ def bound_coefficient(params: BoundParameters) -> float:
     if p.wd < 1:
         raise ValueError("no power-law coefficient in the step case")
     inner = (p.k ** (2 * p.k - 2)) * (p.b_l1 ** (p.k - 1)) / p.lead_abs
-    return p.constant * p.k * p.d * p.wd * inner ** (1.0 / (p.d * p.wd))
+    return SPECTRAL_CONSTANT * p.k * p.d * p.wd * inner ** (1.0 / (p.d * p.wd))
 
 
 def _lead_abs_down(profile: WidthProfile) -> float:
@@ -143,13 +142,6 @@ def best_ordering(p: LaurentPoly, mode: str = "fixed") -> WidthProfile:
 
 
 @dataclass(frozen=True)
-class AnalyzeOptions:
-    ordering_mode: str = "fixed"  # fixed | exhaustive
-    minor_mode: str = "first"  # first | best
-    minor_cap: int = DEFAULT_MINOR_CAP
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """Everything the analysis produced, kept for auditability.
 
@@ -173,8 +165,6 @@ class BoundReport:
     alpha_lower: float | str
     step_threshold: float | None
     step_threshold_matrix: float | None
-    ordering_mode: str
-    minor_mode: str
 
     @property
     def k(self) -> int:
@@ -194,31 +184,12 @@ class BoundReport:
         return min(self.bound_at(lam), float(self.k))
 
 
-def _report_for(
-    A: PolyMatrix, cert: MinorCertificate, profile: WidthProfile, opts: AnalyzeOptions
-) -> BoundReport:
+def _report_for(A: PolyMatrix, cert: MinorCertificate, profile: WidthProfile) -> BoundReport:
     lead_abs = _lead_abs_down(profile)
     params = BoundParameters(
         k=cert.size, d=A.dim, wd=profile.wd, lead_abs=lead_abs, b_l1=cert.b_l1
     )
-    if profile.wd == 0:
-        rescale = rescale_lambda(cert.size, cert.b_l1, 1.0)
-        return BoundReport(
-            rows=A.rows,
-            cols=A.cols,
-            dim=A.dim,
-            minor=cert,
-            profile=profile,
-            params=params,
-            is_step=True,
-            coefficient=None,
-            exponent=None,
-            alpha_lower=INFINITE_TYPE,
-            step_threshold=lead_abs,
-            step_threshold_matrix=lead_abs / rescale,
-            ordering_mode=opts.ordering_mode,
-            minor_mode=opts.minor_mode,
-        )
+    is_step = profile.wd == 0
     return BoundReport(
         rows=A.rows,
         cols=A.cols,
@@ -226,14 +197,14 @@ def _report_for(
         minor=cert,
         profile=profile,
         params=params,
-        is_step=False,
-        coefficient=bound_coefficient(params),
-        exponent=1.0 / (A.dim * profile.wd),
+        is_step=is_step,
+        coefficient=None if is_step else bound_coefficient(params),
+        exponent=None if is_step else 1.0 / (A.dim * profile.wd),
         alpha_lower=ns_lower_bound(A.dim, profile.wd),
-        step_threshold=None,
-        step_threshold_matrix=None,
-        ordering_mode=opts.ordering_mode,
-        minor_mode=opts.minor_mode,
+        step_threshold=lead_abs if is_step else None,
+        step_threshold_matrix=(
+            lead_abs / rescale_lambda(cert.size, cert.b_l1, 1.0) if is_step else None
+        ),
     )
 
 
@@ -244,28 +215,39 @@ def _report_quality(r: BoundReport) -> tuple:
     return (0, r.alpha_lower, -r.coefficient)
 
 
-def analyze(A: PolyMatrix, options: AnalyzeOptions | None = None) -> BoundReport:
+def analyze(
+    A: PolyMatrix,
+    ordering: str = "fixed",
+    minor: str = "first",
+    minor_cap: int = DEFAULT_MINOR_CAP,
+) -> BoundReport:
     """Full pipeline: maximal minor, ordering search, bound construction.
 
-    With minor_mode="first" the lexicographically first maximal minor is
+    ``ordering`` is "fixed" or "exhaustive" (see :func:`best_ordering`).
+    With ``minor="first"`` the lexicographically first maximal minor is
     used; with "best" every maximal-size minor is tried and the report with
     the best decay guarantee (largest alpha lower bound, then smallest
-    coefficient) wins.  The zero matrix is rejected.
+    coefficient) wins.  ``minor_cap`` bounds the candidates per minor size.
+    The zero matrix is rejected.
     """
-    opts = options or AnalyzeOptions()
+    if ordering not in ("fixed", "exhaustive"):
+        raise ValueError(f"unknown ordering mode {ordering!r}")
+    if minor not in ("first", "best"):
+        raise ValueError(f"unknown minor mode {minor!r}")
     if A.is_zero():
         raise ZeroMatrixError("cannot analyze the zero matrix")
-    first = max_nonvanishing_minor(A, opts.minor_cap)
-    if opts.minor_mode == "first":
-        certs = [first]
-    elif opts.minor_mode == "best":
-        certs = list(iter_nonvanishing_minors(A, first.size, opts.minor_cap))
+    if minor == "first":
+        certs = [max_nonvanishing_minor(A, minor_cap)]
     else:
-        raise ValueError(f"unknown minor mode {opts.minor_mode!r}")
+        # Sizes descend; the first size with any non-vanishing minor is the
+        # maximal one, and its minors are computed exactly once.
+        for size in range(min(A.rows, A.cols), 0, -1):
+            certs = list(iter_nonvanishing_minors(A, size, minor_cap))
+            if certs:
+                break
     best = None
     for cert in certs:
-        profile = best_ordering(cert.det, opts.ordering_mode)
-        report = _report_for(A, cert, profile, opts)
+        report = _report_for(A, cert, best_ordering(cert.det, ordering))
         if best is None or _report_quality(report) > _report_quality(best):
             best = report
     return best

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import AnalyzeOptions, BoundReport, analyze
+from .bounds import BoundReport, analyze
 from .density import (
     DensityCurve,
     InsufficientDataError,
@@ -31,30 +30,12 @@ DEFAULT_MAX_POINTS = 10**8
 
 EXAMPLE_MATRIX_TEXT = "[[z1^3, -1, 1], [2*z1*z2^2 - 16, z2, z1*z2]]"
 
+#: One CSV row: lambda, f_hat, f_zero, bound, margin = bound - (f_hat - f_zero).
+Row = tuple[float, float, int, float, float]
+
 
 class CostGuardExceeded(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    input_path: str | None = None
-    grid_n: int = 500
-    lattice_total: int | None = None
-    lambda_min: float | None = None
-    lambda_max: float | None = None
-    lambda_count: int = 64
-    log_spaced: bool = True
-    ordering_mode: str = "fixed"
-    minor_mode: str = "first"
-    minor_cap: int = 10**6
-    workers: int = 1
-    out_path: str | None = None
-    c_bnd: float = 4.0
-    bound_scale: float = 1.0
-    seed: int = 0
-    max_points: int = DEFAULT_MAX_POINTS
 
 
 def _read_matrix(path: str) -> PolyMatrix:
@@ -71,29 +52,29 @@ def _read_matrix(path: str) -> PolyMatrix:
     return PolyMatrix([[parse_poly(text)]])
 
 
-def _grid_for(cfg: RunConfig, dim: int) -> TorusGrid:
-    if cfg.lattice_total is not None:
-        grid = TorusGrid.lattice(dim, cfg.lattice_total, cfg.seed)
+def _grid_for(args: argparse.Namespace, dim: int) -> TorusGrid:
+    if args.lattice is not None:
+        grid = TorusGrid.lattice(dim, args.lattice, args.seed)
     else:
-        grid = TorusGrid.midpoint(dim, cfg.grid_n)
-    if grid.total > cfg.max_points:
+        grid = TorusGrid.midpoint(dim, args.grid)
+    if grid.total > args.max_points:
         raise CostGuardExceeded(
-            f"grid has {grid.total} points, beyond the cap of {cfg.max_points}"
+            f"grid has {grid.total} points, beyond the cap of {args.max_points}"
         )
     return grid
 
 
-def _lambda_grid(cfg: RunConfig, report: BoundReport) -> list[float]:
+def _lambda_grid(args: argparse.Namespace, report: BoundReport) -> list[float]:
     scale = report.params.lead_abs
-    lo = cfg.lambda_min if cfg.lambda_min is not None else 1e-4 * scale
-    hi = cfg.lambda_max if cfg.lambda_max is not None else scale
+    lo = args.lambda_min if args.lambda_min is not None else 1e-4 * scale
+    hi = args.lambda_max if args.lambda_max is not None else scale
     if hi <= 0 or hi < lo:
         raise ValueError(f"bad lambda range [{lo}, {hi}]")
-    if cfg.log_spaced:
+    if not args.linear:
         if lo <= 0:
             raise ValueError("log-spaced lambda grids need lambda-min > 0")
-        return np.geomspace(lo, hi, cfg.lambda_count).tolist()
-    return np.linspace(lo, hi, cfg.lambda_count).tolist()
+        return np.geomspace(lo, hi, args.points).tolist()
+    return np.linspace(lo, hi, args.points).tolist()
 
 
 def _format_ordering(order: tuple[int, ...]) -> str:
@@ -104,50 +85,43 @@ def _format_index_set(ix: tuple[int, ...]) -> str:
     return "{" + ", ".join(str(i + 1) for i in ix) + "}"
 
 
-def _print_report(report: BoundReport, out=None) -> None:
-    out = out if out is not None else sys.stdout
+def _print_report(report: BoundReport, args: argparse.Namespace) -> None:
     p = report.params
-    print(f"matrix: {report.rows}x{report.cols} over {report.dim} variable(s)", file=out)
-    print(f"k = {report.k}", file=out)
-    print(f"rows I = {_format_index_set(report.minor.row_set)}", file=out)
-    print(f"cols J = {_format_index_set(report.minor.col_set)}", file=out)
-    print(f"det(B) = {format_poly(report.minor.det)}", file=out)
+    print(f"matrix: {report.rows}x{report.cols} over {report.dim} variable(s)")
+    print(f"k = {report.k}")
+    print(f"rows I = {_format_index_set(report.minor.row_set)}")
+    print(f"cols J = {_format_index_set(report.minor.col_set)}")
+    print(f"det(B) = {format_poly(report.minor.det)}")
     print(
-        f"ordering = {_format_ordering(report.profile.order)} [{report.ordering_mode},"
-        f" minor mode {report.minor_mode}]",
-        file=out,
+        f"ordering = {_format_ordering(report.profile.order)} [{args.ordering},"
+        f" minor mode {args.minor}]"
     )
     tower = ", ".join(f"p_{i} = {format_poly(q)}" for i, q in enumerate(report.profile.tower))
-    print(f"width tower: {tower}", file=out)
-    print(f"widths = {report.profile.widths}, wd = {p.wd}", file=out)
-    print(f"lead = {format_poly(report.profile.tower[-1])}, |lead| = {p.lead_abs:.17g}", file=out)
-    print(f"||B||_1 = {p.b_l1:.17g}", file=out)
+    print(f"width tower: {tower}")
+    print(f"widths = {report.profile.widths}, wd = {p.wd}")
+    print(f"lead = {format_poly(report.profile.tower[-1])}, |lead| = {p.lead_abs:.17g}")
+    print(f"||B||_1 = {p.b_l1:.17g}")
     if report.is_step:
         print(
             f"det(B) is a monomial: its density is a step at |lead| = "
-            f"{report.step_threshold:.17g}",
-            file=out,
+            f"{report.step_threshold:.17g}"
         )
         print(
             "matrix-level guarantee: F - F(0) = 0 for lambda < "
             f"{report.step_threshold_matrix:.17g}"
-            f" (threshold |lead| / (k^2*||B||_1)^(k-1))",
-            file=out,
+            f" (threshold |lead| / (k^2*||B||_1)^(k-1))"
         )
-        print("alpha: infinite-type", file=out)
+        print("alpha: infinite-type")
     else:
         print(
             f"bound: F - F(0) <= {report.coefficient:.17g} * lambda^{report.exponent:g}"
-            f" (display value clipped at k = {report.k})",
-            file=out,
+            f" (display value clipped at k = {report.k})"
         )
-        print(f"alpha >= {report.alpha_lower:.17g}", file=out)
-    print(f"f_zero = F(0) = {report.f_zero}", file=out)
+        print(f"alpha >= {report.alpha_lower:.17g}")
+    print(f"f_zero = F(0) = {report.f_zero}")
 
 
-def _write_csv(
-    rows: list[tuple[float, float, int, float, float]], out_path: str | None
-) -> None:
+def _write_csv(rows: list[Row], out_path: str | None) -> None:
     lines = ["lambda,f_hat,f_zero,bound,margin"]
     for lam, f_hat, f_zero, bound, margin in rows:
         lines.append(
@@ -160,47 +134,42 @@ def _write_csv(
         sys.stdout.write(data)
 
 
-def _density_rows(
-    curve: DensityCurve, report: BoundReport, bound_scale: float
-) -> list[tuple[float, float, int, float, float]]:
+def _density_run(
+    args: argparse.Namespace,
+) -> tuple[BoundReport, TorusGrid, DensityCurve, list[Row]]:
+    """Read, analyze, build the grid and lambdas, estimate, and make the rows."""
+    A = _read_matrix(args.input)
+    report = analyze(A, args.ordering, args.minor, args.minor_cap)
+    grid = _grid_for(args, A.dim)
+    lambdas = _lambda_grid(args, report)
+    curve = matrix_density(A, report.k, lambdas, grid, args.workers)
     rows = []
     for lam, est in zip(curve.lambdas, curve.estimates):
-        bound = report.bound_at(lam) * bound_scale
-        margin = bound - (est - curve.f_zero)
-        rows.append((lam, est, curve.f_zero, bound, margin))
-    return rows
+        bound = report.bound_at(lam)
+        rows.append((lam, est, curve.f_zero, bound, bound - (est - curve.f_zero)))
+    return report, grid, curve, rows
 
 
 # -- subcommands ------------------------------------------------------------
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    A = _read_matrix(cfg.input_path)
-    report = analyze(A, AnalyzeOptions(cfg.ordering_mode, cfg.minor_mode, cfg.minor_cap))
-    _print_report(report)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    A = _read_matrix(args.input)
+    _print_report(analyze(A, args.ordering, args.minor, args.minor_cap), args)
     return 0
 
 
-def cmd_density(cfg: RunConfig) -> int:
-    A = _read_matrix(cfg.input_path)
-    report = analyze(A, AnalyzeOptions(cfg.ordering_mode, cfg.minor_mode, cfg.minor_cap))
-    grid = _grid_for(cfg, A.dim)
-    lambdas = _lambda_grid(cfg, report)
-    curve = matrix_density(A, report.k, lambdas, grid, cfg.workers)
-    _write_csv(_density_rows(curve, report, cfg.bound_scale), cfg.out_path)
+def cmd_density(args: argparse.Namespace) -> int:
+    _, _, _, rows = _density_run(args)
+    _write_csv(rows, args.out)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    A = _read_matrix(cfg.input_path)
-    report = analyze(A, AnalyzeOptions(cfg.ordering_mode, cfg.minor_mode, cfg.minor_cap))
-    grid = _grid_for(cfg, A.dim)
-    lambdas = _lambda_grid(cfg, report)
-    curve = matrix_density(A, report.k, lambdas, grid, cfg.workers)
-    rows = _density_rows(curve, report, cfg.bound_scale)
-    if cfg.out_path:
-        _write_csv(rows, cfg.out_path)
-    eps = grid.epsilon_quad(cfg.c_bnd)
+def cmd_verify(args: argparse.Namespace) -> int:
+    report, grid, curve, rows = _density_run(args)
+    if args.out:
+        _write_csv(rows, args.out)
+    eps = grid.epsilon_quad()
     worst = min(r[4] for r in rows)
     ok_bound = worst >= -eps
     print(f"points: {grid.total}, epsilon_quad = {eps:.6g}")
@@ -226,10 +195,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if (ok_bound and ok_alpha) else 1
 
 
-def cmd_example(cfg: RunConfig) -> int:
+def cmd_example(args: argparse.Namespace) -> int:
     """Run the built-in reference matrix and check every exact invariant."""
     A = parse_matrix(EXAMPLE_MATRIX_TEXT)
-    report = analyze(A, AnalyzeOptions())
+    report = analyze(A)
     checks: list[tuple[str, object, object]] = []
     p16 = parse_poly("z1^3*z2 + 2*z1*z2^2 - 16")
     checks.append(("k", report.k, 2))
@@ -290,8 +259,6 @@ def _add_density_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--workers", type=int, default=1,
                     help="worker threads for grid evaluation (default 1)")
     sp.add_argument("--out", default=None, metavar="FILE", help="write CSV here")
-    sp.add_argument("--c-bnd", type=float, default=4.0,
-                    help="quadrature tolerance constant in c*d/N (default 4)")
     sp.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS,
                     help=f"grid size cost guard (default {DEFAULT_MAX_POINTS})")
 
@@ -317,44 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("input", help="a .mat or .poly file")
     _add_analysis_flags(v)
     _add_density_flags(v)
-    v.add_argument("--bound-scale", type=float, default=1.0,
-                   help="test hook: scale the bound before comparing (default 1)")
 
     sub.add_parser("example", help="run the built-in reference example")
     return ap
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = dict(
-        subcommand=args.subcommand,
-        input_path=getattr(args, "input", None),
-        ordering_mode=getattr(args, "ordering", "fixed"),
-        minor_mode=getattr(args, "minor", "first"),
-        minor_cap=getattr(args, "minor_cap", 10**6),
-    )
-    if hasattr(args, "grid"):
-        if args.grid < 2:
-            raise ValueError("--grid must be at least 2")
-        if args.points < 2:
-            raise ValueError("--points must be at least 2")
-        if args.workers < 1:
-            raise ValueError("--workers must be at least 1")
-        fields.update(
-            grid_n=args.grid,
-            lattice_total=args.lattice,
-            lambda_min=args.lambda_min,
-            lambda_max=args.lambda_max,
-            lambda_count=args.points,
-            log_spaced=not args.linear,
-            workers=args.workers,
-            out_path=args.out,
-            c_bnd=args.c_bnd,
-            seed=args.seed,
-            max_points=args.max_points,
-        )
-    if hasattr(args, "bound_scale"):
-        fields.update(bound_scale=args.bound_scale)
-    return RunConfig(**fields)
 
 
 _COMMANDS = {
@@ -368,8 +300,14 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.subcommand](cfg)
+        if args.subcommand in ("density", "verify"):
+            if args.grid < 2:
+                raise ValueError("--grid must be at least 2")
+            if args.points < 2:
+                raise ValueError("--points must be at least 2")
+            if args.workers < 1:
+                raise ValueError("--workers must be at least 1")
+        return _COMMANDS[args.subcommand](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -52,7 +52,6 @@ class TorusGrid:
     points_per_dim: int | None = None
     generator: tuple[int, ...] | None = None
     shift: tuple[float, ...] | None = None
-    seed: int | None = None
 
     @staticmethod
     def midpoint(dim: int, n: int) -> TorusGrid:
@@ -75,7 +74,6 @@ class TorusGrid:
             total=total,
             generator=gen,
             shift=shift,
-            seed=seed,
         )
 
     @property
@@ -84,9 +82,9 @@ class TorusGrid:
             return float(self.points_per_dim)
         return self.total ** (1.0 / self.dim)
 
-    def epsilon_quad(self, c_bnd: float = 4.0) -> float:
-        """Declared quadrature tolerance: c_bnd * d / per-dimension resolution."""
-        return c_bnd * self.dim / self.per_dim_resolution
+    def epsilon_quad(self) -> float:
+        """Declared quadrature tolerance: 4 * d / per-dimension resolution."""
+        return 4.0 * self.dim / self.per_dim_resolution
 
     def block_ranges(self, chunk: int = CHUNK) -> list[tuple[int, int]]:
         return [(s, min(s + chunk, self.total)) for s in range(0, self.total, chunk)]
@@ -162,7 +160,7 @@ class DensityCurve:
     """Quadrature estimates of a spectral density on a lambda grid.
 
     ``counts[i]`` is the exact integer number of (point, eigenvalue) hits
-    at or below ``lambdas[i]``; ``estimates[i] = counts[i] / samples``.
+    at or below ``lambdas[i]``; ``estimates[i]`` divides it by the grid's point count.
     ``f_zero`` is the analytic value at 0 (never estimated).
     """
 
@@ -170,8 +168,6 @@ class DensityCurve:
     counts: tuple[int, ...]
     estimates: tuple[float, ...]
     f_zero: int
-    samples: int
-    subject: str
 
     def __post_init__(self):
         lam = self.lambdas
@@ -232,9 +228,6 @@ def scalar_density(
     if grid.dim != p.dim:
         raise ValueError(f"grid dimension {grid.dim} != polynomial dimension {p.dim}")
     lam = _check_lambdas(lambdas)
-    from .parsing import format_poly
-
-    subject = format_poly(p)
     lead = lead_lex(p)
     if p.is_monomial():
         # |p| is constant |lead| on the torus: the density is an exact step.
@@ -243,7 +236,7 @@ def scalar_density(
             grid.total if Fraction(x) * Fraction(x) >= lead2 else 0 for x in lam
         )
         estimates = tuple(c / grid.total for c in counts)
-        return DensityCurve(lam, counts, estimates, 0, grid.total, subject)
+        return DensityCurve(lam, counts, estimates, 0)
     q = p * (GaussianRational(1) / lead)
     thresholds = _squared_thresholds(lam, lead.abs2())
 
@@ -255,7 +248,7 @@ def scalar_density(
     totals = sum(_map_chunks(grid, count_chunk, workers))
     counts = tuple(int(c) for c in totals)
     estimates = tuple(c / grid.total for c in counts)
-    return DensityCurve(lam, counts, estimates, 0, grid.total, subject)
+    return DensityCurve(lam, counts, estimates, 0)
 
 
 def matrix_density(
@@ -284,15 +277,17 @@ def matrix_density(
 
     def count_chunk(start: int, stop: int) -> np.ndarray:
         values = _eval_matrix_block(A, grid.angles(start, stop))
-        eig = hermitian_eigenvalues(_gram_small(values, A.rows, A.cols))
+        gram = _gram_small(values, A.rows, A.cols)
+        if not np.isfinite(gram).all():
+            raise OverflowError("a gram matrix entry overflows a float")
+        eig = hermitian_eigenvalues(gram)
         flat = np.sort(eig.reshape(-1))
         return np.searchsorted(flat, thresholds, side="right")
 
     totals = sum(_map_chunks(grid, count_chunk, workers))
     counts = tuple(int(c) + extra_zeros * grid.total for c in totals)
     estimates = tuple(c / grid.total for c in counts)
-    subject = f"{A.rows}x{A.cols} matrix over {A.dim} variable(s)"
-    return DensityCurve(lam, counts, estimates, max(A.rows, A.cols) - k, grid.total, subject)
+    return DensityCurve(lam, counts, estimates, max(A.rows, A.cols) - k)
 
 
 # -- inequality checks ------------------------------------------------------
@@ -302,7 +297,6 @@ def matrix_density(
 class InequalityReport:
     """Pointwise comparison of an empirical inequality lhs <= rhs."""
 
-    description: str
     lambdas: tuple[float, ...]
     lhs: tuple[float, ...]
     rhs: tuple[float, ...]
@@ -312,11 +306,6 @@ class InequalityReport:
     @property
     def ok(self) -> bool:
         return self.max_violation <= self.epsilon
-
-    @property
-    def worst_lambda(self) -> float:
-        gaps = [l - r for l, r in zip(self.lhs, self.rhs)]
-        return self.lambdas[gaps.index(max(gaps))]
 
 
 def product_inequality_check(
@@ -341,7 +330,6 @@ def product_inequality_check(
     rhs = tuple(a + b for a, b in zip(right1.estimates, right2.estimates))
     gaps = [l - r for l, r in zip(left.estimates, rhs)]
     return InequalityReport(
-        description=f"product inequality, s={s}",
         lambdas=lam,
         lhs=left.estimates,
         rhs=rhs,
@@ -375,7 +363,6 @@ def det_domination_check(
     rhs = tuple(k * r for r in right.estimates)
     gaps = [l - r for l, r in zip(left.estimates, rhs)]
     return InequalityReport(
-        description=f"determinant domination, k={k}",
         lambdas=lam,
         lhs=left.estimates,
         rhs=rhs,

@@ -11,7 +11,6 @@ import pytest
 from nsbound import (
     INFINITE_TYPE,
     SPECTRAL_CONSTANT,
-    AnalyzeOptions,
     BoundParameters,
     GaussianRational,
     LaurentPoly,
@@ -26,6 +25,7 @@ from nsbound import (
     scalar_bound,
     step_bound,
 )
+from nsbound import matrices
 from nsbound.matrices import ZeroMatrixError
 
 from conftest import random_poly
@@ -238,8 +238,8 @@ def test_analyze_zero_matrix_rejected():
 
 
 def test_analyze_best_minor_not_worse(example_matrix):
-    first = analyze(example_matrix, AnalyzeOptions(minor_mode="first"))
-    best = analyze(example_matrix, AnalyzeOptions(minor_mode="best"))
+    first = analyze(example_matrix, minor="first")
+    best = analyze(example_matrix, minor="best")
     both_fine = not first.is_step and not best.is_step
     assert both_fine
     assert best.alpha_lower >= first.alpha_lower
@@ -249,9 +249,35 @@ def test_analyze_best_minor_not_worse(example_matrix):
 
 def test_analyze_exhaustive_ordering_not_worse():
     A = parse_matrix("[[z1^5*z2 + z1^4, 0], [0, 1]]")
-    fixed = analyze(A, AnalyzeOptions(ordering_mode="fixed"))
-    ex = analyze(A, AnalyzeOptions(ordering_mode="exhaustive"))
+    fixed = analyze(A, ordering="fixed")
+    ex = analyze(A, ordering="exhaustive")
     assert ex.params.wd <= fixed.params.wd
+
+
+def test_analyze_best_minor_computes_each_minor_once(example_matrix, monkeypatch):
+    # the reference matrix has three 2x2 minors; best mode needs each once
+    calls = []
+    real = matrices.determinant
+
+    def counting(B):
+        calls.append(B)
+        return real(B)
+
+    monkeypatch.setattr(matrices, "determinant", counting)
+    analyze(example_matrix, minor="best")
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("kwargs", [{"ordering": "best"}, {"minor": "exhaustive"}])
+def test_analyze_rejects_unknown_mode_before_any_determinant(
+    example_matrix, monkeypatch, kwargs
+):
+    def refuse(B):
+        raise AssertionError("determinant called")
+
+    monkeypatch.setattr(matrices, "determinant", refuse)
+    with pytest.raises(ValueError, match="unknown"):
+        analyze(example_matrix, **kwargs)
 
 
 def test_display_bound_clipped(example_matrix):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from nsbound.bounds import BoundReport
 from nsbound.cli import main
 
 from conftest import EXAMPLE_MATRIX_TEXT
@@ -55,19 +56,21 @@ def test_parse_error_exit_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name,text",
+    "name,text,command",
     [
         # the leading coefficient's modulus underflows to zero as a float
-        ("tiny.poly", "1/1" + "0" * 400 + " * z1 + 1\n"),
+        ("tiny.poly", "1/1" + "0" * 400 + " * z1 + 1\n", ["analyze"]),
         # the leading coefficient's squared modulus overflows a float
-        ("huge.mat", "[[1" + "0" * 200 + "*z1 + 1, 1], [z1, 2]]\n"),
+        ("huge.mat", "[[1" + "0" * 200 + "*z1 + 1, 1], [z1, 2]]\n", ["analyze"]),
+        # the gram entries overflow a float, so no eigenvalue can be trusted
+        ("huge-gram.mat", "[[1, 1*z1, 1" + "0" * 200 + "]]\n", ["verify", "--grid", "8"]),
     ],
-    ids=["tiny-lead", "huge-coefficient"],
+    ids=["tiny-lead", "huge-coefficient", "huge-gram"],
 )
-def test_float_range_exit_2(capsys, tmp_path, name, text):
+def test_float_range_exit_2(capsys, tmp_path, name, text, command):
     f = tmp_path / name
     f.write_text(text)
-    code, out, err = run(capsys, "analyze", str(f))
+    code, out, err = run(capsys, *command, str(f))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -183,16 +186,25 @@ def test_verify_linear_factor_ok(capsys, tmp_path):
     assert "alpha fit" in out
 
 
-def test_verify_bound_scale_hook_fails(capsys, tmp_path):
+def test_verify_violated_bound_fails(capsys, tmp_path, monkeypatch):
+    real = BoundReport.bound_at
+    monkeypatch.setattr(BoundReport, "bound_at", lambda self, lam: 0.01 * real(self, lam))
     f = tmp_path / "p.poly"
     f.write_text("z1 - 1\n")
     code, out, _ = run(
         capsys, "verify", str(f), "--grid", "20000",
         "--lambda-min", "1e-2", "--lambda-max", "1", "--points", "24",
-        "--bound-scale", "0.01",
     )
     assert code == 1
     assert "VIOLATED" in out
+
+
+@pytest.mark.parametrize("flag", [["--bound-scale", "0.5"], ["--c-bnd", "1"]])
+def test_verify_rejects_verdict_loosening_flags(capsys, example_file, flag):
+    # the verdict compares the bound itself against the fixed 4*d/N tolerance
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", example_file, "--grid", "8", *flag])
+    assert exc.value.code == 2
 
 
 def test_verify_spectral_gap_is_consistent(capsys, example_file):
