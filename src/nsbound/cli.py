@@ -3,7 +3,8 @@
 Data (CSV) goes to stdout or --out; diagnostics go to stderr.  Exit codes:
 0 success, 1 verification failure, 2 parse error, invalid option or a
 number beyond floating-point range, 3 zero matrix, 4 minor search budget
-exceeded, 5 quadrature cost guard exceeded.
+exceeded, 5 quadrature cost guard exceeded, 6 internal arithmetic error (an
+exact division that must succeed left a remainder; a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -23,7 +24,12 @@ from .density import (
     default_fit_window,
     matrix_density,
 )
-from .matrices import MinorSearchCapExceeded, PolyMatrix, ZeroMatrixError
+from .matrices import (
+    ExactDivisionError,
+    MinorSearchCapExceeded,
+    PolyMatrix,
+    ZeroMatrixError,
+)
 from .parsing import ParseError, format_poly, parse_matrix, parse_poly
 
 DEFAULT_MAX_POINTS = 10**8
@@ -320,6 +326,9 @@ def main(argv: list[str] | None = None) -> int:
     except CostGuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
+    except ExactDivisionError as exc:
+        print(f"error: internal arithmetic error: {exc}", file=sys.stderr)
+        return 6
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

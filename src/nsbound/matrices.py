@@ -1,17 +1,23 @@
 """Matrices over the Laurent polynomial ring: determinants, minors, norms.
 
-Determinants are exact.  Small matrices use cofactor expansion; from size 4
-upwards a fraction-free Bareiss elimination keeps intermediate entries from
-blowing up, with the required exact divisions carried out by leading-term
-polynomial division (a failed division indicates a bug, not bad input, and
-raises accordingly).
+Determinants are exact and computed one way at every size: each row is
+scaled by the lcm of its coefficient denominators, and fraction-free
+Bareiss elimination then runs on a small private kernel whose polynomials
+are plain dicts of Gaussian-integer coefficient pairs (Python ints), with
+the required exact divisions done by leading-term polynomial division.
+``LaurentPoly`` appears only at the edges.  A failed division indicates a
+bug, not bad input, and raises ExactDivisionError.  Cofactor expansion is
+kept as an independent oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from operator import add, neg, sub
 from typing import Iterable, Sequence
 
 from .poly import DimensionMismatch, GaussianRational, LaurentPoly
@@ -97,58 +103,142 @@ class PolyMatrix:
         return self.rows * self.cols * self.l1_norm()
 
 
-# -- exact division and determinants ---------------------------------------
+# -- the exact kernel ----------------------------------------------------------
+#
+# A kernel polynomial is a plain dict mapping an exponent tuple to an
+# (re, im) coefficient pair.  Inside a determinant both parts are Python
+# ints; a division whose quotient is not Gaussian-integral carries Fractions.
+
+_KPoly = dict[tuple[int, ...], tuple]
 
 
-def _shift_to_ordinary(p: LaurentPoly) -> tuple[LaurentPoly, tuple[int, ...]]:
+def _lex_key(exp: tuple[int, ...]) -> tuple[int, ...]:
+    # Heap key: the smallest key is the maximal exponent in the
+    # lexicographic order that compares the last coordinate first.
+    return tuple(map(neg, reversed(exp)))
+
+
+def _scaled(x: Fraction, scale: int):
+    """scale * x, as an int when scale clears the denominator of x."""
+    q, r = divmod(scale, x.denominator)
+    return x * scale if r else x.numerator * q
+
+
+def _to_kernel(p: LaurentPoly, scale: int = 1) -> _KPoly:
+    return {e: (_scaled(c.re, scale), _scaled(c.im, scale)) for e, c in p.terms.items()}
+
+
+def _from_kernel(dim: int, p: _KPoly, denominator: int = 1) -> LaurentPoly:
+    return LaurentPoly(
+        dim,
+        {
+            e: GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
+            for e, (re, im) in p.items()
+        },
+    )
+
+
+def _mul_acc(acc: _KPoly, p: _KPoly, q: _KPoly, sign: int) -> None:
+    """acc += sign * p * q in place; cancelled terms stay as (0, 0)."""
+    q_items = list(q.items())
+    get = acc.get
+    for e1, (a, b) in p.items():
+        if sign < 0:
+            a, b = -a, -b
+        for e2, (c, d) in q_items:
+            e = tuple(map(add, e1, e2))
+            re = a * c - b * d
+            im = a * d + b * c
+            old = get(e)
+            if old is not None:
+                re += old[0]
+                im += old[1]
+            acc[e] = (re, im)
+
+
+def _shift_to_ordinary(p: _KPoly) -> tuple[_KPoly, tuple[int, ...]]:
     """Divide out the per-coordinate valuation so all exponents are >= 0.
 
     Normalizing both operands of a division to valuation exactly 0 makes
     the quotient an ordinary polynomial whenever the Laurent quotient
     exists, so plain leading-term division applies.
     """
-    if p.is_zero():
-        return p, (0,) * p.dim
-    mins = [min(exp[j] for exp in p.terms) for j in range(p.dim)]
-    shifted = LaurentPoly(
-        p.dim,
-        {tuple(e - m for e, m in zip(exp, mins)): c for exp, c in p.terms.items()},
-    )
-    return shifted, tuple(mins)
+    mins = tuple(map(min, zip(*p)))
+    return {tuple(map(sub, e, mins)): c for e, c in p.items()}, mins
+
+
+def _kdiv(a: _KPoly, b: _KPoly) -> _KPoly:
+    """Exact quotient a / b of non-zero kernel polynomials in the Laurent ring.
+
+    Leading-term division after shifting both operands to valuation 0.  A
+    quotient term with a negative exponent, or one beyond the per-coordinate
+    degree a quotient can have, means b does not divide a and raises
+    ExactDivisionError; the quotient exponents lie in a finite box, so the
+    loop always terminates.
+    """
+    ah, sa = _shift_to_ordinary(a)
+    bh, sb = _shift_to_ordinary(b)
+    top = tuple(map(sub, map(max, zip(*ah)), map(max, zip(*bh))))
+    b_lead = min(bh, key=_lex_key)
+    c, d = bh[b_lead]
+    norm = c * c + d * d
+    b_rest = [(e, cf) for e, cf in bh.items() if e != b_lead]
+    rem = ah
+    heap = [(_lex_key(e), e) for e in rem]
+    heapify(heap)
+    quotient: _KPoly = {}
+    while heap:
+        e = heappop(heap)[1]
+        x, y = rem[e]
+        if not (x or y):
+            continue
+        t = tuple(map(sub, e, b_lead))
+        if any(ti < 0 or ti > hi for ti, hi in zip(t, top)):
+            raise ExactDivisionError(
+                "leading term is not divisible; quotient would not be exact"
+            )
+        re = x * c + y * d
+        im = y * c - x * d
+        qr, rr = divmod(re, norm)
+        qi, ri = divmod(im, norm)
+        if rr or ri:
+            qr, qi = Fraction(re, norm), Fraction(im, norm)
+        quotient[t] = (qr, qi)
+        for e2, (u, v) in b_rest:
+            e3 = tuple(map(add, t, e2))
+            old = rem.get(e3)
+            if old is None:
+                rem[e3] = (qi * v - qr * u, -qr * v - qi * u)
+                heappush(heap, (_lex_key(e3), e3))
+            else:
+                rem[e3] = (old[0] - qr * u + qi * v, old[1] - qr * v - qi * u)
+    shift = tuple(map(sub, sa, sb))
+    return {tuple(map(add, e, shift)): cf for e, cf in quotient.items()}
 
 
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact quotient a / b in the Laurent ring; raises if b does not divide a."""
+    """Exact quotient a / b in the Laurent ring; raises if b does not divide a.
+
+    The quotient may have Gaussian-rational coefficients, as in
+    (z1 + 1) / (2*z1 + 2) = 1/2.
+    """
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
         return LaurentPoly.zero(a.dim)
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
-    ah, sa = _shift_to_ordinary(a)
-    bh, sb = _shift_to_ordinary(b)
-    b_lead_exp = next(reversed(bh.terms))
-    b_lead_coeff = bh.terms[b_lead_exp]
-    quotient: dict[tuple[int, ...], GaussianRational] = {}
-    rem = ah
-    while not rem.is_zero():
-        r_lead_exp = next(reversed(rem.terms))
-        t_exp = tuple(r - b for r, b in zip(r_lead_exp, b_lead_exp))
-        if any(e < 0 for e in t_exp):
-            raise ExactDivisionError(
-                "leading term is not divisible; quotient would not be exact"
-            )
-        t_coeff = rem.terms[r_lead_exp] / b_lead_coeff
-        quotient[t_exp] = t_coeff
-        rem = rem - LaurentPoly.monomial(rem.dim, t_exp, t_coeff) * bh
-    shift = tuple(x - y for x, y in zip(sa, sb))
-    return LaurentPoly(
-        a.dim, {tuple(e + s for e, s in zip(exp, shift)): c for exp, c in quotient.items()}
-    )
+    return _from_kernel(a.dim, _kdiv(_to_kernel(a), _to_kernel(b)))
+
+
+# -- determinants ----------------------------------------------------------------
 
 
 def determinant_cofactor(B: PolyMatrix) -> LaurentPoly:
-    """Determinant by recursive first-row expansion (exact, exponential)."""
+    """Determinant by recursive first-row expansion (exact, exponential).
+
+    Kept as an independent oracle for the Bareiss kernel.
+    """
     if B.rows != B.cols:
         raise ValueError(f"determinant of a non-square {B.rows}x{B.cols} matrix")
     return _det_cofactor(B.entries, B.dim)
@@ -171,39 +261,49 @@ def _det_cofactor(rows: Sequence[Sequence[LaurentPoly]], dim: int) -> LaurentPol
 
 
 def determinant_bareiss(B: PolyMatrix) -> LaurentPoly:
-    """Determinant by fraction-free elimination with exact division."""
+    """Determinant by fraction-free Bareiss elimination on the kernel.
+
+    Row r is scaled by the lcm s_r of the denominators in it, so every
+    entry has Gaussian-integer coefficients.  Each Bareiss quotient is then
+    a minor of the scaled matrix (Sylvester's identity) and the elimination
+    never leaves the integers; the result is divided by the product of the
+    s_r at the end.
+    """
     if B.rows != B.cols:
         raise ValueError(f"determinant of a non-square {B.rows}x{B.cols} matrix")
     n = B.rows
-    M = [list(row) for row in B.entries]
+    scales = [
+        math.lcm(*(x.denominator for p in row for c in p.terms.values() for x in (c.re, c.im)))
+        for row in B.entries
+    ]
+    M = [[_to_kernel(p, s) for p in row] for row, s in zip(B.entries, scales)]
     sign = 1
-    prev = LaurentPoly.const(B.dim, 1)
+    prev: _KPoly | None = None
     for k in range(n - 1):
-        if M[k][k].is_zero():
+        if not M[k][k]:
             for i in range(k + 1, n):
-                if not M[i][k].is_zero():
+                if M[i][k]:
                     M[k], M[i] = M[i], M[k]
                     sign = -sign
                     break
             else:
                 return LaurentPoly.zero(B.dim)
+        pivot_row = M[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
+            row = M[i]
             for j in range(k + 1, n):
-                elt = M[k][k] * M[i][j] - M[i][k] * M[k][j]
-                if k > 0:
-                    elt = exact_div(elt, prev)
-                M[i][j] = elt
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return det if sign > 0 else -det
+                acc: _KPoly = {}
+                _mul_acc(acc, pivot, row[j], 1)
+                _mul_acc(acc, row[k], pivot_row[j], -1)
+                elt = {e: cf for e, cf in acc.items() if cf[0] or cf[1]}
+                row[j] = _kdiv(elt, prev) if prev is not None and elt else elt
+        prev = pivot
+    return _from_kernel(B.dim, M[n - 1][n - 1], sign * math.prod(scales))
 
 
 def determinant(B: PolyMatrix) -> LaurentPoly:
-    """Exact determinant: cofactor expansion up to 3x3, Bareiss beyond."""
-    if B.rows != B.cols:
-        raise ValueError(f"determinant of a non-square {B.rows}x{B.cols} matrix")
-    if B.rows <= 3:
-        return determinant_cofactor(B)
+    """Exact determinant of a square matrix, by the Bareiss kernel at every size."""
     return determinant_bareiss(B)
 
 

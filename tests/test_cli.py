@@ -84,6 +84,19 @@ def test_workers_below_one_exit_2(capsys, example_file, workers):
     assert err == "error: --workers must be at least 1\n"
 
 
+def test_exact_division_error_exit_6(capsys, example_file, monkeypatch):
+    from nsbound import matrices
+
+    def fail(B):
+        raise matrices.ExactDivisionError("remainder left")
+
+    monkeypatch.setattr(matrices, "determinant", fail)
+    code, out, err = run(capsys, "analyze", example_file)
+    assert code == 6
+    assert out == ""
+    assert err == "error: internal arithmetic error: remainder left\n"
+
+
 def test_zero_matrix_exit_3(capsys, tmp_path):
     f = tmp_path / "zero.mat"
     f.write_text("[[0, 0], [0, 0]]")
@@ -227,6 +240,8 @@ def test_example_command(capsys):
     assert "18" in out
 
 
+# exit 6 (internal arithmetic error) is documented too, but it marks a bug,
+# so no input may reach it
 DOCUMENTED_EXIT_CODES = {0, 1, 2, 3, 4, 5}
 COEFFICIENTS = [str(c) for c in range(1, 10)] + [
     "1" + "0" * 200,

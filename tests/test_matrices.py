@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsbound import (
     GaussianRational,
@@ -14,6 +19,7 @@ from nsbound import (
     determinant_bareiss,
     determinant_cofactor,
     exact_div,
+    format_poly,
     max_nonvanishing_minor,
     minor,
     parse_matrix,
@@ -38,6 +44,57 @@ def random_matrix(rng, rows, cols, dim=2, max_terms=2, real_only=False):
             for _ in range(rows)
         ]
     )
+
+
+# Gaussian-rational coefficients, with the extremes 10^200 and 1/10^400
+_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+coefficients = st.one_of(
+    st.builds(GaussianRational, _rationals, _rationals),
+    st.sampled_from(
+        [
+            GaussianRational(10**200),
+            GaussianRational(0, -(10**200)),
+            GaussianRational(Fraction(1, 10**400)),
+            GaussianRational(3, Fraction(-1, 10**400)),
+        ]
+    ),
+)
+
+
+def laurent_polys(dim: int, min_terms: int = 0, max_terms: int = 3):
+    """Laurent polynomials with exponents in [-3, 3] and at least ``min_terms`` terms.
+
+    Without a lower bound a drawn coefficient may be zero, so zero entries occur.
+    """
+    exponents = st.tuples(*[st.integers(-3, 3)] * dim)
+    coeffs = coefficients.filter(bool) if min_terms else coefficients
+    return st.dictionaries(
+        exponents, coeffs, min_size=min_terms, max_size=max_terms
+    ).map(lambda terms: LaurentPoly(dim, terms))
+
+
+@st.composite
+def square_matrices(draw, sizes=st.integers(1, 4), max_terms=3):
+    n = draw(sizes)
+    dim = draw(st.integers(1, 3))
+    entry = laurent_polys(dim, max_terms=max_terms)
+    return PolyMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Turn a call that runs past ``seconds`` into a TimeoutError."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- exact division -----------------------------------------------------------
@@ -67,6 +124,39 @@ def test_exact_div_random_products():
         a = random_poly(rng, dim, max_terms=4, exp_range=3)
         b = random_poly(rng, dim, max_terms=4, exp_range=3)
         assert exact_div(a * b, b) == a
+
+
+def test_exact_div_non_integral_quotient():
+    assert exact_div(parse_poly("z1 + 1"), parse_poly("2*z1 + 2")) == parse_poly("1/2")
+    assert exact_div(parse_poly("z1 - i"), parse_poly("(1 + i)*z1 + (1 - i)")) == parse_poly(
+        "(1/2 - 1/2i)"
+    )
+
+
+@st.composite
+def laurent_pairs(draw, min_b_terms=1):
+    dim = draw(st.integers(1, 3))
+    a = draw(laurent_polys(dim, max_terms=4))
+    b = draw(laurent_polys(dim, min_terms=min_b_terms, max_terms=4))
+    return dim, a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_pairs())
+def test_exact_div_recovers_factor_property(pair):
+    _, a, b = pair
+    assert exact_div(a * b, b) == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_pairs(min_b_terms=2), st.data())
+def test_exact_div_remainder_raises_promptly_property(pair, data):
+    # b has two or more terms, so it is not a unit of the Laurent ring (the
+    # units are the monomials) and divides no monomial m, nor a*b + m
+    dim, a, b = pair
+    m = data.draw(laurent_polys(dim, min_terms=1, max_terms=1))
+    with time_limit(2.0), pytest.raises(ExactDivisionError):
+        exact_div(a * b + m, b)
 
 
 # -- determinants ---------------------------------------------------------------
@@ -120,6 +210,77 @@ def test_bareiss_equals_cofactor():
 def test_bareiss_zero_pivot_swap():
     A = parse_matrix("[[0, 1, 2, 1], [1, 0, 1, 1], [0, 0, 0, 1], [1, 1, 0, 0]]")
     assert determinant_bareiss(A) == determinant_cofactor(A)
+
+
+def _same_poly(got: LaurentPoly, want: LaurentPoly) -> None:
+    assert got == want
+    assert format_poly(got) == format_poly(want)  # term order too
+
+
+@settings(max_examples=120, deadline=None)
+@given(square_matrices())
+def test_det_matches_cofactor_property(A):
+    _same_poly(determinant(A), determinant_cofactor(A))
+
+
+@settings(max_examples=10, deadline=None)
+@given(square_matrices(sizes=st.just(5), max_terms=2))
+def test_det_matches_cofactor_5x5_property(A):
+    _same_poly(determinant(A), determinant_cofactor(A))
+
+
+@settings(max_examples=50, deadline=None)
+@given(square_matrices(sizes=st.integers(3, 5), max_terms=2), st.data())
+def test_det_rank_deficient_is_zero_property(A, data):
+    # row r = m * row a + row b for a monomial m: the rows are dependent
+    r, a, b = data.draw(st.permutations(range(A.rows)))[:3]
+    m = data.draw(laurent_polys(A.dim, min_terms=1, max_terms=1))
+    rows = [list(row) for row in A.entries]
+    rows[r] = [m * x + y for x, y in zip(rows[a], rows[b])]
+    B = PolyMatrix(rows)
+    assert determinant(B).is_zero()
+    _same_poly(determinant(B), determinant_cofactor(B))
+
+
+#: a fixed 5x5 Gaussian-rational matrix and its cofactor determinant
+FIXED_5X5 = """[[z1 + (1/2 + i), 0, 3/4*z2^-1, 1, -i*z1],
+ [2, z1^-1 - 1/3, 0, (2 - 1/5i)*z2, 1],
+ [0, i*z2, z1*z2 + 1, 0, -2/3],
+ [1/7*z1^2, 1, -1, z1^-1*z2, 0],
+ [3, 0, (1 + i)*z1, -z2^-1, z1 - 5/2i]]"""
+FIXED_5X5_DET = (
+    "(11/35+9/35i)*z1^4*z2^2 + (-2+1/5i)*z1^3*z2^2 + (-11/6-49/10i)*z1^2*z2^2"
+    " + (-241/60+1/5i)*z1*z2^2 + (-29/6-10/3i)*z2^2 + (5/2-5/4i)*z1^-1*z2^2"
+    " + 1/21*z1^4*z2 + (-3/140-10/21i)*z1^3*z2 + (-841/420-33/56i)*z1^2*z2"
+    " + (-79/18-737/90i)*z1*z2 + (67/36+4/3i)*z2 + (37/12+2/3i)*z1^-1*z2"
+    " + (5/2-5/4i)*z1^-2*z2 - 1/21i*z1^4 + (5/63+11/63i)*z1^3"
+    " + (-26/21-31/14i)*z1^2 + (29/6-13/42i)*z1 + (5/3-29/5i) - 3/2*z1^-1"
+    " - 3/2*z1^-2 - 1/21i*z1^3*z2^-1 + 1/28i*z1^2*z2^-1 + (-7/9-2i)*z1*z2^-1"
+    " + (-19/18-7/9i)*z2^-1 + (-1/3-2/3i)*z1^-1*z2^-1 + 1/42*z1^2*z2^-2"
+    " - 1/14*z1*z2^-2 + z2^-2"
+)
+
+
+def test_det_fixed_5x5_matches_stored_cofactor():
+    A = parse_matrix(FIXED_5X5)
+    assert determinant_cofactor(A) == parse_poly(FIXED_5X5_DET)
+
+
+def test_det_runs_without_per_term_objects(monkeypatch):
+    # the kernel multiplies plain int pairs; routing the elimination back
+    # through LaurentPoly or GaussianRational products fails here
+    A = parse_matrix(FIXED_5X5)
+    want = parse_poly(FIXED_5X5_DET)
+
+    def refuse(self, other):
+        raise AssertionError("per-term product inside determinant")
+
+    for cls in (LaurentPoly, GaussianRational):
+        monkeypatch.setattr(cls, "__mul__", refuse)
+        monkeypatch.setattr(cls, "__rmul__", refuse)
+    got = determinant(A)
+    monkeypatch.undo()
+    assert got == want
 
 
 def test_det_star_transpose_is_star_of_det(example_matrix):
