@@ -1,10 +1,13 @@
 """Command line front end: analyze, density, verify, example.
 
 Data (CSV) goes to stdout or --out; diagnostics go to stderr.  Exit codes:
-0 success, 1 verification failure, 2 parse error, invalid option or a
-number beyond floating-point range, 3 zero matrix, 4 minor search budget
-exceeded, 5 quadrature cost guard exceeded, 6 internal arithmetic error (an
-exact division that must succeed left a remainder; a bug, not bad input).
+0 success, 1 verification failure, 2 parse error, invalid option, a number
+beyond floating-point range or a file that cannot be read or written, 3 zero
+matrix, 4 minor search budget exceeded, 5 quadrature cost guard exceeded, 6
+internal arithmetic error (an exact division that must succeed left a
+remainder; a bug, not bad input).  ``main`` returns these codes, except that
+it lets an ``OSError`` reach its caller; the ``nsbound`` command maps that
+to exit 2 with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -334,5 +337,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _console_main() -> int:
+    """The ``nsbound`` command: ``main``, with a file error as exit 2."""
+    try:
+        return main()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_console_main())

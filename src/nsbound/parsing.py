@@ -1,17 +1,19 @@
 """Text format for Laurent polynomials and matrices, with a canonical printer.
 
-Grammar (whitespace insignificant, ``#`` comments run to end of line):
+Grammar (space, tab, CR and LF are insignificant; a comment runs from ``#``
+to the end of the line):
 
     matrix := '[' row (',' row)* ']'
     row    := '[' poly (',' poly)* ']'
     poly   := ['-'] term (('+'|'-') term)*
     term   := coeff ('*' factor)* | factor ('*' factor)*
-    factor := var ('^' int)?
-    var    := 'z' posint          (z1 through z99)
-    coeff  := number | '(' complex ')'
-    number := int | int '/' posint | decimal | imag
+    factor := var ('^' ['-'] int)?
+    var    := 'z' int           (value 1 to 99, so z01 names z1)
+    coeff  := number | '(' ['-'] number (('+'|'-') number)* ')'
+    number := int | int '/' int | decimal | imag   (non-zero denominator)
     imag   := number? 'i'
 
+``int`` is a run of decimal digits and ``decimal`` is ``int '.' int``.
 Decimal literals become exact rationals (0.25 parses as 1/4).  The printer
 emits terms in descending lexicographic exponent order (last variable most
 significant), so formatting is canonical and parse(format(p)) == p.
@@ -19,8 +21,11 @@ significant), so formatting is canonical and parse(format(p)) == p.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .poly import GaussianRational, LaurentPoly
 
@@ -51,112 +56,79 @@ class ParseError(ValueError):
         self.span = span
 
 
-_PUNCT = {"[", "]", "(", ")", ",", "+", "-", "*", "^", "/"}
+# One alternative per token kind.  ``\d`` matches exactly the Unicode decimal
+# digits that int() accepts; a decimal with no fractional digits is matched so
+# that it can be reported as such.
+_TOKEN = re.compile(
+    r"(?P<skip>[ \t\r\n]+|#[^\n]*)"
+    r"|(?P<decimal>\d+\.\d*)"
+    r"|(?P<int>\d+)"
+    r"|(?P<var>z\d*)"
+    r"|(?P<punct>[\[\](),+\-*^/i])"
+    r"|(?P<bad>.)"  # any other character ('\n' is always skipped)
+)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'int', 'decimal', 'var', 'i', punct literal, 'eof'
+class _Token(NamedTuple):
+    kind: str  # 'int', 'decimal', 'var', a punctuation character or 'i', 'eof'
     text: str
-    span: SourceSpan
+    start: int
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _span(self, start: int, start_line: int, start_col: int) -> SourceSpan:
-        return SourceSpan(start, self.pos, start_line, start_col)
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def tokens(self) -> list[_Token]:
-        out = []
-        text = self.text
-        while True:
-            while self.pos < len(text):
-                ch = text[self.pos]
-                if ch in " \t\r\n":
-                    self._advance()
-                elif ch == "#":
-                    while self.pos < len(text) and text[self.pos] != "\n":
-                        self._advance()
-                else:
-                    break
-            if self.pos >= len(text):
-                span = SourceSpan(self.pos, self.pos, self.line, self.col)
-                out.append(_Token("eof", "", span))
-                return out
-            start, sl, sc = self.pos, self.line, self.col
-            ch = text[self.pos]
-            if ch in _PUNCT:
-                self._advance()
-                out.append(_Token(ch, ch, self._span(start, sl, sc)))
-            elif ch.isdigit():
-                while self.pos < len(text) and text[self.pos].isdigit():
-                    self._advance()
-                if self.pos < len(text) and text[self.pos] == ".":
-                    self._advance()
-                    digits = 0
-                    while self.pos < len(text) and text[self.pos].isdigit():
-                        self._advance()
-                        digits += 1
-                    if digits == 0:
-                        raise ParseError(
-                            "bad-number",
-                            f"decimal literal {text[start:self.pos]!r} has no fractional digits",
-                            self._span(start, sl, sc),
-                        )
-                    out.append(_Token("decimal", text[start:self.pos], self._span(start, sl, sc)))
-                else:
-                    out.append(_Token("int", text[start:self.pos], self._span(start, sl, sc)))
-            elif ch == "i":
-                self._advance()
-                out.append(_Token("i", "i", self._span(start, sl, sc)))
-            elif ch == "z":
-                self._advance()
-                digits = 0
-                while self.pos < len(text) and text[self.pos].isdigit():
-                    self._advance()
-                    digits += 1
-                name = text[start : self.pos]
-                if digits == 0:
-                    raise ParseError(
-                        "unexpected-token",
-                        f"variable name {name!r} needs an index (z1..z99)",
-                        self._span(start, sl, sc),
-                    )
-                index = int(name[1:])
-                if not 1 <= index <= 99:
-                    raise ParseError(
-                        "unexpected-token",
-                        f"variable {name!r} out of the supported range z1..z99",
-                        self._span(start, sl, sc),
-                    )
-                out.append(_Token("var", name, self._span(start, sl, sc)))
-            else:
-                self._advance()
-                raise ParseError(
-                    "unexpected-token",
-                    f"unexpected character {ch!r}",
-                    self._span(start, sl, sc),
-                )
+def _found(tok: _Token) -> str:
+    return repr(tok.text) if tok.text else "end of input"
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _Lexer(text).tokens()
+        self.text = text
+        # the whole input is tokenised first, so a bad character anywhere is
+        # the error reported
+        self.toks = [self._token(m) for m in _TOKEN.finditer(text) if m.lastgroup != "skip"]
+        self.toks.append(_Token("eof", "", len(text)))
         self.k = 0
+
+    def error(self, kind: str, message: str, tok: _Token) -> ParseError:
+        """A ParseError spanning ``tok``; line and column are counted here only."""
+        start = tok.start
+        line = self.text.count("\n", 0, start) + 1
+        column = start - self.text.rfind("\n", 0, start)
+        return ParseError(kind, message, SourceSpan(start, start + len(tok.text), line, column))
+
+    def _token(self, m: re.Match) -> _Token:
+        kind = m.lastgroup
+        tok = _Token(m.group() if kind == "punct" else kind, m.group(), m.start())
+        if kind == "bad":
+            raise self.error("unexpected-token", f"unexpected character {tok.text!r}", tok)
+        if kind == "decimal" and tok.text.endswith("."):
+            raise self.error(
+                "bad-number", f"decimal literal {tok.text!r} has no fractional digits", tok
+            )
+        if kind == "var":
+            if tok.text == "z":
+                raise self.error(
+                    "unexpected-token", "variable name 'z' needs an index (z1..z99)", tok
+                )
+            if not 1 <= self._value(tok, "unexpected-token", lambda s: int(s[1:])) <= 99:
+                raise self.error(
+                    "unexpected-token",
+                    f"variable {tok.text!r} out of the supported range z1..z99",
+                    tok,
+                )
+        return tok
+
+    def _value(self, tok: _Token, kind: str, convert: Callable = int):
+        """``convert(tok.text)``, where int() refuses a literal longer than
+        ``sys.get_int_max_str_digits()`` digits."""
+        try:
+            return convert(tok.text)
+        except ValueError:
+            raise self.error(
+                kind,
+                f"literal of {len(tok.text)} characters exceeds the "
+                f"{sys.get_int_max_str_digits()}-digit limit for integers",
+                tok,
+            ) from None
 
     def peek(self) -> _Token:
         return self.toks[self.k]
@@ -171,63 +143,79 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind:
             err_kind = "unbalanced-bracket" if kind in ("]", ")") else "unexpected-token"
-            raise ParseError(
-                err_kind,
-                f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}, found end of input",
-                tok.span,
-            )
+            raise self.error(err_kind, f"expected {what}, found {_found(tok)}", tok)
         return self.next()
+
+    def expect_eof(self) -> None:
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise self.error("unexpected-token", f"trailing input {tok.text!r}", tok)
+
+    # -- shared loops --------------------------------------------------
+
+    def bracketed(self, item: Callable, what: str, after: str) -> list:
+        """'[' item (',' item)* ']' for a ``what`` whose items are ``after``."""
+        self.expect("[", f"'[' opening a {what}")
+        items = [item()]
+        while (tok := self.next()).kind == ",":
+            items.append(item())
+        if tok.kind != "]":
+            raise self.error(
+                "unbalanced-bracket",
+                f"expected ',' or ']' after {after}, found {tok.text!r}"
+                if tok.text
+                else f"{what} bracket is never closed",
+                tok,
+            )
+        return items
+
+    def _signed_sum(self, item: Callable) -> list[tuple[Fraction, object]]:
+        """['-'] item (('+'|'-') item)*, as (sign, item) pairs."""
+        sign = 1
+        if self.peek().kind == "-":
+            self.next()
+            sign = -1
+        out = []
+        while True:
+            out.append((Fraction(sign), item()))
+            kind = self.peek().kind
+            if kind not in ("+", "-"):
+                return out
+            self.next()
+            sign = 1 if kind == "+" else -1
 
     # -- numbers -------------------------------------------------------
 
-    def _posint(self, what: str) -> int:
-        tok = self.expect("int", what)
-        value = int(tok.text)
-        if value <= 0:
-            raise ParseError("bad-number", f"{what} must be positive, got {value}", tok.span)
-        return value
-
-    def _signed_int(self) -> int:
+    def _exponent(self) -> int:
         sign = 1
-        tok = self.peek()
-        if tok.kind == "-":
+        if self.peek().kind == "-":
             self.next()
             sign = -1
-        tok = self.peek()
+        tok = self.next()
         if tok.kind != "int":
-            raise ParseError(
-                "bad-exponent",
-                f"expected an integer exponent, found {tok.text!r}" if tok.text else "expected an integer exponent, found end of input",
-                tok.span,
+            raise self.error(
+                "bad-exponent", f"expected an integer exponent, found {_found(tok)}", tok
             )
-        self.next()
-        return sign * int(tok.text)
+        return sign * self._value(tok, "bad-exponent")
 
     def _number_magnitude(self) -> Fraction:
         """int, int/posint or decimal, without sign and without 'i'."""
         tok = self.next()
         if tok.kind == "decimal":
-            return Fraction(tok.text)
+            return self._value(tok, "bad-number", Fraction)
         if tok.kind != "int":
-            raise ParseError(
-                "bad-number",
-                f"expected a number, found {tok.text!r}" if tok.text else "expected a number, found end of input",
-                tok.span,
-            )
-        value = Fraction(int(tok.text))
+            raise self.error("bad-number", f"expected a number, found {_found(tok)}", tok)
+        value = Fraction(self._value(tok, "bad-number"))
         if self.peek().kind == "/":
             self.next()
-            den_tok = self.peek()
+            den_tok = self.next()
             if den_tok.kind != "int":
-                raise ParseError(
-                    "bad-number",
-                    f"expected a denominator, found {den_tok.text!r}",
-                    den_tok.span,
+                raise self.error(
+                    "bad-number", f"expected a denominator, found {den_tok.text!r}", den_tok
                 )
-            self.next()
-            den = int(den_tok.text)
+            den = self._value(den_tok, "bad-number")
             if den == 0:
-                raise ParseError("bad-number", "zero denominator", den_tok.span)
+                raise self.error("bad-number", "zero denominator", den_tok)
             value = value / den
         return value
 
@@ -242,28 +230,6 @@ class _Parser:
             return GaussianRational(0, mag)
         return GaussianRational(mag)
 
-    def _paren_complex(self) -> GaussianRational:
-        self.expect("(", "'('")
-        total = GaussianRational(0)
-        sign = 1
-        if self.peek().kind == "-":
-            self.next()
-            sign = -1
-        while True:
-            part = self._simple_coeff()
-            total = total + (part * Fraction(sign))
-            tok = self.peek()
-            if tok.kind == "+":
-                sign = 1
-                self.next()
-            elif tok.kind == "-":
-                sign = -1
-                self.next()
-            else:
-                break
-        self.expect(")", "')' closing a complex coefficient")
-        return total
-
     # -- polynomials ---------------------------------------------------
 
     def _factor(self) -> tuple[int, int]:
@@ -273,7 +239,7 @@ class _Parser:
         exponent = 1
         if self.peek().kind == "^":
             self.next()
-            exponent = self._signed_int()
+            exponent = self._exponent()
         return index, exponent
 
     def _term(self) -> tuple[GaussianRational, dict[int, int]]:
@@ -282,66 +248,28 @@ class _Parser:
         if tok.kind in ("int", "decimal", "i"):
             coeff = self._simple_coeff()
         elif tok.kind == "(":
-            coeff = self._paren_complex()
+            self.next()
+            parts = self._signed_sum(self._simple_coeff)
+            coeff = sum((part * sign for sign, part in parts), GaussianRational(0))
+            self.expect(")", "')' closing a complex coefficient")
         elif tok.kind == "var":
             coeff = GaussianRational(1)
             idx, e = self._factor()
             exps[idx] = exps.get(idx, 0) + e
         else:
-            raise ParseError(
-                "unexpected-token",
-                f"expected a term, found {tok.text!r}" if tok.text else "expected a term, found end of input",
-                tok.span,
-            )
+            raise self.error("unexpected-token", f"expected a term, found {_found(tok)}", tok)
         while self.peek().kind == "*":
             self.next()
             idx, e = self._factor()
             exps[idx] = exps.get(idx, 0) + e
         return coeff, exps
 
-    def parse_poly_body(self) -> list[tuple[GaussianRational, dict[int, int]]]:
-        terms = []
-        sign = 1
-        if self.peek().kind == "-":
-            self.next()
-            sign = -1
-        while True:
-            coeff, exps = self._term()
-            terms.append((coeff * Fraction(sign), exps))
-            tok = self.peek()
-            if tok.kind == "+":
-                sign = 1
-                self.next()
-            elif tok.kind == "-":
-                sign = -1
-                self.next()
-            else:
-                return terms
+    def poly_body(self) -> list[tuple[GaussianRational, dict[int, int]]]:
+        return [(coeff * sign, exps) for sign, (coeff, exps) in self._signed_sum(self._term)]
 
-    def _row(self) -> list:
-        self.expect("[", "'[' opening a row")
-        entries = []
-        while True:
-            entries.append(self.parse_poly_body())
-            tok = self.peek()
-            if tok.kind == ",":
-                self.next()
-            elif tok.kind == "]":
-                self.next()
-                return entries
-            else:
-                raise ParseError(
-                    "unbalanced-bracket",
-                    f"expected ',' or ']' after an entry, found {tok.text!r}" if tok.text else "row bracket is never closed",
-                    tok.span,
-                )
-
-    def expect_eof(self) -> None:
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(
-                "unexpected-token", f"trailing input {tok.text!r}", tok.span
-            )
+    def row(self) -> tuple[_Token, list]:
+        """A row and its first token, which locates a ragged-row error."""
+        return self.peek(), self.bracketed(self.poly_body, "row", "an entry")
 
 
 def _build_poly(
@@ -376,15 +304,15 @@ def parse_poly(text: str, expected_dim: int | None = None) -> LaurentPoly:
     """
     parser = _Parser(text)
     start_tok = parser.peek()
-    raw = parser.parse_poly_body()
+    raw = parser.poly_body()
     parser.expect_eof()
     inferred = max(1, _max_var_index(raw))
     if expected_dim is not None:
         if inferred > expected_dim:
-            raise ParseError(
+            raise parser.error(
                 "dimension-mismatch",
                 f"polynomial uses z{inferred} but only {expected_dim} variables are expected",
-                start_tok.span,
+                start_tok,
             )
         inferred = expected_dim
     return _build_poly(raw, inferred)
@@ -399,68 +327,40 @@ def parse_matrix(text: str):
     from .matrices import PolyMatrix
 
     parser = _Parser(text)
-    open_tok = parser.peek()
-    row_start_spans = []
-    # record row spans while parsing: re-lex cheaply by tracking token index
-    rows_raw = []
-    parser.expect("[", "'[' opening a matrix")
-    while True:
-        row_tok = parser.peek()
-        row_start_spans.append(row_tok.span)
-        rows_raw.append(parser._row())
-        tok = parser.peek()
-        if tok.kind == ",":
-            parser.next()
-        elif tok.kind == "]":
-            parser.next()
-            break
-        else:
-            raise ParseError(
-                "unbalanced-bracket",
-                f"expected ',' or ']' after a row, found {tok.text!r}" if tok.text else "matrix bracket is never closed",
-                tok.span,
-            )
+    rows = parser.bracketed(parser.row, "matrix", "a row")
     parser.expect_eof()
-    if not rows_raw:
-        raise ParseError("unexpected-token", "matrix has no rows", open_tok.span)
-    ncols = len(rows_raw[0])
-    for r, row in enumerate(rows_raw):
+    ncols = len(rows[0][1])
+    for r, (row_tok, row) in enumerate(rows):
         if len(row) != ncols:
-            raise ParseError(
+            raise parser.error(
                 "dimension-mismatch",
                 f"ragged rows: row {r + 1} has {len(row)} entries, expected {ncols}",
-                row_start_spans[r],
+                row_tok,
             )
-    dim = max(1, max(_max_var_index(raw) for row in rows_raw for raw in row))
-    entries = [[_build_poly(raw, dim) for raw in row] for row in rows_raw]
+    dim = max(1, max(_max_var_index(raw) for _, row in rows for raw in row))
+    entries = [[_build_poly(raw, dim) for raw in row] for _, row in rows]
     return PolyMatrix(entries)
 
 
 # -- canonical formatting --------------------------------------------------
 
 
-def _format_fraction(f: Fraction) -> str:
-    return str(f)  # Fraction prints 'a' or 'a/b' with positive denominator
+def _format_magnitude(c: GaussianRational) -> str:
+    """Magnitude text for a coefficient whose sign is handled outside.
 
-
-def _format_magnitude(c: GaussianRational) -> tuple[str, bool]:
-    """Magnitude string for a coefficient whose sign is handled outside.
-
-    Returns (text, needs_star) where ``text`` is '' for a (real) unit that
-    can be elided in front of variables.
+    The text is '' for a (real) unit, which is elided in front of variables.
     """
     if c.im == 0:
         mag = abs(c.re)
-        return ("" if mag == 1 else _format_fraction(mag)), mag != 1
+        return "" if mag == 1 else str(mag)
     if c.re == 0:
         mag = abs(c.im)
-        return ("i" if mag == 1 else _format_fraction(mag) + "i"), True
+        return "i" if mag == 1 else str(mag) + "i"
     # genuinely complex: parenthesized with internal signs, never split
-    re_s = _format_fraction(c.re)
     im_mag = abs(c.im)
-    im_s = ("" if im_mag == 1 else _format_fraction(im_mag)) + "i"
+    im_s = ("" if im_mag == 1 else str(im_mag)) + "i"
     op = "+" if c.im > 0 else "-"
-    return f"({re_s}{op}{im_s})", True
+    return f"({c.re}{op}{im_s})"
 
 
 def _term_sign(c: GaussianRational) -> int:
@@ -480,7 +380,7 @@ def format_poly(p: LaurentPoly) -> str:
     for exp in reversed(p.terms):
         c = p.terms[exp]
         sign = _term_sign(c)
-        mag, needs_star = _format_magnitude(c * sign if sign < 0 else c)
+        mag = _format_magnitude(c * sign if sign < 0 else c)
         factors = [
             f"z{j + 1}" + (f"^{e}" if e != 1 else "")
             for j, e in enumerate(exp)

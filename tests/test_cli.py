@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import nsbound
 from nsbound.bounds import BoundReport
 from nsbound.cli import main
 
@@ -74,6 +80,27 @@ def test_float_range_exit_2(capsys, tmp_path, name, text, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{tmp}/missing.mat"],
+        ["analyze", "{tmp}"],
+        ["verify", "{example}", "--grid", "8", "--out", "{tmp}/missing/x.csv"],
+    ],
+    ids=["missing-input", "directory-input", "unwritable-out"],
+)
+def test_file_errors_exit_2(tmp_path, example_file, argv):
+    # the command maps the OSError; main() itself lets it reach the caller
+    argv = [a.format(tmp=tmp_path, example=example_file) for a in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(nsbound.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nsbound.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,9 @@ def test_parse_expected_dim_embeds_and_rejects():
     assert exc.value.kind == "dimension-mismatch"
 
 
+LONG = "1" * (sys.get_int_max_str_digits() + 1)
+
+
 @pytest.mark.parametrize(
     "text,kind",
     [
@@ -96,6 +100,16 @@ def test_parse_expected_dim_embeds_and_rejects():
         ("(1 + i", "unbalanced-bracket"),
         ("2*3", "unexpected-token"),
         ("", "unexpected-token"),
+        # superscript digits pass str.isdigit but not int()
+        ("²", "unexpected-token"),
+        ("z1^²", "unexpected-token"),
+        ("1/²", "unexpected-token"),
+        # literals longer than the interpreter's int() digit limit
+        pytest.param(LONG, "bad-number", id="long-coefficient"),
+        pytest.param("1/" + LONG, "bad-number", id="long-denominator"),
+        pytest.param("0." + LONG, "bad-number", id="long-decimal"),
+        pytest.param("z1^" + LONG, "bad-exponent", id="long-exponent"),
+        pytest.param("z" + LONG, "unexpected-token", id="long-variable-index"),
     ],
 )
 def test_parse_poly_errors(text, kind):
@@ -104,6 +118,57 @@ def test_parse_poly_errors(text, kind):
     assert exc.value.kind == kind
     span = exc.value.span
     assert 0 <= span.start <= span.end <= len(text)
+
+
+@pytest.mark.parametrize(
+    "entry,text,expected_dim,message,span",
+    [
+        ("matrix", "[[z1, 1],\n [z2 + , 3]]", None,
+         "unexpected-token at line 2, col 8: expected a term, found ','", (17, 18, 2, 8)),
+        ("matrix", "[[z1],\n [z2],\n [z3 @ 1]]", None,
+         "unexpected-token at line 3, col 6: unexpected character '@'", (19, 20, 3, 6)),
+        ("matrix", "[[z1, 1],\r\n [2, z2^-]]", None,
+         "bad-exponent at line 2, col 10: expected an integer exponent, found ']'",
+         (20, 21, 2, 10)),
+        ("matrix", "# header\n[[z1,\tz2],\t# first row\n\t[1/0, 2]]", None,
+         "bad-number at line 3, col 5: zero denominator", (36, 37, 3, 5)),
+        # a lone CR does not end a line
+        ("matrix", "[[z1],\r[z2 z2]]", None,
+         "unbalanced-bracket at line 1, col 12: expected ',' or ']' after an entry, found 'z2'",
+         (11, 13, 1, 12)),
+        ("matrix", "[[z1, z2]", None,
+         "unbalanced-bracket at line 1, col 10: matrix bracket is never closed", (9, 9, 1, 10)),
+        ("matrix", "[[z1, 1],\n [z2]]", None,
+         "dimension-mismatch at line 2, col 2: ragged rows: row 2 has 1 entries, expected 2",
+         (11, 12, 2, 2)),
+        ("matrix", "[[1, 2],\r\n [3, 4],\r\n\t[5]]  # short row\n", None,
+         "dimension-mismatch at line 3, col 2: ragged rows: row 3 has 1 entries, expected 2",
+         (21, 22, 3, 2)),
+        ("poly", "z1 +\n", None,
+         "unexpected-token at line 2, col 1: expected a term, found end of input", (5, 5, 2, 1)),
+        ("poly", "z1 +\n\t3.", None,
+         "bad-number at line 2, col 2: decimal literal '3.' has no fractional digits",
+         (6, 8, 2, 2)),
+        ("poly", "1 +\r\n  z100", None,
+         "unexpected-token at line 2, col 3: variable 'z100' out of the supported range z1..z99",
+         (7, 11, 2, 3)),
+        ("poly", "# only a comment", None,
+         "unexpected-token at line 1, col 17: expected a term, found end of input",
+         (16, 16, 1, 17)),
+        ("poly", "\n  # comment\n  z1*z3", 2,
+         "dimension-mismatch at line 3, col 3: polynomial uses z3 but only 2 variables are expected",
+         (15, 17, 3, 3)),
+        ("poly", "\u0663*z1 -\n\t(1 + 2i", None,
+         "unbalanced-bracket at line 2, col 9: expected ')' closing a complex coefficient, "
+         "found end of input", (15, 15, 2, 9)),
+    ],
+)
+def test_error_positions(entry, text, expected_dim, message, span):
+    with pytest.raises(ParseError) as exc:
+        parse_matrix(text) if entry == "matrix" else parse_poly(text, expected_dim)
+    s = exc.value.span
+    assert str(exc.value) == message
+    assert (s.start, s.end, s.line, s.column) == span
 
 
 def test_parse_matrix_example(example_matrix):
@@ -188,7 +253,7 @@ def test_format_injective_on_canonical_forms(p, q):
 
 
 @settings(max_examples=300)
-@given(st.text(alphabet="z123[]()+-*/^i., \n#", max_size=40))
+@given(st.text(alphabet="z123[]()+-*/^i., \n#²", max_size=40))
 def test_error_spans_stay_inside_input(text):
     try:
         parse_matrix(text) if text.lstrip().startswith("[") else parse_poly(text)
