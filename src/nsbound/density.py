@@ -18,7 +18,11 @@ Exactness conventions that the tests rely on:
 * Counting uses the closed condition (<=) throughout.
 
 Grid evaluation is chunked; per-chunk integer counts are summed in fixed
-chunk order, so results are bit-identical for any worker count.
+chunk order, so results are bit-identical for any worker count.  A chunk
+takes one complex exp per coordinate per point, z = exp(i*angles), and
+every polynomial is evaluated from integer powers of z, with conjugates for
+negative exponents (``LaurentPoly.eval_block``); no exp is taken per term.
+The gram on the smaller side is summed entry by entry from those values.
 """
 
 from __future__ import annotations
@@ -135,21 +139,38 @@ def hermitian_eigenvalues(H: np.ndarray) -> np.ndarray:
     return np.stack([mid - rad, mid + rad], axis=-1)
 
 
-def _eval_matrix_block(A: PolyMatrix, angles: np.ndarray) -> np.ndarray:
-    """Entrywise evaluation: complex stack of shape (npoints, rows, cols)."""
-    B = angles.shape[0]
-    out = np.empty((B, A.rows, A.cols), dtype=np.complex128)
-    for i in range(A.rows):
-        for j in range(A.cols):
-            out[:, i, j] = A.entries[i][j].eval_block(angles)
-    return out
+def _gram(values: list[list[np.ndarray]], rows: int, cols: int) -> np.ndarray:
+    """Gram stack (npoints, k, k) on the smaller side, k = min(rows, cols).
 
-
-def _gram_small(values: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Gram stack of size min(rows, cols); same non-zero spectrum either way."""
-    if rows <= cols:
-        return np.einsum("bik,bjk->bij", values, np.conj(values))
-    return np.einsum("bki,bkj->bij", np.conj(values), values)
+    ``values[i][j]`` holds entry (i, j) over the block.  A A* (wide) or A* A
+    (tall) has the same non-zero spectrum either way.  Each of the k(k+1)/2
+    distinct entries is summed directly over the long side, and both
+    triangles are written (``eigvalsh`` reads the lower one, the 2x2 closed
+    form the upper).  The stack is a view of a (k, k, npoints) array, so
+    every entry is written contiguously.  Overflowing products become inf
+    or nan quietly; the caller rejects non-finite stacks.
+    """
+    wide = rows <= cols
+    vecs = values if wide else list(zip(*values))
+    k, npoints = len(vecs), len(vecs[0][0])
+    gram = np.empty((k, k, npoints), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, y in enumerate(vecs):
+            diag = np.zeros(npoints)
+            for v in y:
+                diag += v.real * v.real
+                diag += v.imag * v.imag
+            gram[j, j] = diag
+            y_conj = [np.conj(v) for v in y] if j + 1 < k else []
+            for i in range(j + 1, k):
+                # s = sum x_i conj(x_j) is (A A*)_ij, or (A* A)_ji when tall
+                at, mirror = ((i, j), (j, i)) if wide else ((j, i), (i, j))
+                s = gram[at]
+                np.multiply(vecs[i][0], y_conj[0], out=s)
+                for x, yc in zip(vecs[i][1:], y_conj[1:]):
+                    s += x * yc
+                np.conj(s, out=gram[mirror])
+    return gram.transpose(2, 0, 1)
 
 
 # -- density curves ---------------------------------------------------------
@@ -241,7 +262,7 @@ def scalar_density(
     thresholds = _squared_thresholds(lam, lead.abs2())
 
     def count_chunk(start: int, stop: int) -> np.ndarray:
-        v = q.eval_block(grid.angles(start, stop))
+        v = q.eval_block(np.exp(1j * grid.angles(start, stop)))
         f = np.sort(v.real * v.real + v.imag * v.imag)
         return np.searchsorted(f, thresholds, side="right")
 
@@ -276,8 +297,9 @@ def matrix_density(
     thresholds = _squared_thresholds(lam, Fraction(1))
 
     def count_chunk(start: int, stop: int) -> np.ndarray:
-        values = _eval_matrix_block(A, grid.angles(start, stop))
-        gram = _gram_small(values, A.rows, A.cols)
+        z = np.exp(1j * grid.angles(start, stop))
+        values = [[p.eval_block(z) for p in row] for row in A.entries]
+        gram = _gram(values, A.rows, A.cols)
         if not np.isfinite(gram).all():
             raise OverflowError("a gram matrix entry overflows a float")
         eig = hermitian_eigenvalues(gram)

@@ -331,30 +331,70 @@ class LaurentPoly:
         total = math.fsum(abs(c) for c in self._terms.values())
         return math.nextafter(total, math.inf)
 
-    def eval_block(self, angles: np.ndarray) -> np.ndarray:
-        """Evaluate at z_j = exp(i*phi_j) for a block of angle rows.
+    def eval_block(self, z: np.ndarray) -> np.ndarray:
+        """Evaluate at a block of torus points given as unit complex numbers.
 
-        ``angles`` has shape (npoints, dim); returns complex128 values.
+        ``z`` has shape (npoints, dim) with z[r, j] = exp(i*phi_j) at point
+        r; returns complex128 values.  No exp is taken here: each monomial is
+        a product of integer powers of the columns of z, with one array per
+        distinct exponent and coordinate (see ``_unit_powers``), and a
+        negative exponent is the conjugate of the positive power, as
+        z^-1 = conj(z) on the torus.  The error of a value is of order
+        eps * l1_norm * (1 + max |e|), the same as that of exp(i e.phi).
         """
-        angles = np.asarray(angles, dtype=np.float64)
-        if angles.ndim == 1:
-            angles = angles.reshape(1, -1)
-        if angles.shape[1] != self.dim:
+        z = np.asarray(z, dtype=np.complex128)
+        if z.ndim == 1:
+            z = z.reshape(1, -1)
+        if z.shape[1] != self.dim:
             raise DimensionMismatch(
-                f"angle rows have length {angles.shape[1]}, expected {self.dim}"
+                f"point rows have length {z.shape[1]}, expected {self.dim}"
             )
-        if not self._terms:
-            return np.zeros(angles.shape[0], dtype=np.complex128)
-        exps = np.array(list(self._terms.keys()), dtype=np.float64).reshape(
-            len(self._terms), self.dim
-        )
-        coeffs = np.array([complex(c) for c in self._terms.values()])
-        phases = angles @ exps.T
-        return np.exp(1j * phases) @ coeffs
+        powers = [
+            _unit_powers(z[:, j], {exp[j] for exp in self._terms})
+            for j in range(self.dim)
+        ]
+        out = np.zeros(z.shape[0], dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for exp, c in self._terms.items():
+                factors = [pw[e] for pw, e in zip(powers, exp) if e]
+                if not factors:
+                    out += complex(c)
+                    continue
+                term = complex(c) * factors[0]
+                for f in factors[1:]:
+                    term *= f
+                out += term
+        return out
 
     def eval_at(self, angles: Sequence[float]) -> complex:
         """Evaluate at one torus point given by its angles, z_j = exp(i*angles[j])."""
-        return complex(self.eval_block(np.array([tuple(angles)], dtype=np.float64))[0])
+        z = np.exp(1j * np.array([tuple(angles)], dtype=np.float64))
+        return complex(self.eval_block(z)[0])
+
+
+def _unit_powers(z: np.ndarray, exponents: set[int]) -> dict[int, np.ndarray]:
+    """z**e for each non-zero e in ``exponents``, for unit complex numbers z.
+
+    Binary powering over one running square: each distinct |e| accumulates
+    the squares its bits select, so memory is one array per exponent
+    whatever its size, and z**-e is conj(z**e).  Squaring doubles the
+    rounding error of |z|, which would grow like (1 + eps)^e and overflow
+    near e = 10^18, so every 16th square is scaled back to unit modulus:
+    the relative drift of any square stays below about 2^16 * eps, and
+    exponents below 2^16 never pay for the scaling.
+    """
+    mags = sorted({abs(e) for e in exponents if e})
+    pos: dict[int, np.ndarray] = {}
+    sq = z
+    for bit in range(mags[-1].bit_length() if mags else 0):
+        if bit:
+            sq = sq * sq
+            if bit % 16 == 0:
+                sq /= np.abs(sq)
+        for m in mags:
+            if m >> bit & 1:
+                pos[m] = pos[m] * sq if m in pos else sq
+    return {e: pos[e] if e > 0 else np.conj(pos[-e]) for e in exponents if e}
 
 
 # -- width and leading coefficient ---------------------------------------

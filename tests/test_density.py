@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -288,6 +289,101 @@ def test_matrix_density_wide_vs_tall_agree(example_matrix):
     tall = matrix_density(example_matrix.star_transpose(), 2, lams, g)
     assert wide.f_zero == tall.f_zero == 1
     assert wide.counts == tall.counts
+
+
+@pytest.mark.parametrize(
+    "text, grid",
+    [
+        ("[[z1^3, -1, 1], [2*z1*z2^2 - 16, z2, z1*z2]]", TorusGrid.midpoint(2, 300)),
+        ("[[z1 - z3, 2, z2^-1], [z1*z2, z3 - 3, 1], [z2, z1^2, z3]]",
+         TorusGrid.lattice(3, 140_000, seed=4)),
+    ],
+    ids=["midpoint-90000", "lattice-140000"],
+)
+def test_matrix_density_workers_bit_identical_over_chunks(text, grid):
+    A = parse_matrix(text)
+    assert len(grid.block_ranges()) > 1
+    lams = np.geomspace(1e-2, 30, 24).tolist()
+    c1 = matrix_density(A, min(A.rows, A.cols), lams, grid, workers=1)
+    c3 = matrix_density(A, min(A.rows, A.cols), lams, grid, workers=3)
+    assert c1.counts == c3.counts
+
+
+def _recount(A: PolyMatrix, lams, grid: TorusGrid) -> np.ndarray:
+    """Counts on the larger side from entry-wise exp, a matmul gram and eigvalsh."""
+    angles = grid.angles(0, grid.total)
+    values = np.zeros((grid.total, A.rows, A.cols), dtype=np.complex128)
+    for i, row in enumerate(A.entries):
+        for j, p in enumerate(row):
+            for exp, c in p.terms.items():
+                values[:, i, j] += complex(c) * np.exp(1j * (angles @ np.array(exp, float)))
+    if A.rows > A.cols:
+        values = values.conj().transpose(0, 2, 1)
+    eig = np.linalg.eigvalsh(values @ values.conj().transpose(0, 2, 1))
+    lam2 = np.array(lams) ** 2
+    extra = abs(A.rows - A.cols) * grid.total
+    return (eig.reshape(-1)[:, None] <= lam2).sum(axis=0) + extra
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4, 4)])
+@pytest.mark.parametrize(
+    "grid", [TorusGrid.midpoint(2, 50), TorusGrid.lattice(3, 3001, seed=2)],
+    ids=["midpoint", "lattice"],
+)
+def test_matrix_density_matches_plain_numpy_recount(shape, grid):
+    # guards the gram's triangle filling and side choice beyond the 2x2 closed form
+    rng = random.Random(f"{shape} {grid.scheme}")
+    rows, cols = shape
+    A = PolyMatrix(
+        [[random_poly(rng, grid.dim, max_terms=3, exp_range=3) for _ in range(cols)]
+         for _ in range(rows)]
+    )
+    lams = np.geomspace(0.05, 60, 40).tolist()
+    curve = matrix_density(A, min(rows, cols), lams, grid)
+    want = _recount(A, lams, grid)
+    # eigenvalues within rounding of a threshold may fall on either side
+    assert np.abs(np.array(curve.counts) - want).max() <= 2
+    assert want[-1] - want[0] > grid.total  # the lambdas see the spectrum
+
+
+# -- closed forms in d = 1 -----------------------------------------------------------
+#
+# A sublevel set made of m arcs holds, on the N-point midpoint rule, within
+# one point of N times each arc's measure, so |F_hat - F| <= m / N exactly.
+
+
+def _arcsine_density(mu: float) -> float:
+    """Haar measure of |z - 1| <= mu on the circle."""
+    return 2 / math.pi * math.asin(min(mu / 2, 1.0))
+
+
+def _assert_midpoint_error(p: LaurentPoly, exact, arcs: int, n_points: int):
+    grid = TorusGrid.midpoint(1, n_points)
+    lams = np.geomspace(1e-3, 2.5, 50).tolist()
+    for curve in (
+        scalar_density(p, lams, grid),
+        matrix_density(PolyMatrix([[p]]), 1, lams, grid),
+    ):
+        for lam, est in zip(lams, curve.estimates):
+            assert abs(est - exact(lam)) <= arcs / n_points + 1e-12, lam
+
+
+@pytest.mark.parametrize(
+    "n, n_points",
+    [(1, 101), (10, 100), (10, 30_011), (40, 200), (4001, 40_009), (4001, 200_003)],
+)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_z_power_minus_one_within_arc_count(n, n_points, sign):
+    # |z^n - 1| has the law of |z - 1|; its sublevel sets are n arcs
+    p = LaurentPoly(1, {(sign * n,): 1, (0,): -1})
+    _assert_midpoint_error(p, _arcsine_density, n, n_points)
+
+
+@pytest.mark.parametrize("r", [2, 3, 7])
+def test_power_of_z_minus_one_within_one_arc(r):
+    # |(z - 1)^r| <= lam  iff  |z - 1| <= lam^(1/r): one arc
+    p = LaurentPoly(1, {(j,): math.comb(r, j) * (-1) ** (r - j) for j in range(r + 1)})
+    _assert_midpoint_error(p, lambda lam: _arcsine_density(lam ** (1 / r)), 1, 1001)
 
 
 # -- inequality checks ------------------------------------------------------------------

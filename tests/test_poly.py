@@ -199,6 +199,47 @@ def test_eval_bounded_by_l1(p, rnd):
     assert abs(p.eval_at(phi)) <= p.l1_norm() + 1e-9
 
 
+@st.composite
+def eval_polys(draw):
+    # dims 0-3, the zero polynomial, constants, and exponents up to +-10^4
+    dim = draw(st.integers(0, 3))
+    exps = st.one_of(st.integers(-3, 3), st.integers(-(10**4), 10**4))
+    terms = {
+        tuple(draw(exps) for _ in range(dim)): draw(gaussians())
+        for _ in range(draw(st.integers(0, 6)))
+    }
+    return LaurentPoly(dim, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eval_polys(), st.integers(0, 2**32 - 1))
+def test_eval_block_matches_direct_sum(p, seed):
+    theta = np.random.default_rng(seed).random((64, p.dim)) * (2 * math.pi)
+    got = p.eval_block(np.exp(1j * theta))
+    want = np.zeros(64, dtype=np.complex128)
+    for exp, c in p.terms.items():
+        want += complex(c) * np.exp(1j * (theta @ np.array(exp, dtype=np.float64)))
+    # The oracle rounds its phase e.theta to about 9*pi*|e|*eps for d <= 3,
+    # and the powers of z carry about d*|e|*eps: 64 covers both.
+    max_e = max((abs(e) for exp in p.terms for e in exp), default=0)
+    tol = 64 * np.finfo(np.float64).eps * p.l1_norm() * (1 + max_e)
+    assert got.shape == (64,)
+    assert np.all(np.abs(got - want) <= tol)
+
+
+def test_eval_block_huge_exponent_stays_on_the_circle():
+    # |z| = 1 only up to rounding; powering must not let that grow like
+    # (1 + eps)^(10^18), which overflows
+    theta = np.random.default_rng(3).random((1000, 2)) * (2 * math.pi)
+    z = np.exp(1j * theta)
+    big = 10**18
+    mono = LaurentPoly.monomial(2, (big, -big))
+    assert np.all(np.abs(np.abs(mono.eval_block(z)) - 1) <= 1e-9)
+    p = parse_poly(f"z1^{big} - 2*z2^-{big} + 1")
+    v = p.eval_block(z)
+    assert np.all(np.isfinite(v)) and np.all(np.abs(v) <= 4 + 1e-9)
+
+
 # -- q_plus_decompose ----------------------------------------------------------
 
 
