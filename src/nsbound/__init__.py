@@ -1,5 +1,12 @@
 """Width invariants, spectral density bounds and torus quadrature for
-matrices over complex Laurent polynomial rings."""
+matrices over complex Laurent polynomial rings.
+
+``analyze`` finds a maximal non-vanishing minor B of a matrix, the width
+wd and leading coefficient of p = det(B), and the paper's bound
+F(lambda) - F(0) <= C * k * d * wd * (k^(2k-2) * ||B||_1^(k-1) * lambda
+/ |lead(p)|)^(1/(d*wd)), which is written once, in ``bounds``.  The
+density functions estimate F on the torus so the bound can be checked.
+"""
 
 from .bounds import (
     INFINITE_TYPE,
@@ -9,27 +16,14 @@ from .bounds import (
     analyze,
     best_ordering,
     bound_coefficient,
-    matrix_bound,
     ns_lower_bound,
     rescale_lambda,
-    scalar_bound,
-    step_bound,
 )
-from .density import (
-    DensityCurve,
-    InequalityReport,
-    TorusGrid,
-    alpha_fit,
-    det_domination_check,
-    matrix_density,
-    product_inequality_check,
-    scalar_density,
-)
+from .density import DensityCurve, TorusGrid, alpha_fit, matrix_density, scalar_density
 from .matrices import (
     MinorCertificate,
     PolyMatrix,
     determinant,
-    determinant_bareiss,
     determinant_cofactor,
     exact_div,
     iter_nonvanishing_minors,
@@ -52,7 +46,6 @@ __all__ = [
     "DensityCurve",
     "GaussianRational",
     "INFINITE_TYPE",
-    "InequalityReport",
     "LaurentPoly",
     "MinorCertificate",
     "ParseError",
@@ -64,27 +57,21 @@ __all__ = [
     "analyze",
     "best_ordering",
     "bound_coefficient",
-    "det_domination_check",
     "determinant",
-    "determinant_bareiss",
     "determinant_cofactor",
     "exact_div",
     "format_matrix",
     "format_poly",
     "iter_nonvanishing_minors",
     "lead_lex",
-    "matrix_bound",
     "matrix_density",
     "max_nonvanishing_minor",
     "minor",
     "ns_lower_bound",
     "parse_matrix",
     "parse_poly",
-    "product_inequality_check",
     "q_plus_decompose",
     "rescale_lambda",
-    "scalar_bound",
     "scalar_density",
-    "step_bound",
     "width_profile",
 ]

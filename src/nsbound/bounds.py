@@ -1,14 +1,18 @@
 """Explicit spectral density bounds and Novikov-Shubin lower bounds.
 
 Everything here is closed-form arithmetic on the invariants produced by the
-polynomial and matrix layers: the universal constant ``8*sqrt(3)/sqrt(47)``,
-the matrix bound
+polynomial and matrix layers.  The paper's bound is one formula,
 
-    C * k * d * wd * (k^(2k-2) * b1^(k-1) * lambda / |lead|)^(1/(d*wd)),
+    F(lambda) - F(0) <= C * k * d * wd
+                        * (k^(2k-2) * b1^(k-1) * lambda / |lead|)^(1/(d*wd)),
 
-its scalar specialization, the step description when the width vanishes
-(the determinant is then a single monomial), and the search over variable
-orderings and minors for the best certificate.
+with the universal constant C = 8*sqrt(3)/sqrt(47).  The scalar case is
+k = 1.  :func:`rescale_lambda` computes the factor (k^2 * b1)^(k-1),
+:func:`bound_coefficient` the prefactor of lambda^(1/(d*wd)), and
+:meth:`BoundReport.bound_at` evaluates the bound.  When the width vanishes
+the determinant is a single monomial and the bound is a step at
+|lead| / (k^2 * b1)^(k-1).  The module also searches variable orderings and
+minors for the best certificate.
 """
 
 from __future__ import annotations
@@ -46,26 +50,14 @@ def ns_lower_bound(d: int, wd: int) -> float | str:
 
 
 def rescale_lambda(k: int, b_l1: float, lam: float) -> float:
-    """(k^2 * b_l1)^(k-1) * lam: the argument change from matrix to scalar."""
+    """(k^2 * b_l1)^(k-1) * lam, written k^(2k-2) * b_l1^(k-1) * lam.
+
+    This is the argument change from matrix to scalar density, with the
+    operator-norm upper bound k^2 * b_l1 in place of the norm.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return (k * k * b_l1) ** (k - 1) * lam
-
-
-def scalar_bound(d: int, wd: int, lead_abs: float, lam: float) -> float:
-    """C * d * wd * (lam/lead_abs)^(1/(d*wd)); requires wd >= 1."""
-    if wd < 1:
-        raise ValueError("scalar_bound needs wd >= 1; use step_bound for wd = 0")
-    if lead_abs <= 0:
-        raise ValueError("lead_abs must be positive")
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    return SPECTRAL_CONSTANT * d * wd * (lam / lead_abs) ** (1.0 / (d * wd))
-
-
-def step_bound(lead_abs: float, lam: float) -> int:
-    """Width-zero case: 0 below the leading modulus, 1 at or above it."""
-    return 0 if lam < lead_abs else 1
+    return k ** (2 * k - 2) * b_l1 ** (k - 1) * lam
 
 
 @dataclass(frozen=True)
@@ -85,23 +77,12 @@ class BoundParameters:
             raise ValueError("need lead_abs > 0 and b_l1 >= 0")
 
 
-def matrix_bound(params: BoundParameters, lam: float) -> float:
-    """The full matrix bound at lambda; monotone in lambda, zero at zero."""
-    p = params
-    if p.wd < 1:
-        raise ValueError("matrix_bound needs wd >= 1; use step_bound for wd = 0")
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    inner = (p.k ** (2 * p.k - 2)) * (p.b_l1 ** (p.k - 1)) * lam / p.lead_abs
-    return SPECTRAL_CONSTANT * p.k * p.d * p.wd * inner ** (1.0 / (p.d * p.wd))
-
-
 def bound_coefficient(params: BoundParameters) -> float:
-    """Prefactor so that matrix_bound(lam) = coefficient * lam^(1/(d*wd))."""
+    """Prefactor so that the bound at lambda is coefficient * lambda^(1/(d*wd))."""
     p = params
     if p.wd < 1:
         raise ValueError("no power-law coefficient in the step case")
-    inner = (p.k ** (2 * p.k - 2)) * (p.b_l1 ** (p.k - 1)) / p.lead_abs
+    inner = rescale_lambda(p.k, p.b_l1, 1.0) / p.lead_abs
     return SPECTRAL_CONSTANT * p.k * p.d * p.wd * inner ** (1.0 / (p.d * p.wd))
 
 
@@ -146,9 +127,8 @@ class BoundReport:
     """Everything the analysis produced, kept for auditability.
 
     For ``wd >= 1`` the bound is ``coefficient * lambda^exponent``; the raw
-    formula value is preserved even where it exceeds the trivial ceiling
-    ``k`` (use :meth:`display_bound_at` for the clipped version).  For
-    ``wd == 0`` the determinant's density is a step at ``step_threshold``
+    formula value is kept even where it exceeds the trivial ceiling ``k``.
+    For ``wd == 0`` the determinant's density is a step at ``step_threshold``
     and the matrix-level guarantee is a step at ``step_threshold_matrix``
     (the threshold shrinks through the norm rescaling when k > 1).
     """
@@ -176,12 +156,10 @@ class BoundReport:
         return max(self.rows, self.cols) - self.minor.size
 
     def bound_at(self, lam: float) -> float:
+        """The bound on F(lambda) - F(0): the power law, or the step to k."""
         if self.is_step:
             return 0.0 if lam < self.step_threshold_matrix else float(self.k)
         return self.coefficient * lam**self.exponent
-
-    def display_bound_at(self, lam: float) -> float:
-        return min(self.bound_at(lam), float(self.k))
 
 
 def _report_for(A: PolyMatrix, cert: MinorCertificate, profile: WidthProfile) -> BoundReport:

@@ -13,6 +13,7 @@ to exit 2 with one ``error:`` line.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .density import (
     matrix_density,
 )
 from .matrices import (
+    DEFAULT_MINOR_CAP,
     ExactDivisionError,
     MinorSearchCapExceeded,
     PolyMatrix,
@@ -74,6 +76,9 @@ def _grid_for(args: argparse.Namespace, dim: int) -> TorusGrid:
 
 
 def _lambda_grid(args: argparse.Namespace, report: BoundReport) -> list[float]:
+    for flag, value in (("--lambda-min", args.lambda_min), ("--lambda-max", args.lambda_max)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, not {value}")
     scale = report.params.lead_abs
     lo = args.lambda_min if args.lambda_min is not None else 1e-4 * scale
     hi = args.lambda_max if args.lambda_max is not None else scale
@@ -247,8 +252,8 @@ def _add_analysis_flags(sp: argparse.ArgumentParser) -> None:
                     help="variable ordering search mode (default fixed)")
     sp.add_argument("--minor", choices=["first", "best"], default="first",
                     help="maximal minor selection mode (default first)")
-    sp.add_argument("--minor-cap", type=int, default=10**6,
-                    help="candidate budget for the minor search (default 10^6)")
+    sp.add_argument("--minor-cap", type=int, default=DEFAULT_MINOR_CAP,
+                    help=f"candidate budget for the minor search (default {DEFAULT_MINOR_CAP})")
 
 
 def _add_density_flags(sp: argparse.ArgumentParser) -> None:
@@ -298,6 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+#: Smallest accepted value of each integer option, checked in this order.
+_LEAST = {"grid": 2, "points": 2, "workers": 1, "max_points": 1, "minor_cap": 1}
+
 _COMMANDS = {
     "analyze": cmd_analyze,
     "density": cmd_density,
@@ -309,13 +317,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.subcommand in ("density", "verify"):
-            if args.grid < 2:
-                raise ValueError("--grid must be at least 2")
-            if args.points < 2:
-                raise ValueError("--points must be at least 2")
-            if args.workers < 1:
-                raise ValueError("--workers must be at least 1")
+        for name, least in _LEAST.items():
+            if getattr(args, name, least) < least:
+                raise ValueError(f"--{name.replace('_', '-')} must be at least {least}")
         return _COMMANDS[args.subcommand](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

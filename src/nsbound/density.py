@@ -35,8 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bounds import rescale_lambda
-from .matrices import PolyMatrix, determinant
+from .matrices import PolyMatrix
 from .poly import GaussianRational, LaurentPoly, ZeroPolynomialError, lead_lex
 
 CHUNK = 1 << 16  # fixed; results must not depend on worker count
@@ -80,15 +79,10 @@ class TorusGrid:
             shift=shift,
         )
 
-    @property
-    def per_dim_resolution(self) -> float:
-        if self.scheme == "midpoint":
-            return float(self.points_per_dim)
-        return self.total ** (1.0 / self.dim)
-
     def epsilon_quad(self) -> float:
-        """Declared quadrature tolerance: 4 * d / per-dimension resolution."""
-        return 4.0 * self.dim / self.per_dim_resolution
+        """Declared quadrature tolerance 4 * d / N, N = M^(1/d) on a lattice of M points."""
+        n = self.points_per_dim if self.scheme == "midpoint" else self.total ** (1.0 / self.dim)
+        return 4.0 * self.dim / n
 
     def block_ranges(self, chunk: int = CHUNK) -> list[tuple[int, int]]:
         return [(s, min(s + chunk, self.total)) for s in range(0, self.total, chunk)]
@@ -310,87 +304,6 @@ def matrix_density(
     counts = tuple(int(c) + extra_zeros * grid.total for c in totals)
     estimates = tuple(c / grid.total for c in counts)
     return DensityCurve(lam, counts, estimates, max(A.rows, A.cols) - k)
-
-
-# -- inequality checks ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    """Pointwise comparison of an empirical inequality lhs <= rhs."""
-
-    lambdas: tuple[float, ...]
-    lhs: tuple[float, ...]
-    rhs: tuple[float, ...]
-    max_violation: float
-    epsilon: float
-
-    @property
-    def ok(self) -> bool:
-        return self.max_violation <= self.epsilon
-
-
-def product_inequality_check(
-    q1: LaurentPoly,
-    q2: LaurentPoly,
-    s: float,
-    lambdas: Sequence[float],
-    grid: TorusGrid,
-    workers: int = 1,
-) -> InequalityReport:
-    """Check F(q1*q2)(lam) <= F(q1)(lam^(1-s)) + F(q2)(lam^s) on the grid."""
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must lie strictly between 0 and 1")
-    if q1.is_zero() or q2.is_zero():
-        raise ZeroPolynomialError("factors must be non-zero")
-    if q1.dim != q2.dim:
-        raise ValueError("factors must share the ambient dimension")
-    lam = _check_lambdas(lambdas)
-    left = scalar_density(q1 * q2, lam, grid, workers)
-    right1 = scalar_density(q1, [x ** (1.0 - s) for x in lam], grid, workers)
-    right2 = scalar_density(q2, [x**s for x in lam], grid, workers)
-    rhs = tuple(a + b for a, b in zip(right1.estimates, right2.estimates))
-    gaps = [l - r for l, r in zip(left.estimates, rhs)]
-    return InequalityReport(
-        lambdas=lam,
-        lhs=left.estimates,
-        rhs=rhs,
-        max_violation=max(gaps),
-        epsilon=grid.epsilon_quad(),
-    )
-
-
-def det_domination_check(
-    B: PolyMatrix,
-    lambdas: Sequence[float],
-    grid: TorusGrid,
-    workers: int = 1,
-) -> InequalityReport:
-    """Check F(B)(lam) <= k * F(det B)((k^2 ||B||_1)^(k-1) lam) on the grid.
-
-    The operator-norm upper bound k^2 ||B||_1 stands in for the true norm,
-    which only enlarges the right-hand side's argument.
-    """
-    if B.rows != B.cols:
-        raise ValueError("expected a square matrix")
-    k = B.rows
-    p = determinant(B)
-    if p.is_zero():
-        raise ValueError("the determinant vanishes; no domination statement")
-    lam = _check_lambdas(lambdas)
-    b_l1 = B.l1_norm()
-    left = matrix_density(B, k, lam, grid, workers)
-    scaled = [rescale_lambda(k, b_l1, x) for x in lam]
-    right = scalar_density(p, scaled, grid, workers)
-    rhs = tuple(k * r for r in right.estimates)
-    gaps = [l - r for l, r in zip(left.estimates, rhs)]
-    return InequalityReport(
-        lambdas=lam,
-        lhs=left.estimates,
-        rhs=rhs,
-        max_violation=max(gaps),
-        epsilon=grid.epsilon_quad(),
-    )
 
 
 # -- decay exponent fit -----------------------------------------------------

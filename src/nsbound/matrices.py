@@ -88,19 +88,9 @@ class PolyMatrix:
         cols = list(cols)
         return PolyMatrix([[self.entries[i][j] for j in cols] for i in rows])
 
-    def star_transpose(self) -> PolyMatrix:
-        """Transpose combined with the star involution on every entry."""
-        return PolyMatrix(
-            [[self.entries[i][j].star() for i in range(self.rows)] for j in range(self.cols)]
-        )
-
     def l1_norm(self) -> float:
         """Max over entries of the entry L1 norms (0.0 for the zero matrix)."""
         return max(p.l1_norm() for r in self.entries for p in r)
-
-    def op_norm_upper(self) -> float:
-        """Certified upper bound rows*cols*l1_norm for the operator norm."""
-        return self.rows * self.cols * self.l1_norm()
 
 
 # -- the exact kernel ----------------------------------------------------------
@@ -260,8 +250,8 @@ def _det_cofactor(rows: Sequence[Sequence[LaurentPoly]], dim: int) -> LaurentPol
     return total
 
 
-def determinant_bareiss(B: PolyMatrix) -> LaurentPoly:
-    """Determinant by fraction-free Bareiss elimination on the kernel.
+def determinant(B: PolyMatrix) -> LaurentPoly:
+    """Exact determinant of a square matrix, by Bareiss elimination on the kernel.
 
     Row r is scaled by the lcm s_r of the denominators in it, so every
     entry has Gaussian-integer coefficients.  Each Bareiss quotient is then
@@ -300,11 +290,6 @@ def determinant_bareiss(B: PolyMatrix) -> LaurentPoly:
                 row[j] = _kdiv(elt, prev) if prev is not None and elt else elt
         prev = pivot
     return _from_kernel(B.dim, M[n - 1][n - 1], sign * math.prod(scales))
-
-
-def determinant(B: PolyMatrix) -> LaurentPoly:
-    """Exact determinant of a square matrix, by the Bareiss kernel at every size."""
-    return determinant_bareiss(B)
 
 
 def minor(A: PolyMatrix, rows: Iterable[int], cols: Iterable[int]) -> LaurentPoly:

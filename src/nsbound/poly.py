@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -285,18 +285,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            raise ValueError("negative powers of general polynomials are not defined")
-        result = LaurentPoly.const(self.dim, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def star(self) -> LaurentPoly:
         """Coefficient-wise conjugation combined with exponent negation."""
         return LaurentPoly(
@@ -343,8 +331,6 @@ class LaurentPoly:
         eps * l1_norm * (1 + max |e|), the same as that of exp(i e.phi).
         """
         z = np.asarray(z, dtype=np.complex128)
-        if z.ndim == 1:
-            z = z.reshape(1, -1)
         if z.shape[1] != self.dim:
             raise DimensionMismatch(
                 f"point rows have length {z.shape[1]}, expected {self.dim}"
@@ -365,11 +351,6 @@ class LaurentPoly:
                     term *= f
                 out += term
         return out
-
-    def eval_at(self, angles: Sequence[float]) -> complex:
-        """Evaluate at one torus point given by its angles, z_j = exp(i*angles[j])."""
-        z = np.exp(1j * np.array([tuple(angles)], dtype=np.float64))
-        return complex(self.eval_block(z)[0])
 
 
 def _unit_powers(z: np.ndarray, exponents: set[int]) -> dict[int, np.ndarray]:

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nsbound import GaussianRational, LaurentPoly, PolyMatrix, parse_matrix
@@ -57,3 +58,14 @@ def arc_measure(r: float, lam: float) -> float:
     x = (1.0 + r * r - lam * lam) / (2.0 * r)
     return math.acos(min(1.0, max(-1.0, x))) / math.pi
 
+
+
+def star_transpose(A: PolyMatrix) -> PolyMatrix:
+    """Transpose combined with the star involution on every entry."""
+    return PolyMatrix([[A[i, j].star() for i in range(A.rows)] for j in range(A.cols)])
+
+
+def eval_at(p: LaurentPoly, angles) -> complex:
+    """p at one torus point given by its angles, z_j = exp(i*angles[j])."""
+    z = np.exp(1j * np.array([tuple(angles)], dtype=np.float64))
+    return complex(p.eval_block(z)[0])

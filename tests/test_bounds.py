@@ -1,7 +1,8 @@
-"""Bound engine: the universal constant, bound formulas, ordering search."""
+"""Bound engine: the universal constant, the bound formula, ordering search."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -17,18 +18,25 @@ from nsbound import (
     analyze,
     best_ordering,
     bound_coefficient,
-    matrix_bound,
     ns_lower_bound,
     parse_matrix,
     parse_poly,
     rescale_lambda,
-    scalar_bound,
-    step_bound,
 )
 from nsbound import matrices
 from nsbound.matrices import ZeroMatrixError
 
-from conftest import random_poly
+from conftest import EXAMPLE_MATRIX_TEXT, random_poly
+
+
+def _power_report(params: BoundParameters):
+    """The reference report with its bound replaced by the one for ``params``."""
+    return dataclasses.replace(
+        analyze(parse_matrix(EXAMPLE_MATRIX_TEXT)),
+        params=params,
+        coefficient=bound_coefficient(params),
+        exponent=1.0 / (params.d * params.wd),
+    )
 
 
 def test_constant_squared_relation():
@@ -49,41 +57,41 @@ def test_matrix_bound_example_coefficient():
     coeff = bound_coefficient(params)
     assert coeff == pytest.approx(192.0 * math.sqrt(2.0) / math.sqrt(47.0), rel=1e-12)
     lam = 0.37
-    assert matrix_bound(params, lam) == pytest.approx(coeff * lam**0.25, rel=1e-12)
+    assert _power_report(params).bound_at(lam) == pytest.approx(coeff * lam**0.25, rel=1e-12)
 
 
 def test_matrix_bound_zero_at_zero():
     params = BoundParameters(k=3, d=2, wd=4, lead_abs=1.5, b_l1=7.0)
-    assert matrix_bound(params, 0.0) == 0.0
+    assert _power_report(params).bound_at(0.0) == 0.0
 
 
 def test_matrix_bound_trivial_prefactor():
     params = BoundParameters(k=1, d=1, wd=1, lead_abs=1.0, b_l1=123.0)
-    assert matrix_bound(params, 1.0) == pytest.approx(SPECTRAL_CONSTANT, rel=1e-12)
+    assert _power_report(params).bound_at(1.0) == pytest.approx(SPECTRAL_CONSTANT, rel=1e-12)
 
 
 def test_matrix_bound_monotone_in_lambda():
-    params = BoundParameters(k=2, d=3, wd=2, lead_abs=0.7, b_l1=3.0)
+    report = _power_report(BoundParameters(k=2, d=3, wd=2, lead_abs=0.7, b_l1=3.0))
     lams = np.linspace(0, 5, 200)
-    vals = [matrix_bound(params, x) for x in lams]
+    vals = [report.bound_at(x) for x in lams]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_matrix_bound_rejects_step_case():
     params = BoundParameters(k=1, d=1, wd=0, lead_abs=1.0, b_l1=1.0)
     with pytest.raises(ValueError):
-        matrix_bound(params, 1.0)
+        bound_coefficient(params)
 
 
-def test_step_bound_clauses():
-    assert step_bound(5.0, 4.9) == 0
-    assert step_bound(5.0, 5.0) == 1
-    assert step_bound(1.0, 0.0) == 0
+def _scalar_bound(d: int, wd: int, lead_abs: float, lam: float) -> float:
+    """The bound for k = 1, through the library's one formula."""
+    params = BoundParameters(k=1, d=d, wd=wd, lead_abs=lead_abs, b_l1=1.0)
+    return bound_coefficient(params) * lam ** (1.0 / (d * wd))
 
 
 def test_scalar_bound_linear_case():
     lam = 0.8
-    assert scalar_bound(1, 1, 1.0, lam) == pytest.approx(
+    assert _scalar_bound(1, 1, 1.0, lam) == pytest.approx(
         SPECTRAL_CONSTANT * lam, rel=1e-12
     )
 
@@ -91,28 +99,15 @@ def test_scalar_bound_linear_case():
 def test_scalar_bound_power_case():
     for r in (1, 2, 3, 5):
         lam = 0.3
-        assert scalar_bound(1, r, 1.0, lam) == pytest.approx(
+        assert _scalar_bound(1, r, 1.0, lam) == pytest.approx(
             SPECTRAL_CONSTANT * r * lam ** (1.0 / r), rel=1e-12
         )
 
 
 def test_scalar_bound_at_lead():
-    assert scalar_bound(2, 3, 0.42, 0.42) == pytest.approx(
+    assert _scalar_bound(2, 3, 0.42, 0.42) == pytest.approx(
         SPECTRAL_CONSTANT * 6, rel=1e-12
     )
-
-
-def test_scalar_is_matrix_with_k_one():
-    rng = random.Random(4)
-    for _ in range(200):
-        d = rng.randint(1, 4)
-        wd = rng.randint(1, 6)
-        lead = rng.uniform(0.1, 10)
-        lam = rng.uniform(0, 5)
-        params = BoundParameters(k=1, d=d, wd=wd, lead_abs=lead, b_l1=rng.uniform(0, 9))
-        assert matrix_bound(params, lam) == pytest.approx(
-            scalar_bound(d, wd, lead, lam), rel=1e-12
-        )
 
 
 def test_ns_lower_bound_values():
@@ -128,6 +123,8 @@ def test_rescale_lambda_values():
 
 
 def test_matrix_bound_is_rescaled_scalar_bound():
+    # the k = 1 closed form C * d * wd * (lam / lead)^(1/(d*wd)), times k, at
+    # the rescaled argument
     rng = random.Random(42)
     for _ in range(1000):
         k = rng.randint(1, 5)
@@ -137,8 +134,9 @@ def test_matrix_bound_is_rescaled_scalar_bound():
         b1 = rng.uniform(1e-3, 50)
         lam = rng.uniform(0, 10)
         params = BoundParameters(k=k, d=d, wd=wd, lead_abs=lead, b_l1=b1)
-        expected = k * scalar_bound(d, wd, lead, rescale_lambda(k, b1, lam))
-        assert matrix_bound(params, lam) == pytest.approx(expected, rel=1e-12)
+        e = 1.0 / (d * wd)
+        expected = k * SPECTRAL_CONSTANT * d * wd * (rescale_lambda(k, b1, lam) / lead) ** e
+        assert bound_coefficient(params) * lam**e == pytest.approx(expected, rel=1e-12)
 
 
 def test_coefficient_scaling_covariance():
@@ -232,6 +230,13 @@ def test_analyze_identity_2x2_step():
     assert rep.step_threshold_matrix == pytest.approx(0.25, rel=1e-12)
 
 
+def test_step_bound_at_closed_threshold():
+    # the step is closed on the left: F - F(0) may reach k at the threshold
+    rep = analyze(parse_matrix("[[1, 0], [0, 1]]"))
+    assert rep.bound_at(rep.step_threshold_matrix) == rep.k
+    assert rep.bound_at(math.nextafter(rep.step_threshold_matrix, 0)) == 0
+
+
 def test_analyze_zero_matrix_rejected():
     with pytest.raises(ZeroMatrixError):
         analyze(parse_matrix("[[0, 0], [0, 0]]"))
@@ -281,7 +286,6 @@ def test_analyze_rejects_unknown_mode_before_any_determinant(
 
 
 def test_display_bound_clipped(example_matrix):
+    # bound_at returns the raw formula value; nothing clips it at k
     rep = analyze(example_matrix)
     assert rep.bound_at(1.0) > rep.k
-    assert rep.display_bound_at(1.0) == rep.k
-    assert rep.display_bound_at(1e-9) == rep.bound_at(1e-9)

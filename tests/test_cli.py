@@ -111,6 +111,40 @@ def test_workers_below_one_exit_2(capsys, example_file, workers):
     assert err == "error: --workers must be at least 1\n"
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--lambda-max", "inf"),
+        ("--lambda-max", "nan"),
+        ("--lambda-min", "nan"),
+        ("--lambda-min", "-inf"),
+    ],
+)
+def test_non_finite_lambda_exit_2(capsys, example_file, flag, value):
+    code, out, err = run(capsys, "verify", example_file, "--grid", "20", f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be finite, not {float(value)}\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "density", "verify"])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_minor_cap_below_one_exit_2(capsys, example_file, command, cap):
+    code, out, err = run(capsys, command, example_file, "--minor-cap", cap)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --minor-cap must be at least 1\n"
+
+
+@pytest.mark.parametrize("command", ["density", "verify"])
+@pytest.mark.parametrize("max_points", ["0", "-5"])
+def test_max_points_below_one_exit_2(capsys, example_file, command, max_points):
+    code, out, err = run(capsys, command, example_file, "--max-points", max_points)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-points must be at least 1\n"
+
+
 def test_exact_division_error_exit_6(capsys, example_file, monkeypatch):
     from nsbound import matrices
 

@@ -1,0 +1,32 @@
+"""README's Library section against the package's public names."""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import nsbound
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _library_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_library_block_runs_and_matches_all():
+    section = _library_section()
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, str(README), "exec"), {})
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "nsbound"
+        for alias in node.names
+    }
+    assert imported and imported <= set(nsbound.__all__)
+    for name in nsbound.__all__:
+        assert hasattr(nsbound, name), name
+        assert re.search(rf"\b{name}\b", section), f"README does not list {name}"

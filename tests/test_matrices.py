@@ -16,7 +16,6 @@ from nsbound import (
     LaurentPoly,
     PolyMatrix,
     determinant,
-    determinant_bareiss,
     determinant_cofactor,
     exact_div,
     format_poly,
@@ -31,7 +30,7 @@ from nsbound.matrices import (
     ZeroMatrixError,
 )
 
-from conftest import random_poly
+from conftest import random_poly, star_transpose
 
 
 def random_matrix(rng, rows, cols, dim=2, max_terms=2, real_only=False):
@@ -204,12 +203,12 @@ def test_bareiss_equals_cofactor():
     for _ in range(30):
         n = rng.randint(1, 4)
         A = random_matrix(rng, n, n, dim=2)
-        assert determinant_bareiss(A) == determinant_cofactor(A)
+        assert determinant(A) == determinant_cofactor(A)
 
 
 def test_bareiss_zero_pivot_swap():
     A = parse_matrix("[[0, 1, 2, 1], [1, 0, 1, 1], [0, 0, 0, 1], [1, 1, 0, 0]]")
-    assert determinant_bareiss(A) == determinant_cofactor(A)
+    assert determinant(A) == determinant_cofactor(A)
 
 
 def _same_poly(got: LaurentPoly, want: LaurentPoly) -> None:
@@ -285,7 +284,7 @@ def test_det_runs_without_per_term_objects(monkeypatch):
 
 def test_det_star_transpose_is_star_of_det(example_matrix):
     B = example_matrix.submatrix([0, 1], [0, 1])
-    assert determinant(B.star_transpose()) == determinant(B).star()
+    assert determinant(star_transpose(B)) == determinant(B).star()
 
 
 # -- minors ----------------------------------------------------------------------
@@ -382,24 +381,11 @@ def test_l1_zero_matrix():
     assert parse_matrix("[[0]]").l1_norm() == 0.0
 
 
-def test_op_norm_upper(example_matrix):
-    assert example_matrix.op_norm_upper() == 108.0
-    B = example_matrix.submatrix([0, 1], [0, 1])
-    assert B.op_norm_upper() == 72.0
-    assert parse_matrix("[[z1]]").op_norm_upper() == 1.0
-
-
 def test_l1_star_transpose_invariant():
     rng = random.Random(31)
     for _ in range(20):
         A = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))
-        assert A.star_transpose().l1_norm() == pytest.approx(
+        assert star_transpose(A).l1_norm() == pytest.approx(
             A.l1_norm(), rel=1e-12, abs=1e-300
         )
 
-
-def test_star_transpose_involution(example_matrix):
-    assert example_matrix.star_transpose().star_transpose() == example_matrix
-    I2 = parse_matrix("[[1, 0], [0, 1]]")
-    assert I2.star_transpose() == I2
-    assert parse_matrix("[[z1]]").star_transpose() == parse_matrix("[[z1^-1]]")
