@@ -203,10 +203,12 @@ def analyze(
 
     ``ordering`` is "fixed" or "exhaustive" (see :func:`best_ordering`).
     With ``minor="first"`` the lexicographically first maximal minor is
-    used; with "best" every maximal-size minor is tried and the report with
-    the best decay guarantee (largest alpha lower bound, then smallest
-    coefficient) wins.  ``minor_cap`` bounds the candidates per minor size.
-    The zero matrix is rejected.
+    used (see :func:`max_nonvanishing_minor`); with "best" every
+    maximal-size minor is tried and the report with the best decay
+    guarantee (largest alpha lower bound, then smallest coefficient) wins.
+    ``minor_cap`` bounds the candidates per minor size of the "best"
+    enumeration, which raises MinorSearchCapExceeded beyond it; "first"
+    enumerates nothing and ignores it.  The zero matrix is rejected.
     """
     if ordering not in ("fixed", "exhaustive"):
         raise ValueError(f"unknown ordering mode {ordering!r}")
@@ -215,7 +217,7 @@ def analyze(
     if A.is_zero():
         raise ZeroMatrixError("cannot analyze the zero matrix")
     if minor == "first":
-        certs = [max_nonvanishing_minor(A, minor_cap)]
+        certs = [max_nonvanishing_minor(A)]
     else:
         # Sizes descend; the first size with any non-vanishing minor is the
         # maximal one, and its minors are computed exactly once.

@@ -3,11 +3,11 @@
 Data (CSV) goes to stdout or --out; diagnostics go to stderr.  Exit codes:
 0 success, 1 verification failure, 2 parse error, invalid option, a number
 beyond floating-point range or a file that cannot be read or written, 3 zero
-matrix, 4 minor search budget exceeded, 5 quadrature cost guard exceeded, 6
-internal arithmetic error (an exact division that must succeed left a
-remainder; a bug, not bad input).  ``main`` returns these codes, except that
-it lets an ``OSError`` reach its caller; the ``nsbound`` command maps that
-to exit 2 with one ``error:`` line.
+matrix, 4 minor-search budget exceeded (``--minor best`` only), 5 quadrature
+cost guard exceeded, 6 internal arithmetic error (an exact division that
+must succeed left a remainder; a bug, not bad input).  ``main`` returns
+these codes, except that it lets an ``OSError`` reach its caller; the
+``nsbound`` command maps that to exit 2 with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -129,7 +129,6 @@ def _print_report(report: BoundReport, args: argparse.Namespace) -> None:
     else:
         print(
             f"bound: F - F(0) <= {report.coefficient:.17g} * lambda^{report.exponent:g}"
-            f" (display value clipped at k = {report.k})"
         )
         print(f"alpha >= {report.alpha_lower:.17g}")
     print(f"f_zero = F(0) = {report.f_zero}")
@@ -253,7 +252,8 @@ def _add_analysis_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--minor", choices=["first", "best"], default="first",
                     help="maximal minor selection mode (default first)")
     sp.add_argument("--minor-cap", type=int, default=DEFAULT_MINOR_CAP,
-                    help=f"candidate budget for the minor search (default {DEFAULT_MINOR_CAP})")
+                    help="candidate budget per minor size for --minor best; exit 4 beyond it"
+                    f" (default {DEFAULT_MINOR_CAP})")
 
 
 def _add_density_flags(sp: argparse.ArgumentParser) -> None:

@@ -250,6 +250,22 @@ def _det_cofactor(rows: Sequence[Sequence[LaurentPoly]], dim: int) -> LaurentPol
     return total
 
 
+def _bareiss_entry(
+    pivot: _KPoly, x: _KPoly, head: _KPoly, y: _KPoly, prev: _KPoly | None
+) -> _KPoly:
+    """One Bareiss update, (pivot * x - head * y) / prev; prev None means 1."""
+    acc: _KPoly = {}
+    _mul_acc(acc, pivot, x, 1)
+    _mul_acc(acc, head, y, -1)
+    elt = {e: cf for e, cf in acc.items() if cf[0] or cf[1]}
+    return _kdiv(elt, prev) if prev is not None and elt else elt
+
+
+def _row_scale(row: Sequence[LaurentPoly]) -> int:
+    """The lcm of the coefficient denominators in a row."""
+    return math.lcm(*(x.denominator for p in row for c in p.terms.values() for x in (c.re, c.im)))
+
+
 def determinant(B: PolyMatrix) -> LaurentPoly:
     """Exact determinant of a square matrix, by Bareiss elimination on the kernel.
 
@@ -262,10 +278,7 @@ def determinant(B: PolyMatrix) -> LaurentPoly:
     if B.rows != B.cols:
         raise ValueError(f"determinant of a non-square {B.rows}x{B.cols} matrix")
     n = B.rows
-    scales = [
-        math.lcm(*(x.denominator for p in row for c in p.terms.values() for x in (c.re, c.im)))
-        for row in B.entries
-    ]
+    scales = [_row_scale(row) for row in B.entries]
     M = [[_to_kernel(p, s) for p in row] for row, s in zip(B.entries, scales)]
     sign = 1
     prev: _KPoly | None = None
@@ -283,11 +296,7 @@ def determinant(B: PolyMatrix) -> LaurentPoly:
         for i in range(k + 1, n):
             row = M[i]
             for j in range(k + 1, n):
-                acc: _KPoly = {}
-                _mul_acc(acc, pivot, row[j], 1)
-                _mul_acc(acc, row[k], pivot_row[j], -1)
-                elt = {e: cf for e, cf in acc.items() if cf[0] or cf[1]}
-                row[j] = _kdiv(elt, prev) if prev is not None and elt else elt
+                row[j] = _bareiss_entry(pivot, row[j], row[k], pivot_row[j], prev)
         prev = pivot
     return _from_kernel(B.dim, M[n - 1][n - 1], sign * math.prod(scales))
 
@@ -343,18 +352,60 @@ def iter_nonvanishing_minors(
                 yield MinorCertificate(I, J, size, det, sub.l1_norm())
 
 
-def max_nonvanishing_minor(
-    A: PolyMatrix, cap: int = DEFAULT_MINOR_CAP
-) -> MinorCertificate:
-    """First non-vanishing minor of maximal size.
+def _rank_profile(A: PolyMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Greedy row basis I of A and the column rank profile J of A[I, :].
 
-    Sizes are tried in descending order from min(rows, cols); within a
-    size, index sets in lexicographic order, first hit wins.  The zero
-    matrix is rejected.  Budget overruns raise MinorSearchCapExceeded.
+    One fraction-free pass over the rows in order.  Each row, scaled by the
+    lcm of its denominators, is reduced by the earlier pivot rows with the
+    Bareiss step; a row that stays non-zero is kept, and its leftmost
+    non-zero entry is its pivot.  After t steps every entry of a reduced row
+    is a (t+1)x(t+1) minor of the scaled matrix (Sylvester's identity), so
+    the divisions are exact and a row reduces to zero exactly when it lies
+    in the span of the kept rows.
+    """
+    pivots: list[tuple[int, _KPoly, list[_KPoly]]] = []
+    row_set: list[int] = []
+    for i, entries in enumerate(A.entries):
+        s = _row_scale(entries)
+        row = [_to_kernel(p, s) for p in entries]
+        prev: _KPoly | None = None
+        for c, pivot, pivot_row in pivots:
+            head = row[c]
+            row = [_bareiss_entry(pivot, x, head, y, prev) for x, y in zip(row, pivot_row)]
+            prev = pivot
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            continue
+        pivots.append((c, row[c], row))
+        row_set.append(i)
+        if len(pivots) == A.cols:
+            break
+    return tuple(row_set), tuple(sorted(c for c, _, _ in pivots))
+
+
+def max_nonvanishing_minor(A: PolyMatrix) -> MinorCertificate:
+    """The lexicographically first non-vanishing minor of maximal size.
+
+    This is the minor that trying sizes in descending order, and index sets
+    in lexicographic order within a size (rows outer, columns inner), would
+    find first.  The leading min(rows, cols) minor is tried first, so a
+    full-rank input whose leading minor is non-zero costs one determinant.
+    Otherwise one rank-profile pass (:func:`_rank_profile`) finds I, the
+    greedy row basis, which is the lexicographically first set of rank(A)
+    independent rows, and J, the pivot columns of A[I, :].  Sorting the
+    reduced pivot rows by pivot column gives a row echelon form of A[I, :],
+    so J is its column rank profile, the lexicographically first set of
+    independent columns of A[I, :].  One determinant of A[I, J] then gives
+    the certificate.  The zero matrix is rejected.
     """
     if A.is_zero():
         raise ZeroMatrixError("the zero matrix has no non-vanishing minor")
-    for size in range(min(A.rows, A.cols), 0, -1):
-        for cert in iter_nonvanishing_minors(A, size, cap):
-            return cert
-    raise AssertionError("a non-zero matrix has a non-zero 1x1 minor")
+    n = min(A.rows, A.cols)
+    rows = cols = tuple(range(n))
+    sub = A.submatrix(rows, cols)
+    det = determinant(sub)
+    if det.is_zero():
+        rows, cols = _rank_profile(A)
+        sub = A.submatrix(rows, cols)
+        det = determinant(sub)
+    return MinorCertificate(rows, cols, len(rows), det, sub.l1_norm())

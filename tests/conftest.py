@@ -59,6 +59,16 @@ def arc_measure(r: float, lam: float) -> float:
     return math.acos(min(1.0, max(-1.0, x))) / math.pi
 
 
+def matrix_product(L: PolyMatrix, R: PolyMatrix) -> PolyMatrix:
+    """The product L @ R over the Laurent ring."""
+    zero = LaurentPoly.zero(max(L.dim, R.dim))
+    return PolyMatrix(
+        [
+            [sum((L[i, t] * R[t, j] for t in range(L.cols)), zero) for j in range(R.cols)]
+            for i in range(L.rows)
+        ]
+    )
+
 
 def star_transpose(A: PolyMatrix) -> PolyMatrix:
     """Transpose combined with the star involution on every entry."""

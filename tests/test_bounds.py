@@ -26,7 +26,7 @@ from nsbound import (
 from nsbound import matrices
 from nsbound.matrices import ZeroMatrixError
 
-from conftest import EXAMPLE_MATRIX_TEXT, random_poly
+from conftest import EXAMPLE_MATRIX_TEXT, matrix_product, random_poly
 
 
 def _power_report(params: BoundParameters):
@@ -271,6 +271,36 @@ def test_analyze_best_minor_computes_each_minor_once(example_matrix, monkeypatch
     monkeypatch.setattr(matrices, "determinant", counting)
     analyze(example_matrix, minor="best")
     assert len(calls) == 3
+
+
+# A rank-3 5x6 matrix whose leading 3x3 minor does not vanish: enumerating
+# minors in lex order meets 6 + 75 vanishing 5x5 and 4x4 minors first.
+RANK3_LEFT = "[[1, z1, 2], [z2, 1, -1], [3, 0, z1^-1], [1, 1, 1], [z1*z2, 2, 0]]"
+RANK3_RIGHT = "[[1, 0, z2, 1, 2, -1], [0, 1, 1, z1, 0, 3], [z1, 2, 0, 1, 1, z2^-1]]"
+
+
+@pytest.mark.parametrize(
+    "A, calls_at_most, k",
+    [
+        (parse_matrix(EXAMPLE_MATRIX_TEXT), 1, 2),
+        (matrix_product(parse_matrix(RANK3_LEFT), parse_matrix(RANK3_RIGHT)), 2, 3),
+    ],
+    ids=["reference", "rank3-5x6"],
+)
+def test_analyze_first_minor_determinant_calls(A, calls_at_most, k, monkeypatch):
+    # one determinant for a non-vanishing leading minor; otherwise one more
+    # for the certificate of the rank-profile pass, never an enumeration
+    calls = []
+    real = matrices.determinant
+
+    def counting(B):
+        calls.append(B)
+        return real(B)
+
+    monkeypatch.setattr(matrices, "determinant", counting)
+    report = analyze(A, minor="first")
+    assert 1 <= len(calls) <= calls_at_most
+    assert report.k == k
 
 
 @pytest.mark.parametrize("kwargs", [{"ordering": "best"}, {"minor": "exhaustive"}])

@@ -35,6 +35,11 @@ def run(capsys, *argv):
 def test_analyze_example(capsys, example_file):
     code, out, err = run(capsys, "analyze", example_file)
     assert code == 0
+    report = nsbound.analyze(nsbound.parse_matrix(EXAMPLE_MATRIX_TEXT))
+    assert (
+        f"bound: F - F(0) <= {report.coefficient:.17g} * lambda^{report.exponent:g}"
+        in out.splitlines()
+    )
     assert "k = 2" in out
     assert "wd = 2" in out
     assert "||B||_1 = 18" in out
@@ -166,13 +171,29 @@ def test_zero_matrix_exit_3(capsys, tmp_path):
     assert out == ""
 
 
-def test_search_cap_exit_4(capsys, tmp_path):
+@pytest.fixture
+def rank1_file(tmp_path):
     f = tmp_path / "rank1.mat"
     rows = ", ".join("[" + ", ".join("z1" for _ in range(8)) + "]" for _ in range(8))
     f.write_text(f"[{rows}]")
-    code, out, err = run(capsys, "analyze", str(f), "--minor-cap", "10")
+    return str(f)
+
+
+def test_search_cap_exit_4(capsys, rank1_file):
+    code, out, err = run(capsys, "analyze", rank1_file, "--minor", "best", "--minor-cap", "10")
     assert code == 4
     assert out == ""
+
+
+def test_first_minor_ignores_search_cap(capsys, rank1_file):
+    # --minor first enumerates no minors, so no candidate budget applies
+    code, out, err = run(capsys, "analyze", rank1_file, "--minor", "first", "--minor-cap", "1")
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert "k = 1" in lines
+    assert "rows I = {1}" in lines
+    assert "cols J = {1}" in lines
 
 
 def test_cost_guard_exit_5(capsys, example_file):

@@ -15,10 +15,12 @@ from nsbound import (
     GaussianRational,
     LaurentPoly,
     PolyMatrix,
+    analyze,
     determinant,
     determinant_cofactor,
     exact_div,
     format_poly,
+    iter_nonvanishing_minors,
     max_nonvanishing_minor,
     minor,
     parse_matrix,
@@ -30,7 +32,7 @@ from nsbound.matrices import (
     ZeroMatrixError,
 )
 
-from conftest import random_poly, star_transpose
+from conftest import matrix_product, random_poly, star_transpose
 
 
 def random_matrix(rng, rows, cols, dim=2, max_terms=2, real_only=False):
@@ -60,13 +62,16 @@ coefficients = st.one_of(
 )
 
 
-def laurent_polys(dim: int, min_terms: int = 0, max_terms: int = 3):
-    """Laurent polynomials with exponents in [-3, 3] and at least ``min_terms`` terms.
+def laurent_polys(
+    dim: int, min_terms: int = 0, max_terms: int = 3, exp_range: int = 3, coeffs=coefficients
+):
+    """Laurent polynomials with exponents in [-exp_range, exp_range] and at
+    least ``min_terms`` terms.
 
     Without a lower bound a drawn coefficient may be zero, so zero entries occur.
     """
-    exponents = st.tuples(*[st.integers(-3, 3)] * dim)
-    coeffs = coefficients.filter(bool) if min_terms else coefficients
+    exponents = st.tuples(*[st.integers(-exp_range, exp_range)] * dim)
+    coeffs = coeffs.filter(bool) if min_terms else coeffs
     return st.dictionaries(
         exponents, coeffs, min_size=min_terms, max_size=max_terms
     ).map(lambda terms: LaurentPoly(dim, terms))
@@ -78,6 +83,33 @@ def square_matrices(draw, sizes=st.integers(1, 4), max_terms=3):
     dim = draw(st.integers(1, 3))
     entry = laurent_polys(dim, max_terms=max_terms)
     return PolyMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """(m x r) @ (r x n) with rows and columns shuffled, plus zero rows and columns.
+
+    Tall, wide and square shapes with m, n <= 4 before the zero rows and
+    columns, rank at most r, Gaussian-rational coefficients and exponents
+    in [-2, 2] over 1 to 3 variables.
+    """
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["tall", "wide", "square"]))
+    m, n = {"tall": (max(a, b), min(a, b)), "wide": (min(a, b), max(a, b)), "square": (a, a)}[shape]
+    r = draw(st.integers(1, min(m, n)))
+    dim = draw(st.integers(1, 3))
+    entry = laurent_polys(
+        dim, max_terms=2, exp_range=2, coeffs=st.builds(GaussianRational, _rationals, _rationals)
+    )
+    L = PolyMatrix([[draw(entry) for _ in range(r)] for _ in range(m)])
+    R = PolyMatrix([[draw(entry) for _ in range(n)] for _ in range(r)])
+    zero = LaurentPoly.zero(dim)
+    zero_rows, zero_cols = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    rows = [list(row) + [zero] * zero_cols for row in matrix_product(L, R).entries]
+    A = PolyMatrix(rows + [[zero] * (n + zero_cols)] * zero_rows)
+    row_order = draw(st.permutations(range(A.rows)))
+    col_order = draw(st.permutations(range(A.cols)))
+    return A.submatrix(row_order, col_order)
 
 
 @contextmanager
@@ -359,13 +391,31 @@ def test_max_minor_zero_matrix_rejected():
         max_nonvanishing_minor(A)
 
 
+@settings(max_examples=100, deadline=None)
+@given(low_rank_matrices())
+def test_max_minor_is_first_enumerated_property(A):
+    # the rank-profile pass returns the certificate the enumeration over
+    # descending sizes meets first: the same row_set, col_set, size, det
+    # and b_l1 (MinorCertificate equality compares every field)
+    if A.is_zero():
+        with pytest.raises(ZeroMatrixError):
+            max_nonvanishing_minor(A)
+        return
+    first = next(
+        cert
+        for size in range(min(A.rows, A.cols), 0, -1)
+        for cert in iter_nonvanishing_minors(A, size)
+    )
+    assert max_nonvanishing_minor(A) == first
+
+
 def test_minor_search_cap():
-    # rank one, so every size above 1 vanishes and the search must descend
-    # through sizes whose candidate counts blow past the cap
+    # rank one, so every size above 1 vanishes and the best-minor search
+    # must descend through sizes whose candidate counts blow past the cap
     z = parse_poly("z1")
     A = PolyMatrix([[z for _ in range(6)] for _ in range(6)])
     with pytest.raises(MinorSearchCapExceeded):
-        max_nonvanishing_minor(A, cap=2)
+        analyze(A, minor="best", minor_cap=2)
 
 
 # -- norms -------------------------------------------------------------------------
