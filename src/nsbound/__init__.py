@@ -36,7 +36,6 @@ from .poly import (
     LaurentPoly,
     WidthProfile,
     lead_lex,
-    q_plus_decompose,
     width_profile,
 )
 
@@ -70,7 +69,6 @@ __all__ = [
     "ns_lower_bound",
     "parse_matrix",
     "parse_poly",
-    "q_plus_decompose",
     "rescale_lambda",
     "scalar_density",
     "width_profile",

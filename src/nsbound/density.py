@@ -315,7 +315,8 @@ def alpha_fit(
     """Least-squares slope of log(F - f_zero) against log(lambda).
 
     Only points inside the window with F strictly above f_zero are used; at
-    least five are required.  Returns (slope, r_squared).
+    least five are required, at two or more distinct lambdas, since equal
+    lambdas determine no slope.  Returns (slope, r_squared).
     """
     lo, hi = window
     xs, ys = [], []
@@ -327,6 +328,11 @@ def alpha_fit(
         raise InsufficientDataError(
             f"only {len(xs)} usable points in [{lo}, {hi}]; need at least 5"
             " (estimates at f_zero carry no decay information)"
+        )
+    if min(xs) == max(xs):
+        raise InsufficientDataError(
+            f"all {len(xs)} usable points share one lambda;"
+            " a slope needs two distinct lambdas"
         )
     x = np.array(xs)
     y = np.array(ys)

@@ -1,13 +1,15 @@
 """Matrices over the Laurent polynomial ring: determinants, minors, norms.
 
-Determinants are exact and computed one way at every size: each row is
-scaled by the lcm of its coefficient denominators, and fraction-free
-Bareiss elimination then runs on a small private kernel whose polynomials
-are plain dicts of Gaussian-integer coefficient pairs (Python ints), with
-the required exact divisions done by leading-term polynomial division.
-``LaurentPoly`` appears only at the edges.  A failed division indicates a
-bug, not bad input, and raises ExactDivisionError.  Cofactor expansion is
-kept as an independent oracle.
+The exact layer has one elimination, a fraction-free row-echelon pass
+(:func:`_row_echelon`): each row is scaled by the lcm of its coefficient
+denominators and reduced by the earlier pivot rows with the Bareiss step,
+on a small private kernel whose polynomials are plain dicts of
+Gaussian-integer coefficient pairs (Python ints), with the required exact
+divisions done by leading-term polynomial division.  Every determinant and
+the rank profile behind the lexicographically first maximal minor come from
+that pass.  ``LaurentPoly`` appears only at the edges.  A failed division
+indicates a bug, not bad input, and raises ExactDivisionError.  Cofactor
+expansion is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import add, neg, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .poly import DimensionMismatch, GaussianRational, LaurentPoly
 
@@ -266,39 +268,57 @@ def _row_scale(row: Sequence[LaurentPoly]) -> int:
     return math.lcm(*(x.denominator for p in row for c in p.terms.values() for x in (c.re, c.im)))
 
 
-def determinant(B: PolyMatrix) -> LaurentPoly:
-    """Exact determinant of a square matrix, by Bareiss elimination on the kernel.
+def _row_echelon(A: PolyMatrix) -> Iterator[tuple[int | None, int, list[_KPoly]]]:
+    """The one fraction-free elimination: reduce the rows of A in order.
 
-    Row r is scaled by the lcm s_r of the denominators in it, so every
-    entry has Gaussian-integer coefficients.  Each Bareiss quotient is then
-    a minor of the scaled matrix (Sylvester's identity) and the elimination
-    never leaves the integers; the result is divided by the product of the
-    s_r at the end.
+    Row i is scaled by the lcm s of its denominators and reduced by the
+    earlier pivot rows with the Bareiss step, skipping each pivot column,
+    whose entry always cancels; its leftmost non-zero entry then becomes its
+    pivot.  Yields (c, s, row) per row, with c the pivot column, or None when
+    the row reduced to zero.  After t steps every entry of a reduced row is a
+    (t+1)x(t+1) minor of the scaled matrix (Sylvester's identity), so the
+    divisions are exact and a row reduces to zero exactly when it lies in the
+    span of the earlier pivot rows.
+    """
+    pivots: list[tuple[int, _KPoly, list[_KPoly]]] = []
+    for entries in A.entries:
+        s = _row_scale(entries)
+        row = [_to_kernel(p, s) for p in entries]
+        prev: _KPoly | None = None
+        for c, pivot, pivot_row in pivots:
+            head = row[c]
+            row = [
+                {} if j == c else _bareiss_entry(pivot, x, head, y, prev)
+                for j, (x, y) in enumerate(zip(row, pivot_row))
+            ]
+            prev = pivot
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is not None:
+            pivots.append((c, row[c], row))
+        yield c, s, row
+
+
+def determinant(B: PolyMatrix) -> LaurentPoly:
+    """Exact determinant of a square matrix, from one row-echelon pass.
+
+    :func:`_row_echelon` scales row r by the lcm s_r of its denominators, so
+    the elimination never leaves the Gaussian integers.  When every row keeps
+    a pivot, the pivot columns in pivot order form a permutation sigma and
+    the last pivot is det(S B[:, sigma]) by Sylvester's identity, so
+    det B = sign(sigma) * (last pivot) / prod(s_r).  The first row that
+    reduces to zero proves det B = 0 and ends the pass.
     """
     if B.rows != B.cols:
         raise ValueError(f"determinant of a non-square {B.rows}x{B.cols} matrix")
-    n = B.rows
-    scales = [_row_scale(row) for row in B.entries]
-    M = [[_to_kernel(p, s) for p in row] for row, s in zip(B.entries, scales)]
-    sign = 1
-    prev: _KPoly | None = None
-    for k in range(n - 1):
-        if not M[k][k]:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPoly.zero(B.dim)
-        pivot_row = M[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, n):
-            row = M[i]
-            for j in range(k + 1, n):
-                row[j] = _bareiss_entry(pivot, row[j], row[k], pivot_row[j], prev)
-        prev = pivot
-    return _from_kernel(B.dim, M[n - 1][n - 1], sign * math.prod(scales))
+    cols: list[int] = []
+    scale = 1
+    for c, s, row in _row_echelon(B):
+        if c is None:
+            return LaurentPoly.zero(B.dim)
+        cols.append(c)
+        scale *= s
+    inversions = sum(a > b for a, b in combinations(cols, 2))
+    return _from_kernel(B.dim, row[c], (-1) ** inversions * scale)
 
 
 def minor(A: PolyMatrix, rows: Iterable[int], cols: Iterable[int]) -> LaurentPoly:
@@ -355,32 +375,19 @@ def iter_nonvanishing_minors(
 def _rank_profile(A: PolyMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Greedy row basis I of A and the column rank profile J of A[I, :].
 
-    One fraction-free pass over the rows in order.  Each row, scaled by the
-    lcm of its denominators, is reduced by the earlier pivot rows with the
-    Bareiss step; a row that stays non-zero is kept, and its leftmost
-    non-zero entry is its pivot.  After t steps every entry of a reduced row
-    is a (t+1)x(t+1) minor of the scaled matrix (Sylvester's identity), so
-    the divisions are exact and a row reduces to zero exactly when it lies
-    in the span of the kept rows.
+    The rows that keep a pivot in :func:`_row_echelon` form I, and their
+    pivot columns, sorted, form J.
     """
-    pivots: list[tuple[int, _KPoly, list[_KPoly]]] = []
     row_set: list[int] = []
-    for i, entries in enumerate(A.entries):
-        s = _row_scale(entries)
-        row = [_to_kernel(p, s) for p in entries]
-        prev: _KPoly | None = None
-        for c, pivot, pivot_row in pivots:
-            head = row[c]
-            row = [_bareiss_entry(pivot, x, head, y, prev) for x, y in zip(row, pivot_row)]
-            prev = pivot
-        c = next((j for j, x in enumerate(row) if x), None)
+    col_set: list[int] = []
+    for i, (c, _, _) in enumerate(_row_echelon(A)):
         if c is None:
             continue
-        pivots.append((c, row[c], row))
         row_set.append(i)
-        if len(pivots) == A.cols:
+        col_set.append(c)
+        if len(col_set) == A.cols:
             break
-    return tuple(row_set), tuple(sorted(c for c, _, _ in pivots))
+    return tuple(row_set), tuple(sorted(col_set))
 
 
 def max_nonvanishing_minor(A: PolyMatrix) -> MinorCertificate:

@@ -381,35 +381,6 @@ def _unit_powers(z: np.ndarray, exponents: set[int]) -> dict[int, np.ndarray]:
 # -- width and leading coefficient ---------------------------------------
 
 
-def q_plus_decompose(
-    p: LaurentPoly, var: int
-) -> tuple[int, int, dict[int, LaurentPoly]]:
-    """Split p into layers by the exponent of variable ``var`` (0-based).
-
-    Returns (n_minus, n_plus, layers) with p = sum_n layers[n] * z_var^n,
-    where layers maps each occurring exponent to a polynomial in one fewer
-    variable (coordinate ``var`` removed) and both extreme layers are
-    non-zero.  The width of p in this variable is n_plus - n_minus and the
-    top-layer polynomial layers[n_plus] is the next element of the width
-    tower.
-    """
-    if p.is_zero():
-        raise ZeroPolynomialError("cannot decompose the zero polynomial")
-    if not 0 <= var < p.dim:
-        raise ValueError(f"variable index {var} out of range for dim {p.dim}")
-    buckets: dict[int, dict[Exponent, GaussianRational]] = {}
-    for exp, c in p.terms.items():
-        n = exp[var]
-        rest = exp[:var] + exp[var + 1 :]
-        buckets.setdefault(n, {})[rest] = c
-    layers = {
-        n: LaurentPoly(p.dim - 1, terms) for n, terms in sorted(buckets.items())
-    }
-    n_minus = min(layers)
-    n_plus = max(layers)
-    return n_minus, n_plus, layers
-
-
 @dataclass(frozen=True)
 class WidthProfile:
     """The tower obtained by repeatedly extracting top layers of p.
@@ -434,8 +405,11 @@ def width_profile(p: LaurentPoly, order: Iterable[int] | None = None) -> WidthPr
 
     ``order`` is a permutation of range(p.dim); elimination proceeds from
     its last element backwards (the identity ordering therefore eliminates
-    the last variable first).  Both the widths and the leading constant
-    depend on the ordering.
+    the last variable first).  Each step keeps the terms whose exponent in
+    the eliminated variable is the largest, its top layer, and drops that
+    coordinate; the width of the step is the largest minus the smallest of
+    that exponent.  Both the widths and the leading constant depend on the
+    ordering.
     """
     if p.is_zero():
         raise ZeroPolynomialError("width profile of the zero polynomial is undefined")
@@ -447,14 +421,17 @@ def width_profile(p: LaurentPoly, order: Iterable[int] | None = None) -> WidthPr
     tower = [p]
     widths: list[int] = []
     q = p
-    for step in range(d):
-        target = order[d - 1 - step]
+    for target in reversed(order):
         pos = active.index(target)
-        n_minus, n_plus, layers = q_plus_decompose(q, pos)
-        widths.append(n_plus - n_minus)
-        q = layers[n_plus]
-        tower.append(q)
         active.pop(pos)
+        exps = [e[pos] for e in q.terms]
+        top = max(exps)
+        widths.append(top - min(exps))
+        q = LaurentPoly(
+            q.dim - 1,
+            {e[:pos] + e[pos + 1 :]: c for e, c in q.terms.items() if e[pos] == top},
+        )
+        tower.append(q)
     lead = next(iter(q.terms.values())) if q.terms else ZERO
     assert lead, "top layer of a non-zero polynomial is non-zero"
     wd = max(widths) if widths else 0

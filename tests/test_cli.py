@@ -314,6 +314,20 @@ def test_verify_spectral_gap_is_consistent(capsys, example_file):
     assert "consistent with alpha" in out
 
 
+def test_verify_equal_lambdas_not_violated(capsys, tmp_path):
+    # --lambda-min = --lambda-max leaves no slope to fit; that is no evidence
+    # against the bound, so verify reports the fit unavailable and exits 0
+    f = tmp_path / "m.mat"
+    f.write_text("[[z1 - 1]]\n")
+    code, out, err = run(
+        capsys, "verify", str(f), "--grid", "10", "--lambda-min", "1", "--lambda-max", "1",
+    )
+    assert code == 0
+    assert "VIOLATED" not in out
+    assert "alpha fit: unavailable (" in out
+    assert err == ""
+
+
 def test_example_command(capsys):
     code, out, _ = run(capsys, "example")
     assert code == 0

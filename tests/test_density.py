@@ -466,6 +466,15 @@ def test_alpha_fit_step_curve_rejected():
         alpha_fit(curve, (0.5, 4.9))
 
 
+def test_alpha_fit_equal_lambdas_rejected():
+    # every usable point sits at lambda = 1: no slope, not a 0/0 slope of nan
+    g = TorusGrid.midpoint(1, 10)
+    curve = scalar_density(parse_poly("z1 - 1"), [1.0] * 8, g)
+    assert sum(est > curve.f_zero for est in curve.estimates) >= 5
+    with pytest.raises(InsufficientDataError, match="distinct lambdas"):
+        alpha_fit(curve, (1.0, 1.0))
+
+
 def test_default_fit_window():
     g = TorusGrid.midpoint(1, 50000)
     lams = np.geomspace(1e-4, 1.0, 48).tolist()

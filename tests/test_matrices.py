@@ -6,6 +6,7 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -241,6 +242,15 @@ def test_bareiss_equals_cofactor():
 def test_bareiss_zero_pivot_swap():
     A = parse_matrix("[[0, 1, 2, 1], [1, 0, 1, 1], [0, 0, 0, 1], [1, 1, 0, 0]]")
     assert determinant(A) == determinant_cofactor(A)
+    # row i of a permutation matrix keeps its pivot in column sigma(i), so
+    # the 24 permutations drive the echelon pass through every pivot-column
+    # order and pin the sign of the result
+    for sigma in permutations(range(4)):
+        entries = [[LaurentPoly.zero(2)] * 4 for _ in range(4)]
+        for i, j in enumerate(sigma):
+            entries[i][j] = LaurentPoly.monomial(2, (i + 1, j), i + 2)
+        P = PolyMatrix(entries)
+        assert determinant(P) == determinant_cofactor(P), sigma
 
 
 def _same_poly(got: LaurentPoly, want: LaurentPoly) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from nsbound import (
     LaurentPoly,
     lead_lex,
     parse_poly,
-    q_plus_decompose,
     width_profile,
 )
 from nsbound.poly import DimensionMismatch, ZeroPolynomialError
@@ -240,52 +240,30 @@ def test_eval_block_huge_exponent_stays_on_the_circle():
     assert np.all(np.isfinite(v)) and np.all(np.abs(v) <= 4 + 1e-9)
 
 
-# -- q_plus_decompose ----------------------------------------------------------
+# -- top-layer decomposition ------------------------------------------------------
+#
+# One tower step keeps the top layer of p in the eliminated variable.
 
 
 def test_decompose_example_poly():
     p = parse_poly("z1^3*z2 + 2*z1*z2^2 - 16")
-    n_minus, n_plus, layers = q_plus_decompose(p, 1)
-    assert (n_minus, n_plus) == (0, 2)
-    assert n_plus - n_minus == 2
-    assert layers[n_plus] == parse_poly("2*z1")
+    prof = width_profile(p)
+    assert prof.widths[0] == 2
+    assert prof.tower[1] == parse_poly("2*z1")
 
 
 def test_decompose_monomial():
-    p = parse_poly("5*z1^2")
-    n_minus, n_plus, layers = q_plus_decompose(p, 0)
-    assert n_minus == n_plus == 2
-    assert layers[n_plus] == LaurentPoly.const(0, 5)
+    prof = width_profile(parse_poly("5*z1^2"))
+    assert prof.widths == (0,)
+    assert prof.lead == GaussianRational(5)
+    assert prof.tower[1] == LaurentPoly.const(0, 5)
 
 
 def test_decompose_factored():
     p = parse_poly("z1*z2 - z2 - z1 + 1")  # (z1-1)*z2 - (z1-1)
-    n_minus, n_plus, layers = q_plus_decompose(p, 1)
-    assert (n_minus, n_plus) == (0, 1)
-    assert layers[n_plus] == parse_poly("z1 - 1")
-
-
-def test_decompose_zero_rejected():
-    with pytest.raises(ZeroPolynomialError):
-        q_plus_decompose(LaurentPoly.zero(2), 0)
-
-
-@settings(max_examples=150)
-@given(polys())
-def test_decompose_reassembles(p):
-    p = nonzero(p)
-    var = p.dim - 1
-    n_minus, n_plus, layers = q_plus_decompose(p, var)
-    assert n_minus <= n_plus
-    rebuilt = LaurentPoly.zero(p.dim)
-    for n, layer in layers.items():
-        assert not layer.is_zero()
-        lifted = LaurentPoly(
-            p.dim,
-            {e[:var] + (n,) + e[var:]: c for e, c in layer.terms.items()},
-        )
-        rebuilt = rebuilt + lifted
-    assert rebuilt == p
+    prof = width_profile(p)
+    assert prof.tower[1] == parse_poly("z1 - 1")
+    assert prof.widths == (1, 1)
 
 
 # -- width profile --------------------------------------------------------------
@@ -329,6 +307,21 @@ def test_width_profile_zero_rejected():
 def test_width_profile_lead_matches_lead_lex(p):
     p = nonzero(p)
     assert width_profile(p).lead == lead_lex(p)
+
+
+@settings(max_examples=100)
+@given(polys())
+def test_width_profile_every_ordering_property(p):
+    # the lead is the coefficient of the exponent that is largest when the
+    # coordinates are compared in elimination order, and the first width is
+    # the spread of the first eliminated coordinate
+    p = nonzero(p)
+    for order in permutations(range(p.dim)):
+        prof = width_profile(p, order)
+        top = max(p.terms, key=lambda e: tuple(e[j] for j in reversed(order)))
+        assert prof.lead == p.terms[top]
+        spread = [e[order[-1]] for e in p.terms]
+        assert prof.widths[0] == max(spread) - min(spread)
 
 
 @settings(max_examples=150)
