@@ -13,12 +13,19 @@ k = 1.  :func:`rescale_lambda` computes the factor (k^2 * b1)^(k-1),
 the determinant is a single monomial and the bound is a step at
 |lead| / (k^2 * b1)^(k-1).  The module also searches variable orderings and
 minors for the best certificate.
+
+Every float here is rounded in the safe direction, so the bound stays an
+upper bound: C, the rescaled lambda, the coefficient and the bound round
+up, and the step threshold and |lead| round down.  Products and quotients
+of floats and integers are formed exactly and rounded once; only the
+root x^(1/(d*wd)) goes through ``**``, with margin for its error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations
 
 from .matrices import (
@@ -29,10 +36,30 @@ from .matrices import (
     iter_nonvanishing_minors,
     max_nonvanishing_minor,
 )
-from .poly import LaurentPoly, WidthProfile, width_profile
+from .poly import LaurentPoly, WidthProfile, _float_down, _float_up, width_profile
 
-#: 8*sqrt(3)/sqrt(47) = sqrt(192/47), approximately 2.0211646105596452.
-SPECTRAL_CONSTANT = 8.0 * math.sqrt(3.0) / math.sqrt(47.0)
+
+def _root_up(x: float, n: int) -> float:
+    """A float >= x^(1/n) for x >= 0.
+
+    The exponent 1/n is rounded toward the larger power (up for x > 1, down
+    for x < 1), and the result of ``**`` is moved up two ulps, which covers
+    the error of the C library's pow (below one ulp on current glibc, musl
+    and macOS).  The excess is below 1e-13 relative.  0 and 1 are their own
+    roots, and n = 1 is exact.
+    """
+    if n == 1 or x in (0.0, 1.0):
+        return x
+    e = 1.0 / n
+    if x > 1.0 and Fraction(e) < Fraction(1, n):
+        e = math.nextafter(e, math.inf)
+    elif x < 1.0 and Fraction(e) > Fraction(1, n):
+        e = math.nextafter(e, 0.0)
+    return math.nextafter(math.nextafter(x**e, math.inf), math.inf)
+
+
+#: 8*sqrt(3)/sqrt(47) = sqrt(192/47), rounded up: 2.0211646105596457.
+SPECTRAL_CONSTANT = math.nextafter(8.0 * math.sqrt(3.0) / math.sqrt(47.0), math.inf)
 
 #: Marker for "the spectral density is a step; the decay exponent is not finite".
 INFINITE_TYPE = "infinite-type"
@@ -49,15 +76,20 @@ def ns_lower_bound(d: int, wd: int) -> float | str:
     return 1.0 / (d * wd)
 
 
+def _norm_factor(k: int, b_l1: float) -> Fraction:
+    """(k^2 * b_l1)^(k-1) exactly, written k^(2k-2) * b_l1^(k-1)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return k ** (2 * k - 2) * Fraction(b_l1) ** (k - 1)
+
+
 def rescale_lambda(k: int, b_l1: float, lam: float) -> float:
-    """(k^2 * b_l1)^(k-1) * lam, written k^(2k-2) * b_l1^(k-1) * lam.
+    """(k^2 * b_l1)^(k-1) * lam, rounded up to the nearest float.
 
     This is the argument change from matrix to scalar density, with the
     operator-norm upper bound k^2 * b_l1 in place of the norm.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return k ** (2 * k - 2) * b_l1 ** (k - 1) * lam
+    return _float_up(_norm_factor(k, b_l1) * Fraction(lam))
 
 
 @dataclass(frozen=True)
@@ -82,8 +114,9 @@ def bound_coefficient(params: BoundParameters) -> float:
     p = params
     if p.wd < 1:
         raise ValueError("no power-law coefficient in the step case")
-    inner = rescale_lambda(p.k, p.b_l1, 1.0) / p.lead_abs
-    return SPECTRAL_CONSTANT * p.k * p.d * p.wd * inner ** (1.0 / (p.d * p.wd))
+    n = p.d * p.wd
+    inner = _float_up(_norm_factor(p.k, p.b_l1) / Fraction(p.lead_abs))
+    return _float_up(Fraction(SPECTRAL_CONSTANT) * (p.k * n) * Fraction(_root_up(inner, n)))
 
 
 def _lead_abs_down(profile: WidthProfile) -> float:
@@ -156,10 +189,16 @@ class BoundReport:
         return max(self.rows, self.cols) - self.minor.size
 
     def bound_at(self, lam: float) -> float:
-        """The bound on F(lambda) - F(0): the power law, or the step to k."""
+        """The bound on F(lambda) - F(0): the power law, or the step to k.
+
+        The power law is rounded up, and is 0 at lambda = 0.
+        """
         if self.is_step:
             return 0.0 if lam < self.step_threshold_matrix else float(self.k)
-        return self.coefficient * lam**self.exponent
+        if lam == 0.0:
+            return 0.0
+        root = _root_up(lam, self.params.d * self.params.wd)
+        return math.nextafter(self.coefficient * root, math.inf)
 
 
 def _report_for(A: PolyMatrix, cert: MinorCertificate, profile: WidthProfile) -> BoundReport:
@@ -181,7 +220,9 @@ def _report_for(A: PolyMatrix, cert: MinorCertificate, profile: WidthProfile) ->
         alpha_lower=ns_lower_bound(A.dim, profile.wd),
         step_threshold=lead_abs if is_step else None,
         step_threshold_matrix=(
-            lead_abs / rescale_lambda(cert.size, cert.b_l1, 1.0) if is_step else None
+            _float_down(Fraction(lead_abs) / _norm_factor(cert.size, cert.b_l1))
+            if is_step
+            else None
         ),
     )
 

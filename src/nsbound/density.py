@@ -17,28 +17,43 @@ Exactness conventions that the tests rely on:
   is an exact step; no quadrature is performed.
 * Counting uses the closed condition (<=) throughout.
 
-Grid evaluation is chunked; per-chunk integer counts are summed in fixed
-chunk order, so results are bit-identical for any worker count.  A chunk
+Grid evaluation streams through chunks of ``CHUNK`` = 8192 points, a
+fixed size at which one chunk's arrays stay in cache.  Every step works
+point by point or matrix by matrix and every count is an exact integer, so
+the counts are bit-identical for any chunk size and worker count.  A chunk
 takes one complex exp per coordinate per point, z = exp(i*angles), and
-every polynomial is evaluated from integer powers of z, with conjugates for
-negative exponents (``LaurentPoly.eval_block``); no exp is taken per term.
-The gram on the smaller side is summed entry by entry from those values.
+builds one table of the integer powers of z that the entries use, with
+conjugates for negative exponents; every entry is evaluated from that
+shared table (``LaurentPoly.eval_block``), and no exp is taken per term.
+The gram on the smaller side is summed entry by entry from those values,
+and each chunk's samples are counted against the thresholds by binning,
+without a sort.  At most two chunks per worker are in flight, so memory
+does not grow with the grid: about 5 MiB per chunk for a 4x4 matrix over
+three variables.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .matrices import PolyMatrix
-from .poly import GaussianRational, LaurentPoly, ZeroPolynomialError, lead_lex
+from .poly import (
+    GaussianRational,
+    LaurentPoly,
+    ZeroPolynomialError,
+    _float_down,
+    _power_table,
+    lead_lex,
+)
 
-CHUNK = 1 << 16  # fixed; results must not depend on worker count
+CHUNK = 1 << 13  # points per chunk, sized so that a chunk's arrays stay in cache
 
 
 class InsufficientDataError(ValueError):
@@ -68,6 +83,8 @@ class TorusGrid:
         """Rank-1 Korobov lattice with a seeded random shift."""
         if dim < 1 or total < 1:
             raise ValueError("need dim >= 1 and total >= 1")
+        if total >= 1 << 61:
+            raise ValueError(f"a lattice needs fewer than 2^61 points, not {total}")
         a = max(1, int(total * (math.sqrt(5.0) - 1.0) / 2.0)) | 1
         gen = tuple(pow(a, j, total) if total > 1 else 0 for j in range(dim))
         shift = tuple(np.random.default_rng(seed).random(dim).tolist())
@@ -84,8 +101,9 @@ class TorusGrid:
         n = self.points_per_dim if self.scheme == "midpoint" else self.total ** (1.0 / self.dim)
         return 4.0 * self.dim / n
 
-    def block_ranges(self, chunk: int = CHUNK) -> list[tuple[int, int]]:
-        return [(s, min(s + chunk, self.total)) for s in range(0, self.total, chunk)]
+    def block_ranges(self, chunk: int = CHUNK) -> Iterator[tuple[int, int]]:
+        """Consecutive [start, stop) ranges of ``chunk`` points covering the grid."""
+        return ((s, min(s + chunk, self.total)) for s in range(0, self.total, chunk))
 
     def angles(self, start: int, stop: int) -> np.ndarray:
         """Angle rows for flat point indices [start, stop)."""
@@ -99,18 +117,46 @@ class TorusGrid:
                 out[:, j] = (digits + 0.5) * step
         else:
             for j in range(self.dim):
-                frac = (idx * self.generator[j] % self.total) / self.total + self.shift[j]
+                frac = _mul_mod(idx, self.generator[j], self.total) / self.total + self.shift[j]
                 out[:, j] = 2.0 * math.pi * np.mod(frac, 1.0)
         return out
 
 
-def _map_chunks(grid: TorusGrid, fn: Callable[[int, int], object], workers: int = 1):
-    """Apply fn to every block range; results come back in block order."""
-    ranges = grid.block_ranges()
-    if workers <= 1 or len(ranges) <= 1:
-        return [fn(a, b) for a, b in ranges]
+def _mul_mod(idx: np.ndarray, g: int, m: int) -> np.ndarray:
+    """idx * g mod m exactly, for int64 idx and g in [0, m), m < 2^61.
+
+    The product is taken directly while (m - 1)^2 fits in int64.  Beyond
+    that, g is split into b-bit digits with m * 2^b <= 2^62, and Horner's
+    rule reduces after every digit, so no intermediate reaches 2^63.
+    """
+    if (m - 1) * (m - 1) < 1 << 63:
+        return idx * g % m
+    b = 62 - m.bit_length()
+    out = np.zeros_like(idx)
+    for shift in range((g.bit_length() - 1) // b * b, -1, -b):
+        out = (out * (1 << b) + idx * (g >> shift & (1 << b) - 1)) % m
+    return out
+
+
+def _sum_chunks(grid: TorusGrid, fn: Callable[[int, int], np.ndarray], workers: int = 1):
+    """Sum of fn over the block ranges, added in block order.
+
+    Ranges are produced one at a time, and at most 2 * workers chunks are
+    in flight, so memory does not grow with the grid.
+    """
+    ranges = grid.block_ranges(CHUNK)
+    if workers <= 1:
+        return sum(fn(a, b) for a, b in ranges)
+    total = 0
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda ab: fn(*ab), ranges))
+        pending: deque[Future] = deque()
+        for a, b in ranges:
+            pending.append(pool.submit(fn, a, b))
+            if len(pending) == 2 * workers:
+                total = total + pending.popleft().result()
+        while pending:
+            total = total + pending.popleft().result()
+    return total
 
 
 # -- Hermitian eigenvalues ---------------------------------------------------
@@ -205,24 +251,23 @@ def _check_lambdas(lambdas: Sequence[float]) -> tuple[float, ...]:
     return lam
 
 
-def _float_down(x: Fraction) -> float:
-    """Largest double <= x (so float compares reproduce exact comparisons)."""
-    try:
-        f = float(x)
-    except OverflowError:
-        return math.inf
-    if math.isinf(f):
-        return f if f > 0 else -math.inf
-    if Fraction(f) > x:
-        f = math.nextafter(f, -math.inf)
-    return f
-
-
 def _squared_thresholds(lambdas: Iterable[float], scale2: Fraction) -> np.ndarray:
     """Floats t_i with (samples <= t_i) == (samples <= lambda_i^2 / scale2)."""
     return np.array(
         [_float_down(Fraction(lam) * Fraction(lam) / scale2) for lam in lambdas]
     )
+
+
+def _count_at_most(samples: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Number of samples <= each of the ascending thresholds, without a sort.
+
+    Each sample falls into the slot of the first threshold it does not
+    exceed, so a running sum of the slot sizes counts it at that threshold
+    and every later one; the last slot holds the samples above them all
+    (and NaN, which sorts last).
+    """
+    slot = np.searchsorted(thresholds, samples.reshape(-1), side="left")
+    return np.cumsum(np.bincount(slot, minlength=len(thresholds) + 1)[:-1])
 
 
 def scalar_density(
@@ -257,10 +302,9 @@ def scalar_density(
 
     def count_chunk(start: int, stop: int) -> np.ndarray:
         v = q.eval_block(np.exp(1j * grid.angles(start, stop)))
-        f = np.sort(v.real * v.real + v.imag * v.imag)
-        return np.searchsorted(f, thresholds, side="right")
+        return _count_at_most(v.real * v.real + v.imag * v.imag, thresholds)
 
-    totals = sum(_map_chunks(grid, count_chunk, workers))
+    totals = _sum_chunks(grid, count_chunk, workers)
     counts = tuple(int(c) for c in totals)
     estimates = tuple(c / grid.total for c in counts)
     return DensityCurve(lam, counts, estimates, 0)
@@ -289,18 +333,19 @@ def matrix_density(
     if not 1 <= k <= small:
         raise ValueError(f"minor size {k} out of range for a {A.rows}x{A.cols} matrix")
     thresholds = _squared_thresholds(lam, Fraction(1))
+    entries = [p for row in A.entries for p in row]
 
     def count_chunk(start: int, stop: int) -> np.ndarray:
         z = np.exp(1j * grid.angles(start, stop))
-        values = [[p.eval_block(z) for p in row] for row in A.entries]
+        powers = _power_table(z, entries)
+        values = [[p.eval_block(z, powers) for p in row] for row in A.entries]
+        del powers, z  # free before the gram and eigenvalue stacks
         gram = _gram(values, A.rows, A.cols)
         if not np.isfinite(gram).all():
             raise OverflowError("a gram matrix entry overflows a float")
-        eig = hermitian_eigenvalues(gram)
-        flat = np.sort(eig.reshape(-1))
-        return np.searchsorted(flat, thresholds, side="right")
+        return _count_at_most(hermitian_eigenvalues(gram), thresholds)
 
-    totals = sum(_map_chunks(grid, count_chunk, workers))
+    totals = _sum_chunks(grid, count_chunk, workers)
     counts = tuple(int(c) + extra_zeros * grid.total for c in totals)
     estimates = tuple(c / grid.total for c in counts)
     return DensityCurve(lam, counts, estimates, max(A.rows, A.cols) - k)

@@ -132,12 +132,25 @@ def _lex_key(exponent: Exponent) -> Exponent:
 
 
 def _float_up(x: Fraction) -> float:
-    """Smallest-effort upward conversion: a float that is >= x."""
+    """Smallest float >= x; OverflowError beyond the float range."""
     f = float(x)
-    if math.isinf(f):
-        return f
     if Fraction(f) < x:
         f = math.nextafter(f, math.inf)
+    return f
+
+
+def _float_down(x: Fraction) -> float:
+    """Largest float <= x (so float compares reproduce exact comparisons).
+
+    Beyond the float range the result is +-inf, which every finite float
+    compares below or above in the same way as it does x.
+    """
+    try:
+        f = float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+    if Fraction(f) > x:
+        f = math.nextafter(f, -math.inf)
     return f
 
 
@@ -319,7 +332,9 @@ class LaurentPoly:
         total = math.fsum(abs(c) for c in self._terms.values())
         return math.nextafter(total, math.inf)
 
-    def eval_block(self, z: np.ndarray) -> np.ndarray:
+    def eval_block(
+        self, z: np.ndarray, powers: list[dict[int, np.ndarray]] | None = None
+    ) -> np.ndarray:
         """Evaluate at a block of torus points given as unit complex numbers.
 
         ``z`` has shape (npoints, dim) with z[r, j] = exp(i*phi_j) at point
@@ -329,16 +344,20 @@ class LaurentPoly:
         negative exponent is the conjugate of the positive power, as
         z^-1 = conj(z) on the torus.  The error of a value is of order
         eps * l1_norm * (1 + max |e|), the same as that of exp(i e.phi).
+
+        ``powers`` is a table from ``_power_table`` over polynomials that
+        include this one, shared by several evaluations on the same ``z``;
+        without it the table of this polynomial alone is built.  A power
+        does not depend on which other exponents its table holds, so the
+        values are the same either way.
         """
         z = np.asarray(z, dtype=np.complex128)
         if z.shape[1] != self.dim:
             raise DimensionMismatch(
                 f"point rows have length {z.shape[1]}, expected {self.dim}"
             )
-        powers = [
-            _unit_powers(z[:, j], {exp[j] for exp in self._terms})
-            for j in range(self.dim)
-        ]
+        if powers is None:
+            powers = _power_table(z, [self])
         out = np.zeros(z.shape[0], dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
             for exp, c in self._terms.items():
@@ -351,6 +370,17 @@ class LaurentPoly:
                     term *= f
                 out += term
         return out
+
+
+def _power_table(
+    z: np.ndarray, polys: Iterable[LaurentPoly]
+) -> list[dict[int, np.ndarray]]:
+    """Per coordinate j, z[:, j]**e for every non-zero e that any of ``polys`` uses."""
+    polys = list(polys)
+    return [
+        _unit_powers(z[:, j], {exp[j] for p in polys for exp in p.terms})
+        for j in range(z.shape[1])
+    ]
 
 
 def _unit_powers(z: np.ndarray, exponents: set[int]) -> dict[int, np.ndarray]:

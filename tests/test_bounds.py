@@ -5,9 +5,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsbound import (
     INFINITE_TYPE,
@@ -120,6 +124,57 @@ def test_rescale_lambda_values():
     assert rescale_lambda(1, 99.0, 0.7) == 0.7
     assert rescale_lambda(2, 18.0, 1.3) == pytest.approx(72 * 1.3, rel=1e-15)
     assert rescale_lambda(2, 1.0, 1.0) == 4.0
+
+
+def _decimal_bound(k: int, b1: float, d: int, wd: int, lead: float, lam: float):
+    """Coefficient and bound at lam from the formula in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        root = Decimal(1) / (d * wd)
+        inner = Decimal(k) ** (2 * k - 2) * Decimal(b1) ** (k - 1) / Decimal(lead)
+        coeff = (Decimal(192) / 47).sqrt() * k * d * wd * inner**root
+        return coeff, coeff * Decimal(lam) ** root if lam else Decimal(0)
+
+
+def test_constant_is_rounded_up():
+    assert Fraction(SPECTRAL_CONSTANT) ** 2 >= Fraction(192, 47)
+    assert Fraction(math.nextafter(SPECTRAL_CONSTANT, 0)) ** 2 < Fraction(192, 47)
+
+
+positive = st.floats(1e-6, 1e6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6), positive, st.integers(1, 5), st.integers(1, 60), positive,
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1e6, allow_subnormal=False)),
+)
+def test_bound_rounds_up_against_decimal_evaluation(k, b1, d, wd, lead, lam):
+    params = BoundParameters(k=k, d=d, wd=wd, lead_abs=lead, b_l1=b1)
+    coeff, bound = _decimal_bound(k, b1, d, wd, lead, lam)
+    got_coeff = Decimal(bound_coefficient(params))
+    got_bound = Decimal(_power_report(params).bound_at(lam))
+    # 1e-50 covers the decimal evaluation's own rounding; the excess is tiny
+    assert coeff * (1 - Decimal("1e-50")) <= got_coeff <= coeff * (1 + Decimal("1e-12"))
+    assert bound * (1 - Decimal("1e-50")) <= got_bound <= bound * (1 + Decimal("1e-12"))
+    exact = k ** (2 * k - 2) * Fraction(b1) ** (k - 1) * Fraction(lam)
+    up = rescale_lambda(k, b1, lam)
+    assert Fraction(up) >= exact > Fraction(math.nextafter(up, -1.0)) or up == exact == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4), st.lists(st.integers(1, 10**6), min_size=4, max_size=4))
+def test_step_threshold_rounds_down(k, coeffs):
+    # a diagonal of monomials: det(B) is a monomial, so the bound is a step
+    rows = [
+        ", ".join(f"{c}*z1^{i + 1}" if i == j else "0" for j in range(k))
+        for i, c in enumerate(coeffs[:k])
+    ]
+    rep = analyze(parse_matrix("[[" + "], [".join(rows) + "]]"))
+    assert rep.is_step and rep.k == k
+    exact = Fraction(rep.params.lead_abs) / (k ** (2 * k - 2) * Fraction(rep.params.b_l1) ** (k - 1))
+    t = rep.step_threshold_matrix
+    assert Fraction(t) <= exact < Fraction(math.nextafter(t, math.inf))
 
 
 def test_matrix_bound_is_rescaled_scalar_bound():

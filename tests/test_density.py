@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsbound import (
     GaussianRational,
@@ -20,6 +23,7 @@ from nsbound import (
     parse_poly,
     scalar_density,
 )
+from nsbound import density
 from nsbound.density import (
     InsufficientDataError,
     default_fit_window,
@@ -59,9 +63,27 @@ def test_lattice_grid_deterministic():
     assert not np.array_equal(g1.angles(0, 1000), g3.angles(0, 1000))
 
 
+def test_lattice_angles_exact_near_the_end_of_a_large_lattice():
+    # idx * generator overflows int64 here; the angles must match Python ints
+    m = 4_000_000_007
+    g = TorusGrid.lattice(3, m, seed=0)
+    got = g.angles(m - 3, m)
+    want = [
+        [2 * math.pi * ((i * gen % m / m + shift) % 1.0) for gen, shift in zip(g.generator, g.shift)]
+        for i in range(m - 3, m)
+    ]
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    assert np.allclose(got[:, 1], [2.612, 0.212, 4.095], atol=1e-3)
+
+
+def test_lattice_rejects_totals_beyond_exact_indexing():
+    with pytest.raises(ValueError, match="2\\^61"):
+        TorusGrid.lattice(2, 1 << 61)
+
+
 def test_block_ranges_partition():
     g = TorusGrid.midpoint(1, 200000)
-    ranges = g.block_ranges()
+    ranges = list(g.block_ranges())
     assert ranges[0][0] == 0 and ranges[-1][1] == g.total
     assert all(a2 == b1 for (_, b1), (a2, _) in zip(ranges, ranges[1:]))
 
@@ -301,7 +323,7 @@ def test_matrix_density_wide_vs_tall_agree(example_matrix):
 )
 def test_matrix_density_workers_bit_identical_over_chunks(text, grid):
     A = parse_matrix(text)
-    assert len(grid.block_ranges()) > 1
+    assert len(list(grid.block_ranges())) > 1
     lams = np.geomspace(1e-2, 30, 24).tolist()
     c1 = matrix_density(A, min(A.rows, A.cols), lams, grid, workers=1)
     c3 = matrix_density(A, min(A.rows, A.cols), lams, grid, workers=3)
@@ -343,6 +365,80 @@ def test_matrix_density_matches_plain_numpy_recount(shape, grid):
     # eigenvalues within rounding of a threshold may fall on either side
     assert np.abs(np.array(curve.counts) - want).max() <= 2
     assert want[-1] - want[0] > grid.total  # the lambdas see the spectrum
+
+
+# -- chunking and memory ---------------------------------------------------------------
+#
+# Every per-point step (evaluation, gram, eigenvalues) and every count is
+# exact per point or per matrix, so counts cannot depend on the chunk size.
+
+CHUNK_MATRICES = {
+    "tall": "[[z1 - 2*z2, 1], [z1^2*z2^-1, z2 + 3], [2, z1^-3 - z2], [z1*z2, 5*z2^2]]",
+    "wide": "[[z1^3, -1, 1], [2*z1*z2^2 - 16, z2, z1*z2]]",
+    "square": "[[z1 - 1, z2^-2 + 1, 3], [z1*z2, 2*z2 - z1^-1, z2], [1, z1^2, z1 - z2]]",
+}
+
+
+@pytest.mark.parametrize(
+    "grid", [TorusGrid.midpoint(2, 151), TorusGrid.lattice(2, 30_011, seed=9)],
+    ids=["midpoint", "lattice"],
+)
+def test_counts_do_not_depend_on_chunk_size(monkeypatch, grid):
+    lams = np.geomspace(1e-2, 40, 32).tolist()
+    p = parse_poly("z1^3*z2 + 2*z1*z2^2 - 3*z2^-1 + 1")
+    runs = []
+    for chunk, workers in ((1000, 1), (1000, 2), (density.CHUNK, 1), (grid.total, 1)):
+        monkeypatch.setattr(density, "CHUNK", chunk)
+        curves = [scalar_density(p, lams, grid, workers)]
+        for text in CHUNK_MATRICES.values():
+            A = parse_matrix(text)
+            curves.append(matrix_density(A, min(A.rows, A.cols), lams, grid, workers))
+        runs.append([c.counts for c in curves])
+    assert all(run == runs[0] for run in runs[1:])
+    # the counts move over the lambdas, so equality says something
+    assert all(counts[0] < counts[-1] for counts in runs[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=12).map(sorted),
+    st.lists(
+        st.one_of(st.floats(0, 100), st.just(math.inf), st.just(math.nan)), max_size=60
+    ),
+)
+def test_count_at_most_matches_sort_and_searchsorted(thresholds, samples):
+    # thresholds may repeat and coincide with samples; NaN is never counted
+    t = np.array(thresholds)
+    f = np.array(samples, dtype=np.float64)
+    want = np.searchsorted(np.sort(f), t, side="right")
+    assert np.array_equal(density._count_at_most(f, t), want)
+
+
+# A 4x4 matrix over 3 variables with 1-3 terms per entry, like the
+# k4-lattice-d3 benchmark input.
+K4_TEXT = """[[3*z1*z3^-1, z2^2 - 4*z1^-1, z3 + 2*z1*z2 - 1, 7*z2^-2],
+ [z1^2*z3 - 5, 6*z2*z3 + z1^-2*z2 - 2, 8*z3^-1, z1 - 9*z2^-1*z3],
+ [z1^-1*z2^-1 + 4*z3^2 - z1, z2^-3, 5*z1*z3 + 2, 3*z1^2 - z2*z3^-1 + 6],
+ [2*z3^3, z1*z2^-1 - 8, z2^2 + z1^-2 - 3*z3, 4*z1^-1*z2^2*z3]]"""
+
+
+def test_matrix_density_memory_does_not_grow_with_the_grid():
+    A = parse_matrix(K4_TEXT)
+    lams = np.geomspace(1e-3, 100, 64).tolist()
+
+    def peak(total: int) -> int:
+        grid = TorusGrid.lattice(3, total, seed=3)
+        tracemalloc.start()
+        try:
+            matrix_density(A, 4, lams, grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(50_000), peak(400_000)
+    # chunks are fixed in size and streamed: the working set is one chunk's
+    assert large <= small + (256 << 10)
+    assert large <= 12 << 20
 
 
 # -- closed forms in d = 1 -----------------------------------------------------------

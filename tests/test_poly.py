@@ -9,7 +9,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsbound import (
@@ -19,7 +19,7 @@ from nsbound import (
     parse_poly,
     width_profile,
 )
-from nsbound.poly import DimensionMismatch, ZeroPolynomialError
+from nsbound.poly import DimensionMismatch, ZeroPolynomialError, _power_table
 
 from conftest import eval_at, random_poly
 
@@ -225,6 +225,43 @@ def test_eval_block_matches_direct_sum(p, seed):
     tol = 64 * np.finfo(np.float64).eps * p.l1_norm() * (1 + max_e)
     assert got.shape == (64,)
     assert np.all(np.abs(got - want) <= tol)
+
+
+@st.composite
+def shared_table_polys(draw):
+    # several polynomials on one point set: negative exponents, exponents
+    # above 2^16 (where squares are rescaled) and exponents only others use
+    dim = draw(st.integers(1, 3))
+    exps = st.one_of(
+        st.integers(-3, 3), st.integers(-(10**4), 10**4), st.integers(-(2**40), 2**40)
+    )
+    polys = [
+        LaurentPoly(
+            dim,
+            {
+                tuple(draw(exps) for _ in range(dim)): draw(gaussians())
+                for _ in range(draw(st.integers(0, 5)))
+            },
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return polys
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_table_polys(), st.integers(0, 2**32 - 1))
+@example(
+    [parse_poly("z1^70000*z2^-3 - 2*z2^-70001 + 1"), parse_poly("z1^-5 + z2^65537")],
+    0,
+)
+def test_eval_block_with_a_shared_table_is_bit_identical(polys, seed):
+    theta = np.random.default_rng(seed).random((50, polys[0].dim)) * (2 * math.pi)
+    z = np.exp(1j * theta)
+    table = _power_table(z, polys)
+    for p in polys:
+        alone = p.eval_block(z)
+        assert np.array_equal(p.eval_block(z, table), alone)
+        assert np.array_equal(p.eval_block(z, _power_table(z, polys[::-1])), alone)
 
 
 def test_eval_block_huge_exponent_stays_on_the_circle():
