@@ -17,8 +17,9 @@ minors for the best certificate.
 Every float here is rounded in the safe direction, so the bound stays an
 upper bound: C, the rescaled lambda, the coefficient and the bound round
 up, and the step threshold and |lead| round down.  Products and quotients
-of floats and integers are formed exactly and rounded once; only the
-root x^(1/(d*wd)) goes through ``**``, with margin for its error.
+are formed exactly and rounded once, except the bound's last product,
+which is moved up an ulp; the root x^(1/(d*wd)) goes through ``**``, with
+margin for its error.
 """
 
 from __future__ import annotations
@@ -37,26 +38,6 @@ from .matrices import (
     max_nonvanishing_minor,
 )
 from .poly import LaurentPoly, WidthProfile, _float_down, _float_up, width_profile
-
-
-def _root_up(x: float, n: int) -> float:
-    """A float >= x^(1/n) for x >= 0.
-
-    The exponent 1/n is rounded toward the larger power (up for x > 1, down
-    for x < 1), and the result of ``**`` is moved up two ulps, which covers
-    the error of the C library's pow (below one ulp on current glibc, musl
-    and macOS).  The excess is below 1e-13 relative.  0 and 1 are their own
-    roots, and n = 1 is exact.
-    """
-    if n == 1 or x in (0.0, 1.0):
-        return x
-    e = 1.0 / n
-    if x > 1.0 and Fraction(e) < Fraction(1, n):
-        e = math.nextafter(e, math.inf)
-    elif x < 1.0 and Fraction(e) > Fraction(1, n):
-        e = math.nextafter(e, 0.0)
-    return math.nextafter(math.nextafter(x**e, math.inf), math.inf)
-
 
 #: 8*sqrt(3)/sqrt(47) = sqrt(192/47), rounded up: 2.0211646105596457.
 SPECTRAL_CONSTANT = math.nextafter(8.0 * math.sqrt(3.0) / math.sqrt(47.0), math.inf)
@@ -81,6 +62,25 @@ def _norm_factor(k: int, b_l1: float) -> Fraction:
     if k < 1:
         raise ValueError("k must be >= 1")
     return k ** (2 * k - 2) * Fraction(b_l1) ** (k - 1)
+
+
+def _root_up(x: float, n: int) -> float:
+    """A float >= x^(1/n) for x >= 0.
+
+    The exponent 1/n is rounded toward the larger power (up for x > 1, down
+    for x < 1), and the result of ``**`` is moved up two ulps, which covers
+    the error of the C library's pow (below one ulp on current glibc, musl
+    and macOS).  The excess is below 1e-13 relative.  0 and 1 are their own
+    roots, and n = 1 is exact.
+    """
+    if n == 1 or x in (0.0, 1.0):
+        return x
+    e = 1.0 / n
+    if x > 1.0 and Fraction(e) < Fraction(1, n):
+        e = math.nextafter(e, math.inf)
+    elif x < 1.0 and Fraction(e) > Fraction(1, n):
+        e = math.nextafter(e, 0.0)
+    return math.nextafter(math.nextafter(x**e, math.inf), math.inf)
 
 
 def rescale_lambda(k: int, b_l1: float, lam: float) -> float:

@@ -151,12 +151,10 @@ def _sum_chunks(grid: TorusGrid, fn: Callable[[int, int], np.ndarray], workers: 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending: deque[Future] = deque()
         for a, b in ranges:
-            pending.append(pool.submit(fn, a, b))
             if len(pending) == 2 * workers:
                 total = total + pending.popleft().result()
-        while pending:
-            total = total + pending.popleft().result()
-    return total
+            pending.append(pool.submit(fn, a, b))
+        return sum((f.result() for f in pending), total)
 
 
 # -- Hermitian eigenvalues ---------------------------------------------------

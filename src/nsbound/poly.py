@@ -372,11 +372,8 @@ class LaurentPoly:
         return out
 
 
-def _power_table(
-    z: np.ndarray, polys: Iterable[LaurentPoly]
-) -> list[dict[int, np.ndarray]]:
+def _power_table(z: np.ndarray, polys: list[LaurentPoly]) -> list[dict[int, np.ndarray]]:
     """Per coordinate j, z[:, j]**e for every non-zero e that any of ``polys`` uses."""
-    polys = list(polys)
     return [
         _unit_powers(z[:, j], {exp[j] for p in polys for exp in p.terms})
         for j in range(z.shape[1])

@@ -172,7 +172,8 @@ def test_step_threshold_rounds_down(k, coeffs):
     ]
     rep = analyze(parse_matrix("[[" + "], [".join(rows) + "]]"))
     assert rep.is_step and rep.k == k
-    exact = Fraction(rep.params.lead_abs) / (k ** (2 * k - 2) * Fraction(rep.params.b_l1) ** (k - 1))
+    p = rep.params
+    exact = Fraction(p.lead_abs) / (k ** (2 * k - 2) * Fraction(p.b_l1) ** (k - 1))
     t = rep.step_threshold_matrix
     assert Fraction(t) <= exact < Fraction(math.nextafter(t, math.inf))
 

@@ -69,7 +69,7 @@ def test_lattice_angles_exact_near_the_end_of_a_large_lattice():
     g = TorusGrid.lattice(3, m, seed=0)
     got = g.angles(m - 3, m)
     want = [
-        [2 * math.pi * ((i * gen % m / m + shift) % 1.0) for gen, shift in zip(g.generator, g.shift)]
+        [2 * math.pi * ((i * gen % m / m + s) % 1.0) for gen, s in zip(g.generator, g.shift)]
         for i in range(m - 3, m)
     ]
     assert np.allclose(got, want, rtol=0, atol=1e-12)
