@@ -27,14 +27,19 @@ conjugates for negative exponents; every entry is evaluated from that
 shared table (``LaurentPoly.eval_block``), and no exp is taken per term.
 The gram on the smaller side is summed entry by entry from those values,
 and each chunk's samples are counted against the thresholds by binning,
-without a sort.  At most two chunks per worker are in flight, so memory
-does not grow with the grid: about 5 MiB per chunk for a 4x4 matrix over
-three variables.
+without a sort.  Each worker thread allocates one workspace on its first
+chunk and writes every later chunk into it (``_chunk_counter``), so memory
+does not grow with the grid (about 4.4 MiB per worker for a 4x4 matrix
+over three variables) and no chunk faults fresh pages in: a complex array
+of 8192 points is exactly glibc's 128 KiB mmap threshold, so arrays
+allocated afresh per chunk would be mapped and unmapped every chunk.
+Scalar densities run through the same evaluator as 1x1 matrices.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -49,6 +54,7 @@ from .poly import (
     LaurentPoly,
     ZeroPolynomialError,
     _float_down,
+    _power_rows,
     _power_table,
     lead_lex,
 )
@@ -105,36 +111,56 @@ class TorusGrid:
         """Consecutive [start, stop) ranges of ``chunk`` points covering the grid."""
         return ((s, min(s + chunk, self.total)) for s in range(0, self.total, chunk))
 
-    def angles(self, start: int, stop: int) -> np.ndarray:
-        """Angle rows for flat point indices [start, stop)."""
-        idx = np.arange(start, stop, dtype=np.int64)
-        out = np.empty((idx.size, self.dim), dtype=np.float64)
-        if self.scheme == "midpoint":
-            n = self.points_per_dim
-            step = 2.0 * math.pi / n
-            for j in range(self.dim):
-                digits = (idx // n**j) % n
-                out[:, j] = (digits + 0.5) * step
-        else:
-            for j in range(self.dim):
-                frac = _mul_mod(idx, self.generator[j], self.total) / self.total + self.shift[j]
-                out[:, j] = 2.0 * math.pi * np.mod(frac, 1.0)
+    def angles(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Angle rows for flat point indices [start, stop).
+
+        ``out``, a float (stop - start, dim) array, receives them if given.
+        Each column's integer digit (or lattice residue) is formed in an
+        int64 view of that column's own memory before it becomes an angle,
+        and column 0, done last, holds the indices meanwhile, so nothing is
+        allocated.
+        """
+        if out is None:
+            out = np.empty((stop - start, self.dim), dtype=np.float64)
+        idx = out[:, 0].view(np.int64)
+        idx.fill(1)
+        idx[:1] = start
+        np.cumsum(idx, out=idx)  # start, start + 1, ..., stop - 1
+        n = self.points_per_dim
+        for j in reversed(range(self.dim)):
+            col = out[:, j]
+            digits = col.view(np.int64)
+            if self.scheme == "midpoint":
+                np.floor_divide(idx, n**j, out=digits)
+                np.remainder(digits, n, out=digits)
+                np.copyto(col, digits, casting="unsafe")
+                col += 0.5
+                col *= 2.0 * math.pi / n
+            else:
+                _mul_mod(idx, self.generator[j], self.total, out=digits)
+                np.copyto(col, digits, casting="unsafe")
+                col /= self.total
+                col += self.shift[j]
+                np.mod(col, 1.0, out=col)
+                col *= 2.0 * math.pi
         return out
 
 
-def _mul_mod(idx: np.ndarray, g: int, m: int) -> np.ndarray:
-    """idx * g mod m exactly, for int64 idx and g in [0, m), m < 2^61.
+def _mul_mod(idx: np.ndarray, g: int, m: int, out: np.ndarray) -> np.ndarray:
+    """idx * g mod m exactly into ``out``, for int64 idx and g in [0, m), m < 2^61.
 
     The product is taken directly while (m - 1)^2 fits in int64.  Beyond
     that, g is split into b-bit digits with m * 2^b <= 2^62, and Horner's
     rule reduces after every digit, so no intermediate reaches 2^63.
     """
     if (m - 1) * (m - 1) < 1 << 63:
-        return idx * g % m
+        np.multiply(idx, g, out=out)
+        return np.remainder(out, m, out=out)
     b = 62 - m.bit_length()
-    out = np.zeros_like(idx)
+    acc = np.zeros_like(idx)
     for shift in range((g.bit_length() - 1) // b * b, -1, -b):
-        out = (out * (1 << b) + idx * (g >> shift & (1 << b) - 1)) % m
+        acc = (acc * (1 << b) + idx * (g >> shift & (1 << b) - 1)) % m
+    out[...] = acc
     return out
 
 
@@ -160,55 +186,80 @@ def _sum_chunks(grid: TorusGrid, fn: Callable[[int, int], np.ndarray], workers: 
 # -- Hermitian eigenvalues ---------------------------------------------------
 
 
-def hermitian_eigenvalues(H: np.ndarray) -> np.ndarray:
+def hermitian_eigenvalues(H: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Eigenvalues of a stack of Hermitian matrices, ascending per matrix.
 
-    2x2 matrices use the closed form mid -+ hypot((a - c)/2, |b|): per call
-    it is an order of magnitude faster than LAPACK at that size and as
-    accurate near zero.  Every other size goes to ``np.linalg.eigvalsh``.
+    1x1 matrices are their own eigenvalue, a view of H.  2x2 matrices use
+    the closed form mid -+ hypot((a - c)/2, |b|): per call it is an order
+    of magnitude faster than LAPACK at that size and as accurate near
+    zero; it is written into ``out``, a float (npoints, 2) C-contiguous
+    array, if given.  Every other size goes to ``np.linalg.eigvalsh``.
     Each result depends only on its own matrix, so chunking cannot change it.
     """
+    if H.shape[-1] == 1:
+        return H[..., 0].real
     if H.shape[-1] != 2:
         return np.linalg.eigvalsh(H)
+    if out is None:
+        out = np.empty(H.shape[:-1], dtype=np.float64)
+    # Each row (lo, hi) of out, read as one complex number, first holds
+    # mid + i*rad; times (1 + i) it becomes (mid - rad) + i*(mid + rad),
+    # the products by 1 being exact, so each part is rounded once, as in
+    # mid - rad and mid + rad.
+    w = out.view(np.complex128)[..., 0]
     a = H[..., 0, 0].real
     c = H[..., 1, 1].real
-    mid = 0.5 * (a + c)
-    rad = np.hypot(0.5 * (a - c), np.abs(H[..., 0, 1]))
-    return np.stack([mid - rad, mid + rad], axis=-1)
+    np.abs(H[..., 0, 1], out=w.real)
+    np.subtract(a, c, out=w.imag)
+    w.imag *= 0.5
+    np.hypot(w.imag, w.real, out=w.imag)
+    np.add(a, c, out=w.real)
+    w.real *= 0.5
+    w *= 1 + 1j
+    return out
 
 
-def _gram(values: list[list[np.ndarray]], rows: int, cols: int) -> np.ndarray:
+def _gram(
+    values: np.ndarray, rows: int, cols: int, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
     """Gram stack (npoints, k, k) on the smaller side, k = min(rows, cols).
 
-    ``values[i][j]`` holds entry (i, j) over the block.  A A* (wide) or A* A
-    (tall) has the same non-zero spectrum either way.  Each of the k(k+1)/2
-    distinct entries is summed directly over the long side, and both
-    triangles are written (``eigvalsh`` reads the lower one, the 2x2 closed
-    form the upper).  The stack is a view of a (k, k, npoints) array, so
-    every entry is written contiguously.  Overflowing products become inf
-    or nan quietly; the caller rejects non-finite stacks.
+    ``values[i * cols + j]`` holds entry (i, j) over the block.  The values
+    are consumed: each row (wide) or column (tall) is conjugated in place
+    once its diagonal entry is summed.  A A* (wide) or A* A (tall) has the
+    same non-zero spectrum either way.  Each of the k(k+1)/2 distinct
+    entries is summed directly over the long side, and both triangles are
+    written (``eigvalsh`` reads the lower one, the 2x2 closed form the
+    upper).  The stack is a view of ``out``, a complex (k, k, npoints)
+    array, so every entry is written contiguously; ``scratch``, a complex
+    array of npoints entries, holds the products.  Overflowing products
+    become inf or nan quietly; the caller rejects non-finite stacks.
     """
     wide = rows <= cols
-    vecs = values if wide else list(zip(*values))
-    k, npoints = len(vecs), len(vecs[0][0])
-    gram = np.empty((k, k, npoints), dtype=np.complex128)
+    if wide:
+        vecs = [values[i * cols : (i + 1) * cols] for i in range(rows)]
+    else:
+        vecs = [values[j::cols] for j in range(cols)]
+    k, npoints = len(vecs), values.shape[1]
+    diag, square = scratch.view(np.float64)[:npoints], scratch.view(np.float64)[npoints:]
     with np.errstate(over="ignore", invalid="ignore"):
         for j, y in enumerate(vecs):
-            diag = np.zeros(npoints)
+            diag.fill(0)
             for v in y:
-                diag += v.real * v.real
-                diag += v.imag * v.imag
-            gram[j, j] = diag
-            y_conj = [np.conj(v) for v in y] if j + 1 < k else []
+                diag += np.multiply(v.real, v.real, out=square)
+                diag += np.multiply(v.imag, v.imag, out=square)
+            out[j, j] = diag
+            if j + 1 < k:
+                np.conj(y, out=y)
             for i in range(j + 1, k):
                 # s = sum x_i conj(x_j) is (A A*)_ij, or (A* A)_ji when tall
                 at, mirror = ((i, j), (j, i)) if wide else ((j, i), (i, j))
-                s = gram[at]
-                np.multiply(vecs[i][0], y_conj[0], out=s)
-                for x, yc in zip(vecs[i][1:], y_conj[1:]):
-                    s += x * yc
-                np.conj(s, out=gram[mirror])
-    return gram.transpose(2, 0, 1)
+                s = out[at]
+                np.multiply(vecs[i][0], y[0], out=s)
+                for x, yc in zip(vecs[i][1:], y[1:]):
+                    s += np.multiply(x, yc, out=scratch)
+                np.conj(s, out=out[mirror])
+    return out.transpose(2, 0, 1)
 
 
 # -- density curves ---------------------------------------------------------
@@ -297,12 +348,7 @@ def scalar_density(
         return DensityCurve(lam, counts, estimates, 0)
     q = p * (GaussianRational(1) / lead)
     thresholds = _squared_thresholds(lam, lead.abs2())
-
-    def count_chunk(start: int, stop: int) -> np.ndarray:
-        v = q.eval_block(np.exp(1j * grid.angles(start, stop)))
-        return _count_at_most(v.real * v.real + v.imag * v.imag, thresholds)
-
-    totals = _sum_chunks(grid, count_chunk, workers)
+    totals = _sum_chunks(grid, _chunk_counter([[q]], thresholds, grid), workers)
     counts = tuple(int(c) for c in totals)
     estimates = tuple(c / grid.total for c in counts)
     return DensityCurve(lam, counts, estimates, 0)
@@ -331,22 +377,59 @@ def matrix_density(
     if not 1 <= k <= small:
         raise ValueError(f"minor size {k} out of range for a {A.rows}x{A.cols} matrix")
     thresholds = _squared_thresholds(lam, Fraction(1))
-    entries = [p for row in A.entries for p in row]
-
-    def count_chunk(start: int, stop: int) -> np.ndarray:
-        z = np.exp(1j * grid.angles(start, stop))
-        powers = _power_table(z, entries)
-        values = [[p.eval_block(z, powers) for p in row] for row in A.entries]
-        del powers, z  # free before the gram and eigenvalue stacks
-        gram = _gram(values, A.rows, A.cols)
-        if not np.isfinite(gram).all():
-            raise OverflowError("a gram matrix entry overflows a float")
-        return _count_at_most(hermitian_eigenvalues(gram), thresholds)
-
-    totals = _sum_chunks(grid, count_chunk, workers)
+    totals = _sum_chunks(grid, _chunk_counter(A.entries, thresholds, grid), workers)
     counts = tuple(int(c) + extra_zeros * grid.total for c in totals)
     estimates = tuple(c / grid.total for c in counts)
     return DensityCurve(lam, counts, estimates, max(A.rows, A.cols) - k)
+
+
+def _chunk_counter(
+    entries: Sequence[Sequence[LaurentPoly]], thresholds: np.ndarray, grid: TorusGrid
+) -> Callable[[int, int], np.ndarray]:
+    """count_chunk(start, stop): gram eigenvalues of ``entries`` <= each threshold.
+
+    Each worker thread allocates one workspace on its first chunk, sized
+    from ``CHUNK`` and these entries, and every later chunk reuses it, so
+    no chunk pays the allocator for fresh pages.  Its complex rows of
+    CHUNK points hold, in turn:
+
+    * z, one row per coordinate, with the angles written into its
+      imaginary parts and exponentiated in place; once the entries are
+      evaluated, the first row is the gram's scratch row;
+    * the entry values, one row each; once they are summed into the gram
+      they hold the finiteness mask and the 2x2 eigenvalues;
+    * the power table, a row it leaves free being the evaluation's
+      scratch row; then the gram stack reuses its rows.
+    """
+    rows, cols = len(entries), len(entries[0])
+    k = min(rows, cols)
+    polys = [p for row in entries for p in row]
+    size = min(CHUNK, grid.total)
+    dim, nvals = grid.dim, len(polys)
+    pool = max(_power_rows(polys), k * k)
+    local = threading.local()
+
+    def count_chunk(start: int, stop: int) -> np.ndarray:
+        if not hasattr(local, "rows"):
+            local.rows = np.empty((dim + nvals + pool, size), dtype=np.complex128)
+        n = stop - start
+        z, values, table = np.split(local.rows[:, :n], [dim, dim + nvals])
+        grid.angles(start, stop, out=z.imag.T)
+        z.real = 0.0
+        np.exp(z, out=z)
+        free: list[np.ndarray] = []
+        powers = _power_table(z.T, polys, out=table, free=free)
+        for p, v in zip(polys, values):
+            p.eval_block(z.T, powers, out=v, scratch=free[0])
+        stack = local.rows[dim + nvals : dim + nvals + k * k].reshape(k, k, size)[..., :n]
+        gram = _gram(values, rows, cols, stack, z[0])
+        flags = local.rows[dim : dim + nvals].reshape(-1).view(np.bool_)
+        if not np.isfinite(stack, out=flags[: stack.size].reshape(stack.shape)).all():
+            raise OverflowError("a gram matrix entry overflows a float")
+        eig = values[0].view(np.float64).reshape(n, 2) if k == 2 else None
+        return _count_at_most(hermitian_eigenvalues(gram, out=eig), thresholds)
+
+    return count_chunk
 
 
 # -- decay exponent fit -----------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -333,7 +333,11 @@ class LaurentPoly:
         return math.nextafter(total, math.inf)
 
     def eval_block(
-        self, z: np.ndarray, powers: list[dict[int, np.ndarray]] | None = None
+        self,
+        z: np.ndarray,
+        powers: list[dict[int, np.ndarray]] | None = None,
+        out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None,
     ) -> np.ndarray:
         """Evaluate at a block of torus points given as unit complex numbers.
 
@@ -349,7 +353,9 @@ class LaurentPoly:
         include this one, shared by several evaluations on the same ``z``;
         without it the table of this polynomial alone is built.  A power
         does not depend on which other exponents its table holds, so the
-        values are the same either way.
+        values are the same either way.  ``out`` receives the values and
+        ``scratch`` holds each term's product while it is formed, both
+        complex arrays of npoints entries; either is allocated if missing.
         """
         z = np.asarray(z, dtype=np.complex128)
         if z.shape[1] != self.dim:
@@ -358,51 +364,128 @@ class LaurentPoly:
             )
         if powers is None:
             powers = _power_table(z, [self])
-        out = np.zeros(z.shape[0], dtype=np.complex128)
+        if out is None:
+            out = np.empty(z.shape[0], dtype=np.complex128)
+        if scratch is None:
+            scratch = np.empty(z.shape[0], dtype=np.complex128)
+        out.fill(0)
         with np.errstate(over="ignore", invalid="ignore"):
             for exp, c in self._terms.items():
                 factors = [pw[e] for pw, e in zip(powers, exp) if e]
                 if not factors:
                     out += complex(c)
                     continue
-                term = complex(c) * factors[0]
+                term = np.multiply(complex(c), factors[0], out=scratch)
                 for f in factors[1:]:
                     term *= f
                 out += term
         return out
 
 
-def _power_table(z: np.ndarray, polys: list[LaurentPoly]) -> list[dict[int, np.ndarray]]:
-    """Per coordinate j, z[:, j]**e for every non-zero e that any of ``polys`` uses."""
+def _power_table(
+    z: np.ndarray,
+    polys: list[LaurentPoly],
+    out: np.ndarray | None = None,
+    free: list[np.ndarray] | None = None,
+) -> list[dict[int, np.ndarray]]:
+    """Per coordinate j, z[:, j]**e for every non-zero e that any of ``polys`` uses.
+
+    The powers and the running products are written into the rows of
+    ``out``, a complex (rows, npoints) array with at least
+    ``_power_rows(polys)`` rows; without it, fresh rows are allocated.
+    The rows of ``out`` that no power occupies, at least one, are left in
+    ``free``, a list, if given.
+    """
+    if out is None:
+        out = np.empty((_power_rows(polys), z.shape[0]), dtype=np.complex128)
+    rows = iter(out)
+    free = [] if free is None else free
+    free += [next(rows), next(rows)]
     return [
-        _unit_powers(z[:, j], {exp[j] for p in polys for exp in p.terms})
-        for j in range(z.shape[1])
+        _unit_powers(z[:, j], exponents, rows, free)
+        for j, exponents in enumerate(_table_exponents(polys))
     ]
 
 
-def _unit_powers(z: np.ndarray, exponents: set[int]) -> dict[int, np.ndarray]:
+def _table_exponents(polys: list[LaurentPoly]) -> list[set[int]]:
+    """Per coordinate, the exponents that any of ``polys`` uses."""
+    return [{exp[j] for p in polys for exp in p.terms} for j in range(polys[0].dim)]
+
+
+def _power_rows(polys: list[LaurentPoly]) -> int:
+    """Rows of ``out`` that ``_power_table`` takes over ``polys``, at most.
+
+    Two for the running products; then, per coordinate, one per distinct
+    |e| > 1 (z**1 is the column of z), one per conjugate that cannot
+    overwrite its power (that power is wanted too, or is z), and one for
+    the moduli of the rescaled squares once |e| reaches 2^16.
+    """
+    total = 2
+    for exponents in _table_exponents(polys):
+        mags = {abs(e) for e in exponents if e}
+        total += len(mags - {1}) + (max(mags, default=0).bit_length() > 16)
+        total += sum(1 for m in mags if -m in exponents and (m in exponents or m == 1))
+    return total
+
+
+def _unit_powers(
+    z: np.ndarray, exponents: set[int], rows: Iterator[np.ndarray], free: list[np.ndarray]
+) -> dict[int, np.ndarray]:
     """z**e for each non-zero e in ``exponents``, for unit complex numbers z.
 
-    Binary powering over one running square: each distinct |e| accumulates
-    the squares its bits select, so memory is one array per exponent
-    whatever its size, and z**-e is conj(z**e).  Squaring doubles the
-    rounding error of |z|, which would grow like (1 + eps)^e and overflow
-    near e = 10^18, so every 16th square is scaled back to unit modulus:
-    the relative drift of any square stays below about 2^16 * eps, and
-    exponents below 2^16 never pay for the scaling.
+    Binary powering over one running square: each distinct |e| multiplies
+    in the squares its bits select, so memory is one row per exponent
+    whatever its size, and z**-e is conj(z**e), formed in place when z**e
+    itself is not wanted.  Squaring doubles the rounding error of |z|,
+    which would grow like (1 + eps)^e and overflow near e = 10^18, so
+    every 16th square is scaled back to unit modulus: the relative drift
+    of any square stays below about 2^16 * eps, and exponents below 2^16
+    never pay for the scaling.
+
+    z itself is never written.  Rows come from ``rows``, and ``free``
+    holds those that no power occupies; it is handed on to the next
+    coordinate.  Every product is written into a free row and frees the
+    row it replaces, never in place: numpy rounds an in-place complex
+    product of a single point differently, so chunks of one point would
+    differ.
     """
+
+    def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if not free:
+            free.append(next(rows))
+        ab = np.multiply(a, b, out=free.pop())
+        if a is not z:
+            free.append(a)
+        return ab
+
     mags = sorted({abs(e) for e in exponents if e})
+    top = mags[-1].bit_length() if mags else 0
+    modulus = next(rows).view(np.float64)[: len(z)] if top > 16 else None
     pos: dict[int, np.ndarray] = {}
-    sq = z
-    for bit in range(mags[-1].bit_length() if mags else 0):
+    square = z
+    for bit in range(top):
         if bit:
-            sq = sq * sq
+            square = product(square, square)
             if bit % 16 == 0:
-                sq /= np.abs(sq)
+                np.abs(square, out=modulus)
+                np.true_divide(square, modulus, out=square)
         for m in mags:
             if m >> bit & 1:
-                pos[m] = pos[m] * sq if m in pos else sq
-    return {e: pos[e] if e > 0 else np.conj(pos[-e]) for e in exponents if e}
+                if m in pos:
+                    pos[m] = product(pos[m], square)
+                elif square is z:
+                    pos[m] = z
+                else:
+                    pos[m] = next(rows)
+                    pos[m][...] = square
+    if square is not z:
+        free.append(square)
+    table = {e: pos[e] for e in exponents if e > 0}
+    for e in exponents:
+        if e < 0:
+            dest = next(rows) if -e in exponents or pos[-e] is z else pos[-e]
+            table[e] = np.conj(pos[-e], out=dest)
+    return table
 
 
 # -- width and leading coefficient ---------------------------------------

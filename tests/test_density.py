@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +34,7 @@ from nsbound.density import (
     hermitian_eigenvalues,
 )
 
-from conftest import arc_measure, random_poly, star_transpose
+from conftest import EXAMPLE_MATRIX_TEXT, arc_measure, random_poly, star_transpose
 from lemmas import det_domination_violations, product_violations
 
 
@@ -439,6 +443,36 @@ def test_matrix_density_memory_does_not_grow_with_the_grid():
     # chunks are fixed in size and streamed: the working set is one chunk's
     assert large <= small + (256 << 10)
     assert large <= 12 << 20
+
+
+FAULTS_SCRIPT = """
+import resource, sys
+import numpy as np
+from nsbound import TorusGrid, matrix_density, parse_matrix
+A = parse_matrix(sys.argv[1])
+lams = np.geomspace(1e-3, 100, 64).tolist()
+matrix_density(A, 2, lams, TorusGrid.midpoint(2, 20))
+for n in (181, 572):  # 4 and 40 chunks of 8192 points, the last one partial
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    matrix_density(A, 2, lams, TorusGrid.midpoint(2, n))
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="minor faults as Linux counts them"
+)
+def test_chunks_do_not_fault_their_pages_back_in(example_matrix):
+    # an 8192-point complex array is exactly glibc's 128 KiB mmap threshold,
+    # so arrays allocated afresh per chunk fault their pages in every chunk
+    assert density.CHUNK == 8192
+    env = {**os.environ, "PYTHONPATH": str(Path(density.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULTS_SCRIPT, EXAMPLE_MATRIX_TEXT],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    four, forty = map(int, proc.stdout.split())
+    assert forty - four < 36 * 50
 
 
 # -- closed forms in d = 1 -----------------------------------------------------------

@@ -19,7 +19,7 @@ from nsbound import (
     parse_poly,
     width_profile,
 )
-from nsbound.poly import DimensionMismatch, ZeroPolynomialError, _power_table
+from nsbound.poly import DimensionMismatch, ZeroPolynomialError, _power_rows, _power_table
 
 from conftest import eval_at, random_poly
 
@@ -262,6 +262,55 @@ def test_eval_block_with_a_shared_table_is_bit_identical(polys, seed):
         alone = p.eval_block(z)
         assert np.array_equal(p.eval_block(z, table), alone)
         assert np.array_equal(p.eval_block(z, _power_table(z, polys[::-1])), alone)
+
+
+def _fresh_powers(z, exponents):
+    """Reference for ``_unit_powers``: the same binary powering, allocating."""
+    mags = sorted({abs(e) for e in exponents if e})
+    pos = {}
+    sq = z
+    for bit in range(mags[-1].bit_length() if mags else 0):
+        if bit:
+            sq = sq * sq
+            if bit % 16 == 0:
+                sq /= np.abs(sq)
+        for m in mags:
+            if m >> bit & 1:
+                pos[m] = pos[m] * sq if m in pos else sq
+    return {e: pos[e] if e > 0 else np.conj(pos[-e]) for e in exponents if e}
+
+
+def _same_bits(a, b) -> bool:
+    contiguous = np.ascontiguousarray
+    return a.shape == b.shape and contiguous(a).tobytes() == contiguous(b).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_table_polys(), st.integers(0, 2**32 - 1), st.integers(1, 40))
+@example(
+    [parse_poly("z1^70000*z2^-3 - 2*z2^-70001 + 1"), parse_poly("z1^-5 + z2^65537")],
+    0,
+    17,
+)
+def test_powers_written_into_reused_buffers_are_bit_identical(polys, seed, n):
+    # a workspace for 40 points, laid out as in the quadrature (z stored by
+    # coordinate), dirtied by a full chunk and then reused for n points
+    dim = polys[0].dim
+    theta = np.random.default_rng(seed).random((40, dim)) * (2 * math.pi)
+    zbuf = np.empty((dim, 40), dtype=np.complex128)
+    rows = np.full((_power_rows(polys), 40), np.nan, dtype=np.complex128)
+    work = np.full((2, 40), np.nan, dtype=np.complex128)
+    for size in (40, n):
+        zbuf[:, :size] = np.exp(1j * theta[:size]).T
+        z = zbuf[:, :size].T
+        table = _power_table(z, polys, out=rows[:, :size])
+    for j, powers in enumerate(table):
+        want = _fresh_powers(z[:, j], {e[j] for p in polys for e in p.terms})
+        assert powers.keys() == want.keys()
+        assert all(_same_bits(powers[e], want[e]) for e in want)
+    for p in polys:
+        got = p.eval_block(z, table, out=work[1, :n], scratch=work[0, :n])
+        assert _same_bits(got, p.eval_block(z))
 
 
 def test_eval_block_huge_exponent_stays_on_the_circle():
