@@ -120,11 +120,18 @@ def bound_coefficient(params: BoundParameters) -> float:
 
 
 def _lead_abs_down(profile: WidthProfile) -> float:
-    """|lead| as a float rounded down one ulp (it sits in a denominator)."""
-    f = math.sqrt(float(profile.lead.abs2()))
+    """|lead| as a float no greater than it (it sits in a denominator).
+
+    The rounded square root is within one ulp of |lead|, so one step down
+    suffices when it lands above; an exact root stays exact.
+    """
+    abs2 = profile.lead.abs2()
+    f = math.sqrt(float(abs2))
     if f == 0.0:
         raise OverflowError("leading coefficient modulus underflows to zero")
-    return math.nextafter(f, 0.0)
+    if Fraction(f) ** 2 > abs2:
+        f = math.nextafter(f, 0.0)
+    return f
 
 
 def best_ordering(p: LaurentPoly, mode: str = "fixed") -> WidthProfile:

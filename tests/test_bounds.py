@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nsbound import (
@@ -19,6 +19,7 @@ from nsbound import (
     BoundParameters,
     GaussianRational,
     LaurentPoly,
+    PolyMatrix,
     analyze,
     best_ordering,
     bound_coefficient,
@@ -284,6 +285,26 @@ def test_analyze_identity_2x2_step():
     assert rep.step_threshold == pytest.approx(1.0, rel=1e-12)
     # the guarantee for the full matrix goes through the norm rescaling
     assert rep.step_threshold_matrix == pytest.approx(0.25, rel=1e-12)
+
+
+def test_exact_lead_moduli_stay_exact(example_matrix):
+    # sqrt(|lead|^2) moves down only when it lands above |lead|
+    assert analyze(example_matrix).params.lead_abs == 2.0
+    rep = analyze(parse_matrix("[[1, 0], [0, 1]]"))
+    assert f"{rep.step_threshold_matrix:.17g}" == "0.25"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(max_denominator=10**9), st.fractions(max_denominator=10**9))
+@example(Fraction(2), Fraction(0))
+@example(Fraction(3, 7), Fraction(-4, 7))
+@example(Fraction(1, 3), Fraction(0))
+def test_lead_abs_is_the_largest_float_below_the_modulus(re, im):
+    assume(re or im)
+    lead = GaussianRational(re, im)
+    rep = analyze(PolyMatrix([[LaurentPoly.monomial(1, (1,), lead)]]))
+    f = rep.params.lead_abs
+    assert Fraction(f) ** 2 <= lead.abs2() < Fraction(math.nextafter(f, math.inf)) ** 2
 
 
 def test_step_bound_at_closed_threshold():
