@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: Smallest accepted value of each integer option, checked in this order.
-_LEAST = {"grid": 2, "points": 2, "workers": 1, "max_points": 1, "minor_cap": 1}
+_LEAST = {"grid": 2, "points": 2, "workers": 1, "max_points": 1, "minor_cap": 1, "seed": 0}
 
 _COMMANDS = {
     "analyze": cmd_analyze,

@@ -4,7 +4,8 @@ The density of a polynomial p at lambda is the Haar measure of the set
 where |p| <= lambda; for a matrix it is the average number of eigenvalues
 of the pointwise gram matrix below lambda^2.  Both are estimated by
 deterministic quadrature: a midpoint product grid by default, optionally a
-rank-1 lattice with a seeded random shift for higher dimensions.
+rank-1 Korobov lattice shifted by numpy's ``default_rng(seed).random(d)``,
+computed by ``_pcg64`` without importing ``numpy.random``.
 
 Exactness conventions that the tests rely on:
 
@@ -39,6 +40,7 @@ Scalar densities run through the same evaluator as 1x1 matrices.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -86,14 +88,23 @@ class TorusGrid:
 
     @staticmethod
     def lattice(dim: int, total: int, seed: int = 0) -> TorusGrid:
-        """Rank-1 Korobov lattice with a seeded random shift."""
+        """Rank-1 Korobov lattice shifted by ``default_rng(seed).random(dim)``.
+
+        The shift is computed bit for bit by ``_pcg64``, which never
+        imports ``numpy.random``; ``seed`` is an integer >= 0.
+        """
+        seed = operator.index(seed)
         if dim < 1 or total < 1:
             raise ValueError("need dim >= 1 and total >= 1")
         if total >= 1 << 61:
             raise ValueError(f"a lattice needs fewer than 2^61 points, not {total}")
+        if seed < 0:
+            raise ValueError(f"a lattice shift seed must be at least 0, not {seed}")
+        from ._pcg64 import uniform_floats  # only lattice runs load it
+
         a = max(1, int(total * (math.sqrt(5.0) - 1.0) / 2.0)) | 1
         gen = tuple(pow(a, j, total) if total > 1 else 0 for j in range(dim))
-        shift = tuple(np.random.default_rng(seed).random(dim).tolist())
+        shift = uniform_floats(seed, dim)
         return TorusGrid(
             dim=dim,
             scheme="lattice-shift",
@@ -398,8 +409,8 @@ def _chunk_counter(
       evaluated, the first row is the gram's scratch row;
     * the entry values, one row each; once they are summed into the gram
       they hold the finiteness mask and the 2x2 eigenvalues;
-    * the power table, a row it leaves free being the evaluation's
-      scratch row; then the gram stack reuses its rows.
+    * the power table, two rows it leaves free being the evaluation's
+      scratch rows; then the gram stack reuses its rows.
     """
     rows, cols = len(entries), len(entries[0])
     k = min(rows, cols)
@@ -420,7 +431,7 @@ def _chunk_counter(
         free: list[np.ndarray] = []
         powers = _power_table(z.T, polys, out=table, free=free)
         for p, v in zip(polys, values):
-            p.eval_block(z.T, powers, out=v, scratch=free[0])
+            p.eval_block(z.T, powers, out=v, scratch=free[:2])
         stack = local.rows[dim + nvals : dim + nvals + k * k].reshape(k, k, size)[..., :n]
         gram = _gram(values, rows, cols, stack, z[0])
         flags = local.rows[dim : dim + nvals].reshape(-1).view(np.bool_)

@@ -353,9 +353,10 @@ class LaurentPoly:
         include this one, shared by several evaluations on the same ``z``;
         without it the table of this polynomial alone is built.  A power
         does not depend on which other exponents its table holds, so the
-        values are the same either way.  ``out`` receives the values and
-        ``scratch`` holds each term's product while it is formed, both
-        complex arrays of npoints entries; either is allocated if missing.
+        values are the same either way.  ``out`` receives the values, and
+        ``scratch``, two rows, holds each term's products in turn, never in
+        place (see ``_unit_powers``); all are complex arrays of npoints
+        entries, allocated if missing.
         """
         z = np.asarray(z, dtype=np.complex128)
         if z.shape[1] != self.dim:
@@ -367,7 +368,7 @@ class LaurentPoly:
         if out is None:
             out = np.empty(z.shape[0], dtype=np.complex128)
         if scratch is None:
-            scratch = np.empty(z.shape[0], dtype=np.complex128)
+            scratch = np.empty((2, z.shape[0]), dtype=np.complex128)
         out.fill(0)
         with np.errstate(over="ignore", invalid="ignore"):
             for exp, c in self._terms.items():
@@ -375,9 +376,10 @@ class LaurentPoly:
                 if not factors:
                     out += complex(c)
                     continue
-                term = np.multiply(complex(c), factors[0], out=scratch)
+                term, spare = scratch
+                np.multiply(complex(c), factors[0], out=term)
                 for f in factors[1:]:
-                    term *= f
+                    term, spare = np.multiply(term, f, out=spare), term
                 out += term
         return out
 
@@ -393,7 +395,7 @@ def _power_table(
     The powers and the running products are written into the rows of
     ``out``, a complex (rows, npoints) array with at least
     ``_power_rows(polys)`` rows; without it, fresh rows are allocated.
-    The rows of ``out`` that no power occupies, at least one, are left in
+    The rows of ``out`` that no power occupies, at least two, are left in
     ``free``, a list, if given.
     """
     if out is None:
@@ -401,10 +403,13 @@ def _power_table(
     rows = iter(out)
     free = [] if free is None else free
     free += [next(rows), next(rows)]
-    return [
+    table = [
         _unit_powers(z[:, j], exponents, rows, free)
         for j, exponents in enumerate(_table_exponents(polys))
     ]
+    if len(free) < 2:  # the last square, once freed, leaves at least one
+        free.append(next(rows))
+    return table
 
 
 def _table_exponents(polys: list[LaurentPoly]) -> list[set[int]]:

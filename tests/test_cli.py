@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import nsbound
 from nsbound.bounds import BoundReport
+from nsbound.density import TorusGrid
 from nsbound.cli import main
 
 from conftest import EXAMPLE_MATRIX_TEXT
@@ -114,6 +115,42 @@ def test_workers_below_one_exit_2(capsys, example_file, workers):
     assert code == 2
     assert out == ""
     assert err == "error: --workers must be at least 1\n"
+
+
+@pytest.mark.parametrize("command", ["density", "verify"])
+def test_seed_below_zero_exit_2(capsys, example_file, monkeypatch, command):
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(TorusGrid, "lattice", no_grid)
+    code, out, err = run(capsys, command, example_file, "--lattice", "1000", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --seed must be at least 0\n"
+
+
+#: Runs main(argv) in a fresh interpreter, then prints its exit code and the
+#: imported modules on one last line.
+MODULES_SCRIPT = """
+import sys
+from nsbound.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(sys.modules))
+"""
+
+
+@pytest.mark.parametrize("command", ["density", "verify"])
+def test_lattice_runs_never_import_numpy_random(tmp_path, example_file, command):
+    argv = [command, example_file, "--lattice", "1000", "--seed", "3", "--out", f"{tmp_path}/x.csv"]
+    env = {**os.environ, "PYTHONPATH": str(Path(nsbound.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_SCRIPT, *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert "nsbound.density" in modules
+    assert not [m for m in modules if m == "numpy.random" or m.startswith("numpy.random.")]
 
 
 @pytest.mark.parametrize(

@@ -85,6 +85,30 @@ def test_lattice_rejects_totals_beyond_exact_indexing():
         TorusGrid.lattice(2, 1 << 61)
 
 
+def test_lattice_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="at least 0"):
+        TorusGrid.lattice(3, 1000, seed=-1)
+    with pytest.raises(TypeError):
+        TorusGrid.lattice(3, 1000, seed=1.0)
+
+
+def _numpy_shift(dim: int, seed: int) -> tuple[float, ...]:
+    return tuple(np.random.default_rng(seed).random(dim).tolist())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_lattice_shift_is_numpys(dim, seed):
+    # seeds of one, two and three 32-bit words
+    assert TorusGrid.lattice(dim, 1000, seed).shift == _numpy_shift(dim, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**128 - 1))
+def test_lattice_shift_is_numpys_for_any_seed(dim, seed):
+    assert TorusGrid.lattice(dim, 7, seed).shift == _numpy_shift(dim, seed)
+
+
 def test_block_ranges_partition():
     g = TorusGrid.midpoint(1, 200000)
     ranges = list(g.block_ranges())
@@ -508,11 +532,30 @@ def test_z_power_minus_one_within_arc_count(n, n_points, sign):
     _assert_midpoint_error(p, _arcsine_density, n, n_points)
 
 
+@pytest.mark.parametrize("n_points", [50, 100, 200, 999, 1000])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 40])
+def test_z_power_minus_one_within_arc_count_on_coarse_rules(n, n_points):
+    # the bound is nearly attained: the worst error over these rules is 0.997 n / N
+    p = LaurentPoly(1, {(n,): 1, (0,): -1})
+    _assert_midpoint_error(p, _arcsine_density, n, n_points)
+
+
+def _power_of_z_minus_one(r: int) -> LaurentPoly:
+    return LaurentPoly(1, {(j,): math.comb(r, j) * (-1) ** (r - j) for j in range(r + 1)})
+
+
 @pytest.mark.parametrize("r", [2, 3, 7])
 def test_power_of_z_minus_one_within_one_arc(r):
     # |(z - 1)^r| <= lam  iff  |z - 1| <= lam^(1/r): one arc
-    p = LaurentPoly(1, {(j,): math.comb(r, j) * (-1) ** (r - j) for j in range(r + 1)})
+    p = _power_of_z_minus_one(r)
     _assert_midpoint_error(p, lambda lam: _arcsine_density(lam ** (1 / r)), 1, 1001)
+
+
+@pytest.mark.parametrize("n_points", [50, 100, 200, 999, 1000])
+@pytest.mark.parametrize("r", [2, 3])
+def test_power_of_z_minus_one_within_one_arc_on_coarse_rules(r, n_points):
+    p = _power_of_z_minus_one(r)
+    _assert_midpoint_error(p, lambda lam: _arcsine_density(lam ** (1 / r)), 1, n_points)
 
 
 # -- inequality checks ------------------------------------------------------------------

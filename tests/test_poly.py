@@ -299,7 +299,7 @@ def test_powers_written_into_reused_buffers_are_bit_identical(polys, seed, n):
     theta = np.random.default_rng(seed).random((40, dim)) * (2 * math.pi)
     zbuf = np.empty((dim, 40), dtype=np.complex128)
     rows = np.full((_power_rows(polys), 40), np.nan, dtype=np.complex128)
-    work = np.full((2, 40), np.nan, dtype=np.complex128)
+    work = np.full((3, 40), np.nan, dtype=np.complex128)
     for size in (40, n):
         zbuf[:, :size] = np.exp(1j * theta[:size]).T
         z = zbuf[:, :size].T
@@ -309,8 +309,21 @@ def test_powers_written_into_reused_buffers_are_bit_identical(polys, seed, n):
         assert powers.keys() == want.keys()
         assert all(_same_bits(powers[e], want[e]) for e in want)
     for p in polys:
-        got = p.eval_block(z, table, out=work[1, :n], scratch=work[0, :n])
+        got = p.eval_block(z, table, out=work[2, :n], scratch=work[:2, :n])
         assert _same_bits(got, p.eval_block(z))
+
+
+def test_eval_block_one_point_matches_longer_blocks():
+    # numpy rounds an in-place complex product of one point without FMA, so
+    # a term formed in place would give a one-point block other last bits
+    p = parse_poly("z1^3*z2^2 + (2 - 1i)*z1*z2^-1 - 3")
+    theta = np.random.default_rng(5).random((2001, 2)) * (2 * math.pi)
+    z = np.exp(1j * theta)
+    whole = p.eval_block(z)
+    one = np.array([p.eval_block(z[i : i + 1])[0] for i in range(2000)])
+    two = np.array([p.eval_block(z[i : i + 2])[0] for i in range(2000)])
+    assert _same_bits(one, two)
+    assert _same_bits(two, whole[:2000])
 
 
 def test_eval_block_huge_exponent_stays_on_the_circle():
