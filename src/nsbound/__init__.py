@@ -17,7 +17,6 @@ from .bounds import (
     best_ordering,
     bound_coefficient,
     ns_lower_bound,
-    rescale_lambda,
 )
 from .density import DensityCurve, TorusGrid, alpha_fit, matrix_density, scalar_density
 from .matrices import (
@@ -25,7 +24,6 @@ from .matrices import (
     PolyMatrix,
     determinant,
     determinant_cofactor,
-    exact_div,
     iter_nonvanishing_minors,
     max_nonvanishing_minor,
     minor,
@@ -58,7 +56,6 @@ __all__ = [
     "bound_coefficient",
     "determinant",
     "determinant_cofactor",
-    "exact_div",
     "format_matrix",
     "format_poly",
     "iter_nonvanishing_minors",
@@ -69,7 +66,6 @@ __all__ = [
     "ns_lower_bound",
     "parse_matrix",
     "parse_poly",
-    "rescale_lambda",
     "scalar_density",
     "width_profile",
 ]

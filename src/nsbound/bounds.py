@@ -7,7 +7,7 @@ polynomial and matrix layers.  The paper's bound is one formula,
                         * (k^(2k-2) * b1^(k-1) * lambda / |lead|)^(1/(d*wd)),
 
 with the universal constant C = 8*sqrt(3)/sqrt(47).  The scalar case is
-k = 1.  :func:`rescale_lambda` computes the factor (k^2 * b1)^(k-1),
+k = 1.  :func:`_norm_factor` computes the factor (k^2 * b1)^(k-1),
 :func:`bound_coefficient` the prefactor of lambda^(1/(d*wd)), and
 :meth:`BoundReport.bound_at` evaluates the bound.  When the width vanishes
 the determinant is a single monomial and the bound is a step at
@@ -34,6 +34,7 @@ from .matrices import (
     MinorCertificate,
     PolyMatrix,
     ZeroMatrixError,
+    _rank_profile,
     iter_nonvanishing_minors,
     max_nonvanishing_minor,
 )
@@ -81,15 +82,6 @@ def _root_up(x: float, n: int) -> float:
     elif x < 1.0 and Fraction(e) > Fraction(1, n):
         e = math.nextafter(e, 0.0)
     return math.nextafter(math.nextafter(x**e, math.inf), math.inf)
-
-
-def rescale_lambda(k: int, b_l1: float, lam: float) -> float:
-    """(k^2 * b_l1)^(k-1) * lam, rounded up to the nearest float.
-
-    This is the argument change from matrix to scalar density, with the
-    operator-norm upper bound k^2 * b_l1 in place of the norm.
-    """
-    return _float_up(_norm_factor(k, b_l1) * Fraction(lam))
 
 
 @dataclass(frozen=True)
@@ -254,9 +246,10 @@ def analyze(
     used (see :func:`max_nonvanishing_minor`); with "best" every
     maximal-size minor is tried and the report with the best decay
     guarantee (largest alpha lower bound, then smallest coefficient) wins.
-    ``minor_cap`` bounds the candidates per minor size of the "best"
-    enumeration, which raises MinorSearchCapExceeded beyond it; "first"
-    enumerates nothing and ignores it.  The zero matrix is rejected.
+    ``minor_cap`` bounds the candidates of the "best" enumeration, at size
+    min(rows, cols) and, when all of those minors vanish, at the rank; it
+    raises MinorSearchCapExceeded beyond it.  "first" enumerates nothing
+    and ignores it.  The zero matrix is rejected.
     """
     if ordering not in ("fixed", "exhaustive"):
         raise ValueError(f"unknown ordering mode {ordering!r}")
@@ -267,12 +260,12 @@ def analyze(
     if minor == "first":
         certs = [max_nonvanishing_minor(A)]
     else:
-        # Sizes descend; the first size with any non-vanishing minor is the
-        # maximal one, and its minors are computed exactly once.
-        for size in range(min(A.rows, A.cols), 0, -1):
-            certs = list(iter_nonvanishing_minors(A, size, minor_cap))
-            if certs:
-                break
+        # The maximal size is min(rows, cols) unless all of those minors
+        # vanish; then it is the rank, and no size in between is tried.
+        certs = list(iter_nonvanishing_minors(A, min(A.rows, A.cols), minor_cap))
+        if not certs:
+            rank = len(_rank_profile(A)[0])
+            certs = list(iter_nonvanishing_minors(A, rank, minor_cap))
     best = None
     for cert in certs:
         report = _report_for(A, cert, best_ordering(cert.det, ordering))

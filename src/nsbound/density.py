@@ -43,7 +43,6 @@ import math
 import operator
 import threading
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -184,6 +183,9 @@ def _sum_chunks(grid: TorusGrid, fn: Callable[[int, int], np.ndarray], workers: 
     ranges = grid.block_ranges(CHUNK)
     if workers <= 1:
         return sum(fn(a, b) for a, b in ranges)
+    # Imported here: a single-worker run never loads the executor machinery.
+    from concurrent.futures import Future, ThreadPoolExecutor
+
     total = 0
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending: deque[Future] = deque()

@@ -26,12 +26,12 @@ from nsbound import (
     ns_lower_bound,
     parse_matrix,
     parse_poly,
-    rescale_lambda,
 )
-from nsbound import matrices
+from nsbound import bounds, matrices
 from nsbound.matrices import ZeroMatrixError
 
 from conftest import EXAMPLE_MATRIX_TEXT, matrix_product, random_poly
+from lemmas import rescale_lambda
 
 
 def _power_report(params: BoundParameters):
@@ -378,6 +378,24 @@ def test_analyze_first_minor_determinant_calls(A, calls_at_most, k, monkeypatch)
     report = analyze(A, minor="first")
     assert 1 <= len(calls) <= calls_at_most
     assert report.k == k
+
+
+def test_analyze_best_minor_skips_the_vanishing_sizes(monkeypatch):
+    # every 5x5 minor vanishes, so the rank comes from one rank-profile pass
+    # and the 4x4 minors are never enumerated
+    A = matrix_product(parse_matrix(RANK3_LEFT), parse_matrix(RANK3_RIGHT))
+    sizes = []
+    real = bounds.iter_nonvanishing_minors
+
+    def recording(A, size, cap):
+        sizes.append(size)
+        return real(A, size, cap)
+
+    monkeypatch.setattr(bounds, "iter_nonvanishing_minors", recording)
+    report = analyze(A, minor="best")
+    assert sizes == [5, 3]
+    assert report.k == 3
+    assert report.minor in list(real(A, 3))
 
 
 @pytest.mark.parametrize("kwargs", [{"ordering": "best"}, {"minor": "exhaustive"}])

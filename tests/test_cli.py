@@ -153,6 +153,19 @@ def test_lattice_runs_never_import_numpy_random(tmp_path, example_file, command)
     assert not [m for m in modules if m == "numpy.random" or m.startswith("numpy.random.")]
 
 
+def test_single_worker_verify_never_imports_concurrent_futures(tmp_path, example_file):
+    argv = ["verify", example_file, "--grid", "50", "--workers", "1", "--out", f"{tmp_path}/x.csv"]
+    env = {**os.environ, "PYTHONPATH": str(Path(nsbound.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_SCRIPT, *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert "nsbound.density" in modules
+    assert not [m for m in modules if m.startswith("concurrent.")]
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [

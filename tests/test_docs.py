@@ -30,3 +30,9 @@ def test_readme_library_block_runs_and_matches_all():
     for name in nsbound.__all__:
         assert hasattr(nsbound, name), name
         assert re.search(rf"\b{name}\b", section), f"README does not list {name}"
+
+
+def test_readme_export_list_names_nothing_beyond_all():
+    exports = _library_section().split("no others:\n", 1)[1].split("\n\n", 1)[0]
+    listed = set(re.findall(r"`([A-Za-z_]\w*)`", exports))
+    assert listed and listed <= set(nsbound.__all__), listed - set(nsbound.__all__)

@@ -6,7 +6,7 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,6 @@ from nsbound import (
     analyze,
     determinant,
     determinant_cofactor,
-    exact_div,
     format_poly,
     iter_nonvanishing_minors,
     max_nonvanishing_minor,
@@ -27,13 +26,18 @@ from nsbound import (
     parse_matrix,
     parse_poly,
 )
+from nsbound import matrices
 from nsbound.matrices import (
     ExactDivisionError,
+    MinorCertificate,
     MinorSearchCapExceeded,
     ZeroMatrixError,
+    _minors_by_sweep,
+    _sweep_plan,
 )
 
 from conftest import matrix_product, random_poly, star_transpose
+from lemmas import exact_div
 
 
 def random_matrix(rng, rows, cols, dim=2, max_terms=2, real_only=False):
@@ -386,8 +390,6 @@ def test_max_minor_all_higher_minors_vanish():
         if A.is_zero():
             continue
         cert = max_nonvanishing_minor(A)
-        from itertools import combinations
-
         k = cert.size
         if k < min(A.rows, A.cols):
             for I in combinations(range(A.rows), k + 1):
@@ -420,12 +422,109 @@ def test_max_minor_is_first_enumerated_property(A):
 
 
 def test_minor_search_cap():
-    # rank one, so every size above 1 vanishes and the best-minor search
-    # must descend through sizes whose candidate counts blow past the cap
+    # rank one, so the one 6x6 minor vanishes and the best-minor search
+    # goes straight to the rank, size 1, whose 36 candidates pass the cap
     z = parse_poly("z1")
     A = PolyMatrix([[z for _ in range(6)] for _ in range(6)])
-    with pytest.raises(MinorSearchCapExceeded):
+    with pytest.raises(MinorSearchCapExceeded) as excinfo:
         analyze(A, minor="best", minor_cap=2)
+    assert (excinfo.value.size, excinfo.value.candidates) == (1, 36)
+
+
+# -- the Laplace sweep behind iter_nonvanishing_minors ------------------------------
+
+
+def _minors_by_determinant(A, size):
+    """The enumeration the sweep must reproduce: one determinant per candidate."""
+    for I in combinations(range(A.rows), size):
+        for J in combinations(range(A.cols), size):
+            sub = A.submatrix(I, J)
+            det = determinant(sub)
+            if not det.is_zero():
+                yield MinorCertificate(I, J, size, det, sub.l1_norm())
+
+
+@st.composite
+def rectangular_matrices(draw):
+    """Wide, tall and square matrices up to 5x5, with rational or Gaussian
+    coefficients (the Gaussian ones include 10^200 and 1/10^400)."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    dim = draw(st.integers(1, 3))
+    coeffs = draw(st.sampled_from([st.builds(GaussianRational, _rationals), coefficients]))
+    entry = laurent_polys(dim, max_terms=2, exp_range=2, coeffs=coeffs)
+    return PolyMatrix([[draw(entry) for _ in range(n)] for _ in range(m)])
+
+
+def _outcome(minors):
+    """The certificates, or OverflowError where b_l1 leaves the float range
+    (the modulus of a coefficient like 10^200 * i is computed from its
+    square)."""
+    try:
+        return list(minors)
+    except OverflowError:
+        return OverflowError
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(rectangular_matrices(), low_rank_matrices()))
+def test_sweep_matches_determinant_enumeration_property(A):
+    # certificate for certificate (row_set, col_set, size, det, b_l1) and in
+    # the same order, whichever path the rule picks and on both sweeps
+    for size in range(1, min(A.rows, A.cols) + 1):
+        want = _outcome(_minors_by_determinant(A, size))
+        assert _outcome(iter_nonvanishing_minors(A, size)) == want
+        for transpose in (False, True):
+            assert _outcome(_minors_by_sweep(A, size, transpose)) == want, (size, transpose)
+
+
+@pytest.mark.parametrize(
+    "m, n, size, plan",
+    [
+        (4, 6, 4, False),  # 50 minors swept against 210 eliminated
+        (6, 4, 4, True),  # the same input transposed
+        (5, 6, 3, False),
+        (2, 3, 2, None),  # the reference matrix: 3 against 3, a tie
+        (6, 6, 6, None),  # one determinant: 57 against 55
+        (3, 7, 1, None),  # entries are their own minors
+        (2, 3, 3, None),  # no candidate
+    ],
+)
+def test_sweep_plan(m, n, size, plan):
+    assert _sweep_plan(m, n, size) is plan
+
+
+def _count_determinants(monkeypatch):
+    calls = []
+    real = matrices.determinant
+
+    def counting(B):
+        calls.append(B)
+        return real(B)
+
+    monkeypatch.setattr(matrices, "determinant", counting)
+    return calls
+
+
+def test_best_minor_4x6_runs_no_determinant(monkeypatch):
+    A = parse_matrix(
+        "[[1, z1, 0, 2, z2, 1], [z2, 1, 1, 0, 3, z1^-1],"
+        " [0, 2, z1*z2, 1, 1, 0], [1, 0, 1, z1, 0, z2]]"
+    )
+    calls = _count_determinants(monkeypatch)
+    report = analyze(A, minor="best")
+    assert calls == [] and report.k == 4
+
+
+def test_best_minor_6x6_runs_one_determinant(monkeypatch):
+    A = PolyMatrix(
+        [
+            [parse_poly("z1" if i == j else "1" if j == i + 1 else "0") for j in range(6)]
+            for i in range(6)
+        ]
+    )
+    calls = _count_determinants(monkeypatch)
+    report = analyze(A, minor="best")
+    assert len(calls) == 1 and report.k == 6
 
 
 # -- norms -------------------------------------------------------------------------
