@@ -34,9 +34,8 @@ from .matrices import (
     MinorCertificate,
     PolyMatrix,
     ZeroMatrixError,
-    _rank_profile,
-    iter_nonvanishing_minors,
     max_nonvanishing_minor,
+    maximal_minors,
 )
 from .poly import LaurentPoly, WidthProfile, _float_down, _float_up, width_profile
 
@@ -246,10 +245,10 @@ def analyze(
     used (see :func:`max_nonvanishing_minor`); with "best" every
     maximal-size minor is tried and the report with the best decay
     guarantee (largest alpha lower bound, then smallest coefficient) wins.
-    ``minor_cap`` bounds the candidates of the "best" enumeration, at size
-    min(rows, cols) and, when all of those minors vanish, at the rank; it
-    raises MinorSearchCapExceeded beyond it.  "first" enumerates nothing
-    and ignores it.  The zero matrix is rejected.
+    ``minor_cap`` bounds the candidates at each size the "best" enumeration
+    tries (see :func:`maximal_minors`), which raises MinorSearchCapExceeded
+    beyond it; "first" enumerates nothing and ignores it.  The zero matrix
+    is rejected.
     """
     if ordering not in ("fixed", "exhaustive"):
         raise ValueError(f"unknown ordering mode {ordering!r}")
@@ -260,12 +259,7 @@ def analyze(
     if minor == "first":
         certs = [max_nonvanishing_minor(A)]
     else:
-        # The maximal size is min(rows, cols) unless all of those minors
-        # vanish; then it is the rank, and no size in between is tried.
-        certs = list(iter_nonvanishing_minors(A, min(A.rows, A.cols), minor_cap))
-        if not certs:
-            rank = len(_rank_profile(A)[0])
-            certs = list(iter_nonvanishing_minors(A, rank, minor_cap))
+        certs = maximal_minors(A, minor_cap)
     best = None
     for cert in certs:
         report = _report_for(A, cert, best_ordering(cert.det, ordering))

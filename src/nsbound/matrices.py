@@ -12,12 +12,11 @@ indicates a bug, not bad input, and raises ExactDivisionError.  Cofactor
 expansion is kept as an independent oracle.
 
 Enumerating every minor of one size (``--minor best``) is the exception:
-when it forms fewer minors than one elimination per candidate, one
-division-free Laplace sweep (:func:`_laplace_levels`) forms them all on the
-same kernel, expanding each t x t minor of a row prefix from the
+one division-free Laplace sweep (:func:`_laplace_levels`) forms them all
+on the same kernel, expanding each t x t minor of a row prefix from the
 (t-1) x (t-1) minors below it, so candidates that share rows share work.
-A single determinant stays on elimination, whose cost grows as n^3 where
-the sweep's grows as 2^n; a lone n x n candidate is swept only for n <= 5.
+A single determinant stays on elimination, which forms about n^3/3
+entries where the sweep forms 2^n - n - 1 minors.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import add, neg, sub
@@ -349,35 +347,6 @@ def _size_guard(m: int, n: int, k: int, cap: int) -> None:
         raise MinorSearchCapExceeded(k, candidates, cap)
 
 
-def _sweep_cost(m: int, n: int, size: int) -> int:
-    """Minors the Laplace sweep forms for every size x size minor of an m x n matrix.
-
-    Level t holds C(n, t) minors for each of the C(m - size + t, t) row
-    prefixes that some row set of the given size extends; level 1 is the
-    entries themselves.
-    """
-    return sum(math.comb(m - size + t, t) * math.comb(n, t) for t in range(2, size + 1))
-
-
-def _sweep_plan(m: int, n: int, size: int) -> bool | None:
-    """How to form the minors of a size: None to eliminate, else whether to transpose.
-
-    Elimination forms sum_{s=1..size-1} (size-s)^2 new entries per
-    candidate.  The sweep is chosen only when it forms strictly fewer
-    minors, on A or on its transpose, whichever forms fewer.  Ties stay on
-    elimination, as does a lone n x n candidate for n >= 6, which keeps
-    the sweep's 2^n growth away from large determinants.
-    """
-    per_candidate = sum((size - s) ** 2 for s in range(1, size))
-    eliminate = math.comb(m, size) * math.comb(n, size) * per_candidate
-    if not eliminate:  # size 1, or no candidate at all
-        return None
-    direct, transposed = _sweep_cost(m, n, size), _sweep_cost(n, m, size)
-    if min(direct, transposed) >= eliminate:
-        return None
-    return transposed < direct
-
-
 def _laplace_levels(
     rows: Sequence[Sequence[_KPoly]], size: int
 ) -> Iterator[tuple[tuple[int, ...], dict[tuple[int, ...], _KPoly]]]:
@@ -386,13 +355,10 @@ def _laplace_levels(
     Yields (I, minors) for each row set I in lexicographic order, where
     minors maps each column set J, in lexicographic order, to the non-zero
     det(rows[I, J]).  Level t holds the t x t minors of the row prefix
-    I[:t] and is expanded along that prefix's last row from level t - 1:
-    M(J) = sum_p (-1)^(t-1+p) * a[I[t-1]][J[p]] * M(J without J[p]), so
-    every product is entry times minor and nothing is divided.  Only the
-    levels of the current row prefix are kept; row sets visited in
-    lexicographic order share them.
+    I[:t] and is expanded along that prefix's last row from level t - 1
+    (:func:`_expand_level`).  Only the levels of the current row prefix are
+    kept; row sets visited in lexicographic order share them.
     """
-    ncols = len(rows[0])
     path: list[tuple[int, dict[tuple[int, ...], _KPoly]]] = []
     for I in combinations(range(len(rows)), size):
         keep = next((t for t, (i, _) in enumerate(path) if i != I[t]), len(path))
@@ -402,60 +368,32 @@ def _laplace_levels(
             if t == 1:
                 level = {(j,): x for j, x in enumerate(row) if x}
             else:
-                below = path[-1][1]
-                level = {}
-                for J in combinations(range(ncols), t):
-                    acc: _KPoly = {}
-                    for p, j in enumerate(J):
-                        sub = row[j] and below.get(J[:p] + J[p + 1 :])
-                        if sub:
-                            _mul_acc(acc, row[j], sub, -1 if (t - 1 + p) % 2 else 1)
-                    elt = {e: cf for e, cf in acc.items() if cf[0] or cf[1]}
-                    if elt:
-                        level[J] = elt
+                level = _expand_level(row, path[-1][1], t)
             path.append((I[t - 1], level))
         yield I, path[-1][1]
 
 
-def _minors_by_sweep(
-    A: PolyMatrix, size: int, transpose: bool
-) -> Iterator[MinorCertificate]:
-    """The non-zero minors of a size from one Laplace sweep, in enumeration order.
+def _expand_level(
+    row: Sequence[_KPoly], below: dict[tuple[int, ...], _KPoly], t: int
+) -> dict[tuple[int, ...], _KPoly]:
+    """The non-zero t x t minors of a row prefix ending in ``row``.
 
-    Each row (each column of A when ``transpose``) is scaled by the lcm of
-    its denominators, as in :func:`_row_echelon`, so the sweep stays in the
-    Gaussian integers; a minor of the scaled matrix is the minor of A times
-    the scales of its rows.  The transposed sweep yields by column set
-    first, so its minors are collected and sorted into row-major order.
+    ``below`` holds the non-zero (t-1) x (t-1) minors of the prefix without
+    ``row``.  Each of the C(len(row), t) column sets J is expanded along
+    ``row``: M(J) = sum_p (-1)^(t-1+p) * row[J[p]] * below[J without J[p]],
+    so every product is entry times minor and nothing is divided.
     """
-    lines = tuple(zip(*A.entries)) if transpose else A.entries
-    scales = [_row_scale(line) for line in lines]
-    kernel = [[_to_kernel(p, s) for p in line] for line, s in zip(lines, scales)]
-
-    @cache
-    def norm(i: int, j: int) -> float:
-        return A.entries[i][j].l1_norm()
-
-    def certificate(I, J, M) -> MinorCertificate:
-        outer = J if transpose else I
-        det = _from_kernel(A.dim, M, math.prod(scales[i] for i in outer))
-        return MinorCertificate(I, J, size, det, max(norm(i, j) for i in I for j in J))
-
-    found = ((I, J, M) for I, minors in _laplace_levels(kernel, size) for J, M in minors.items())
-    if transpose:
-        found = sorted(((I, J, M) for J, I, M in found), key=lambda f: f[:2])
-    for I, J, M in found:
-        yield certificate(I, J, M)
-
-
-def _minors_by_elimination(A: PolyMatrix, size: int) -> Iterator[MinorCertificate]:
-    """The non-zero minors of a size, one :func:`determinant` per candidate."""
-    for I in combinations(range(A.rows), size):
-        for J in combinations(range(A.cols), size):
-            sub = A.submatrix(I, J)
-            det = determinant(sub)
-            if not det.is_zero():
-                yield MinorCertificate(I, J, size, det, sub.l1_norm())
+    level = {}
+    for J in combinations(range(len(row)), t):
+        acc: _KPoly = {}
+        for p, j in enumerate(J):
+            sub = row[j] and below.get(J[:p] + J[p + 1 :])
+            if sub:
+                _mul_acc(acc, row[j], sub, -1 if (t - 1 + p) % 2 else 1)
+        elt = {e: cf for e, cf in acc.items() if cf[0] or cf[1]}
+        if elt:
+            level[J] = elt
+    return level
 
 
 def iter_nonvanishing_minors(
@@ -465,16 +403,21 @@ def iter_nonvanishing_minors(
 
     Index sets are visited in lexicographic order (rows outer, columns
     inner), so the iteration order is deterministic.  The minors come from
-    one Laplace sweep when it forms fewer minors than one elimination per
-    candidate would (:func:`_sweep_plan`); the certificates are the same
-    either way.
+    one Laplace sweep (:func:`_laplace_levels`).  Each row is first scaled
+    by the lcm of its denominators, as in :func:`_row_echelon`, so the
+    sweep stays in the Gaussian integers; a minor of the scaled matrix is
+    the minor of A times the scales of its rows.
     """
+    if size < 1:
+        raise ValueError(f"minor size must be at least 1, got {size}")
     _size_guard(A.rows, A.cols, size, cap)
-    plan = _sweep_plan(A.rows, A.cols, size)
-    if plan is None:
-        yield from _minors_by_elimination(A, size)
-    else:
-        yield from _minors_by_sweep(A, size, plan)
+    scales = [_row_scale(row) for row in A.entries]
+    kernel = [[_to_kernel(p, s) for p in row] for row, s in zip(A.entries, scales)]
+    for I, minors in _laplace_levels(kernel, size):
+        scale = math.prod(scales[i] for i in I)
+        for J, M in minors.items():
+            det = _from_kernel(A.dim, M, scale)
+            yield MinorCertificate(I, J, size, det, A.submatrix(I, J).l1_norm())
 
 
 def _rank_profile(A: PolyMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -521,3 +464,21 @@ def max_nonvanishing_minor(A: PolyMatrix) -> MinorCertificate:
         sub = A.submatrix(rows, cols)
         det = determinant(sub)
     return MinorCertificate(rows, cols, len(rows), det, sub.l1_norm())
+
+
+def maximal_minors(A: PolyMatrix, cap: int = DEFAULT_MINOR_CAP) -> list[MinorCertificate]:
+    """Every non-vanishing minor of maximal size, in enumeration order.
+
+    The maximal size is min(rows, cols) unless all of those minors vanish;
+    then it is rank(A), from one rank-profile pass (:func:`_rank_profile`),
+    and no size in between is enumerated.  ``cap`` bounds the candidates at
+    each size enumerated (see :func:`iter_nonvanishing_minors`).  The zero
+    matrix is rejected.
+    """
+    if A.is_zero():
+        raise ZeroMatrixError("the zero matrix has no non-vanishing minor")
+    certs = list(iter_nonvanishing_minors(A, min(A.rows, A.cols), cap))
+    if not certs:
+        rank = len(_rank_profile(A)[0])
+        certs = list(iter_nonvanishing_minors(A, rank, cap))
+    return certs

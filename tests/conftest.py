@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nsbound import GaussianRational, LaurentPoly, PolyMatrix, parse_matrix
+from nsbound import GaussianRational, LaurentPoly, PolyMatrix, matrices, parse_matrix
 
 EXAMPLE_MATRIX_TEXT = "[[z1^3, -1, 1], [2*z1*z2^2 - 16, z2, z1*z2]]"
 
@@ -79,3 +79,17 @@ def eval_at(p: LaurentPoly, angles) -> complex:
     """p at one torus point given by its angles, z_j = exp(i*angles[j])."""
     z = np.exp(1j * np.array([tuple(angles)], dtype=np.float64))
     return complex(p.eval_block(z)[0])
+
+
+def count_swept_minors(monkeypatch) -> list[int]:
+    """Record the minors the Laplace sweep forms: each level it expands
+    appends C(cols, t), its number of t x t column sets, to the list."""
+    formed: list[int] = []
+    real = matrices._expand_level
+
+    def counting(row, below, t):
+        formed.append(math.comb(len(row), t))
+        return real(row, below, t)
+
+    monkeypatch.setattr(matrices, "_expand_level", counting)
+    return formed

@@ -27,10 +27,10 @@ from nsbound import (
     parse_matrix,
     parse_poly,
 )
-from nsbound import bounds, matrices
+from nsbound import matrices
 from nsbound.matrices import ZeroMatrixError
 
-from conftest import EXAMPLE_MATRIX_TEXT, matrix_product, random_poly
+from conftest import EXAMPLE_MATRIX_TEXT, count_swept_minors, matrix_product, random_poly
 from lemmas import rescale_lambda
 
 
@@ -337,7 +337,8 @@ def test_analyze_exhaustive_ordering_not_worse():
 
 
 def test_analyze_best_minor_computes_each_minor_once(example_matrix, monkeypatch):
-    # the reference matrix has three 2x2 minors; best mode needs each once
+    # the reference matrix has three 2x2 minors; best mode forms each once,
+    # in one sweep level, and runs no determinant
     calls = []
     real = matrices.determinant
 
@@ -346,8 +347,9 @@ def test_analyze_best_minor_computes_each_minor_once(example_matrix, monkeypatch
         return real(B)
 
     monkeypatch.setattr(matrices, "determinant", counting)
+    swept = count_swept_minors(monkeypatch)
     analyze(example_matrix, minor="best")
-    assert len(calls) == 3
+    assert calls == [] and swept == [3]
 
 
 # A rank-3 5x6 matrix whose leading 3x3 minor does not vanish: enumerating
@@ -385,13 +387,13 @@ def test_analyze_best_minor_skips_the_vanishing_sizes(monkeypatch):
     # and the 4x4 minors are never enumerated
     A = matrix_product(parse_matrix(RANK3_LEFT), parse_matrix(RANK3_RIGHT))
     sizes = []
-    real = bounds.iter_nonvanishing_minors
+    real = matrices.iter_nonvanishing_minors
 
     def recording(A, size, cap):
         sizes.append(size)
         return real(A, size, cap)
 
-    monkeypatch.setattr(bounds, "iter_nonvanishing_minors", recording)
+    monkeypatch.setattr(matrices, "iter_nonvanishing_minors", recording)
     report = analyze(A, minor="best")
     assert sizes == [5, 3]
     assert report.k == 3

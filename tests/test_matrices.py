@@ -32,11 +32,10 @@ from nsbound.matrices import (
     MinorCertificate,
     MinorSearchCapExceeded,
     ZeroMatrixError,
-    _minors_by_sweep,
-    _sweep_plan,
+    maximal_minors,
 )
 
-from conftest import matrix_product, random_poly, star_transpose
+from conftest import count_swept_minors, matrix_product, random_poly, star_transpose
 from lemmas import exact_div
 
 
@@ -469,28 +468,35 @@ def _outcome(minors):
 @given(st.one_of(rectangular_matrices(), low_rank_matrices()))
 def test_sweep_matches_determinant_enumeration_property(A):
     # certificate for certificate (row_set, col_set, size, det, b_l1) and in
-    # the same order, whichever path the rule picks and on both sweeps
+    # the same order, at every size
     for size in range(1, min(A.rows, A.cols) + 1):
         want = _outcome(_minors_by_determinant(A, size))
-        assert _outcome(iter_nonvanishing_minors(A, size)) == want
-        for transpose in (False, True):
-            assert _outcome(_minors_by_sweep(A, size, transpose)) == want, (size, transpose)
+        assert _outcome(iter_nonvanishing_minors(A, size)) == want, size
 
 
 @pytest.mark.parametrize(
-    "m, n, size, plan",
+    "m, n, size, formed",
     [
-        (4, 6, 4, False),  # 50 minors swept against 210 eliminated
-        (6, 4, 4, True),  # the same input transposed
-        (5, 6, 3, False),
-        (2, 3, 2, None),  # the reference matrix: 3 against 3, a tie
-        (6, 6, 6, None),  # one determinant: 57 against 55
-        (3, 7, 1, None),  # entries are their own minors
-        (2, 3, 3, None),  # no candidate
+        # sum_{t=2..size} C(m - size + t, t) * C(n, t): each t x t level is
+        # formed once per row prefix that some row set of the size extends
+        (4, 6, 4, 50),
+        (6, 4, 4, 91),
+        (5, 6, 3, 290),
+        (2, 3, 2, 3),
+        (6, 6, 6, 57),
+        (3, 7, 1, 0),  # entries are their own minors
     ],
 )
-def test_sweep_plan(m, n, size, plan):
-    assert _sweep_plan(m, n, size) is plan
+def test_sweep_forms_each_prefix_level_once(m, n, size, formed, monkeypatch):
+    A = random_matrix(random.Random(m * 100 + n * 10 + size), m, n)
+    swept = count_swept_minors(monkeypatch)
+    assert list(iter_nonvanishing_minors(A, size)) == list(_minors_by_determinant(A, size))
+    assert sum(swept) == formed
+
+
+def test_iter_minors_rejects_size_zero():
+    with pytest.raises(ValueError):
+        list(iter_nonvanishing_minors(parse_matrix("[[1, z1]]"), 0))
 
 
 def _count_determinants(monkeypatch):
@@ -505,17 +511,20 @@ def _count_determinants(monkeypatch):
     return calls
 
 
-def test_best_minor_4x6_runs_no_determinant(monkeypatch):
+def test_best_minor_4x6_sweeps_50_minors_and_runs_no_determinant(monkeypatch):
+    # all fifteen 4x4 minors expand from the twenty 3x3 minors of rows 0-2
     A = parse_matrix(
         "[[1, z1, 0, 2, z2, 1], [z2, 1, 1, 0, 3, z1^-1],"
         " [0, 2, z1*z2, 1, 1, 0], [1, 0, 1, z1, 0, z2]]"
     )
     calls = _count_determinants(monkeypatch)
+    swept = count_swept_minors(monkeypatch)
     report = analyze(A, minor="best")
-    assert calls == [] and report.k == 4
+    assert calls == [] and sum(swept) == 50 and report.k == 4
 
 
-def test_best_minor_6x6_runs_one_determinant(monkeypatch):
+def test_best_minor_6x6_sweeps_57_minors_and_runs_no_determinant(monkeypatch):
+    # a lone 6x6 candidate: one prefix level per size, 2^6 - 6 - 1 minors
     A = PolyMatrix(
         [
             [parse_poly("z1" if i == j else "1" if j == i + 1 else "0") for j in range(6)]
@@ -523,8 +532,14 @@ def test_best_minor_6x6_runs_one_determinant(monkeypatch):
         ]
     )
     calls = _count_determinants(monkeypatch)
+    swept = count_swept_minors(monkeypatch)
     report = analyze(A, minor="best")
-    assert len(calls) == 1 and report.k == 6
+    assert calls == [] and sum(swept) == 57 and report.k == 6
+
+
+def test_maximal_minors_zero_matrix_rejected():
+    with pytest.raises(ZeroMatrixError):
+        maximal_minors(parse_matrix("[[0, 0]]"))
 
 
 # -- norms -------------------------------------------------------------------------
