@@ -113,15 +113,19 @@ def bound_coefficient(params: BoundParameters) -> float:
 def _lead_abs_down(profile: WidthProfile) -> float:
     """|lead| as a float no greater than it (it sits in a denominator).
 
-    The rounded square root is within one ulp of |lead|, so one step down
-    suffices when it lands above; an exact root stays exact.
+    ``abs`` is the ``hypot`` of the rounded parts: finite wherever |lead|
+    is, but up to two ulps from it on either side.  So it steps down one
+    ulp at a time while its exact square exceeds |lead|^2, then up while
+    the next float's does not, and returns the largest float <= |lead|.
     """
     abs2 = profile.lead.abs2()
-    f = math.sqrt(float(abs2))
+    f = abs(profile.lead)
     if f == 0.0:
         raise OverflowError("leading coefficient modulus underflows to zero")
-    if Fraction(f) ** 2 > abs2:
+    while Fraction(f) ** 2 > abs2:
         f = math.nextafter(f, 0.0)
+    while Fraction(up := math.nextafter(f, math.inf)) ** 2 <= abs2:
+        f = up
     return f
 
 

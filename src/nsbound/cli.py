@@ -4,10 +4,9 @@ Data (CSV) goes to stdout or --out; diagnostics go to stderr.  Exit codes:
 0 success, 1 verification failure, 2 parse error, invalid option, a number
 beyond floating-point range or a file that cannot be read or written, 3 zero
 matrix, 4 minor-search budget exceeded (``--minor best`` only), 5 quadrature
-cost guard exceeded, 6 internal arithmetic error (an exact division that
-must succeed left a remainder; a bug, not bad input).  ``main`` returns
-these codes, except that it lets an ``OSError`` reach its caller; the
-``nsbound`` command maps that to exit 2 with one ``error:`` line.
+cost guard exceeded.  ``main`` returns these codes, except that it lets an
+``OSError`` reach its caller; the ``nsbound`` command maps that to exit 2
+with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .density import (
 )
 from .matrices import (
     DEFAULT_MINOR_CAP,
-    ExactDivisionError,
     MinorSearchCapExceeded,
     PolyMatrix,
     ZeroMatrixError,
@@ -333,9 +331,6 @@ def main(argv: list[str] | None = None) -> int:
     except CostGuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except ExactDivisionError as exc:
-        print(f"error: internal arithmetic error: {exc}", file=sys.stderr)
-        return 6
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

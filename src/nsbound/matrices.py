@@ -1,22 +1,20 @@
 """Matrices over the Laurent polynomial ring: determinants, minors, norms.
 
-The exact layer has one elimination, a fraction-free row-echelon pass
-(:func:`_row_echelon`): each row is scaled by the lcm of its coefficient
-denominators and reduced by the earlier pivot rows with the Bareiss step,
-on a small private kernel whose polynomials are plain dicts of
-Gaussian-integer coefficient pairs (Python ints), with the required exact
-divisions done by leading-term polynomial division.  Every determinant and
-the rank profile behind the lexicographically first maximal minor come from
-that pass.  ``LaurentPoly`` appears only at the edges.  A failed division
-indicates a bug, not bad input, and raises ExactDivisionError.  Cofactor
-expansion is kept as an independent oracle.
-
-Enumerating every minor of one size (``--minor best``) is the exception:
-one division-free Laplace sweep (:func:`_laplace_levels`) forms them all
-on the same kernel, expanding each t x t minor of a row prefix from the
-(t-1) x (t-1) minors below it, so candidates that share rows share work.
-A single determinant stays on elimination, which forms about n^3/3
-entries where the sweep forms 2^n - n - 1 minors.
+The exact layer forms every minor one way, by division-free Laplace
+expansion (:func:`_expand_level`): the t x t minors of a list of rows are
+expanded along its last row from the (t-1) x (t-1) minors of the rows
+before it, so each product is an entry times a minor and nothing is
+divided.  It works on a small private kernel whose polynomials are plain
+dicts of Gaussian-integer coefficient pairs (Python ints), each row first
+scaled by the lcm of its coefficient denominators; ``LaurentPoly`` appears
+only at the edges.  A determinant is one sweep over its rows
+(:func:`_laplace_levels`), and enumerating every minor of one size
+(``--minor best``) is one sweep whose row sets share their prefixes.  The
+rank profile behind ``--minor first`` is a greedy basis built with the
+same step (:func:`_greedy_basis`).  The sweep forms 2^n - n - 1 minors for
+an n x n determinant, exponential in n but with no quotients whose term
+counts outgrow the minors.  Cofactor expansion is kept as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -24,9 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import combinations
-from operator import add, neg, sub
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .poly import GaussianRational, LaurentPoly
@@ -49,10 +46,6 @@ class MinorSearchCapExceeded(RuntimeError):
         self.size = size
         self.candidates = candidates
         self.cap = cap
-
-
-class ExactDivisionError(ArithmeticError):
-    """Internal error: a division that must be exact left a remainder."""
 
 
 class PolyMatrix:
@@ -105,16 +98,10 @@ class PolyMatrix:
 # -- the exact kernel ----------------------------------------------------------
 #
 # A kernel polynomial is a plain dict mapping an exponent tuple to an
-# (re, im) coefficient pair.  Inside a determinant both parts are Python
-# ints; a division whose quotient is not Gaussian-integral carries Fractions.
+# (re, im) coefficient pair; on a row-scaled matrix both parts are Python
+# ints.
 
 _KPoly = dict[tuple[int, ...], tuple]
-
-
-def _lex_key(exp: tuple[int, ...]) -> tuple[int, ...]:
-    # Heap key: the smallest key is the maximal exponent in the
-    # lexicographic order that compares the last coordinate first.
-    return tuple(map(neg, reversed(exp)))
 
 
 def _scaled(x: Fraction, scale: int):
@@ -123,11 +110,11 @@ def _scaled(x: Fraction, scale: int):
     return x * scale if r else x.numerator * q
 
 
-def _to_kernel(p: LaurentPoly, scale: int = 1) -> _KPoly:
+def _to_kernel(p: LaurentPoly, scale: int) -> _KPoly:
     return {e: (_scaled(c.re, scale), _scaled(c.im, scale)) for e, c in p.terms.items()}
 
 
-def _from_kernel(dim: int, p: _KPoly, denominator: int = 1) -> LaurentPoly:
+def _from_kernel(dim: int, p: _KPoly, denominator: int) -> LaurentPoly:
     return LaurentPoly(
         dim,
         {
@@ -155,73 +142,13 @@ def _mul_acc(acc: _KPoly, p: _KPoly, q: _KPoly, sign: int) -> None:
             acc[e] = (re, im)
 
 
-def _shift_to_ordinary(p: _KPoly) -> tuple[_KPoly, tuple[int, ...]]:
-    """Divide out the per-coordinate valuation so all exponents are >= 0.
-
-    Normalizing both operands of a division to valuation exactly 0 makes
-    the quotient an ordinary polynomial whenever the Laurent quotient
-    exists, so plain leading-term division applies.
-    """
-    mins = tuple(map(min, zip(*p)))
-    return {tuple(map(sub, e, mins)): c for e, c in p.items()}, mins
-
-
-def _kdiv(a: _KPoly, b: _KPoly) -> _KPoly:
-    """Exact quotient a / b of non-zero kernel polynomials in the Laurent ring.
-
-    Leading-term division after shifting both operands to valuation 0.  A
-    quotient term with a negative exponent, or one beyond the per-coordinate
-    degree a quotient can have, means b does not divide a and raises
-    ExactDivisionError; the quotient exponents lie in a finite box, so the
-    loop always terminates.
-    """
-    ah, sa = _shift_to_ordinary(a)
-    bh, sb = _shift_to_ordinary(b)
-    top = tuple(map(sub, map(max, zip(*ah)), map(max, zip(*bh))))
-    b_lead = min(bh, key=_lex_key)
-    c, d = bh[b_lead]
-    norm = c * c + d * d
-    b_rest = [(e, cf) for e, cf in bh.items() if e != b_lead]
-    rem = ah
-    heap = [(_lex_key(e), e) for e in rem]
-    heapify(heap)
-    quotient: _KPoly = {}
-    while heap:
-        e = heappop(heap)[1]
-        x, y = rem[e]
-        if not (x or y):
-            continue
-        t = tuple(map(sub, e, b_lead))
-        if any(ti < 0 or ti > hi for ti, hi in zip(t, top)):
-            raise ExactDivisionError(
-                "leading term is not divisible; quotient would not be exact"
-            )
-        re = x * c + y * d
-        im = y * c - x * d
-        qr, rr = divmod(re, norm)
-        qi, ri = divmod(im, norm)
-        if rr or ri:
-            qr, qi = Fraction(re, norm), Fraction(im, norm)
-        quotient[t] = (qr, qi)
-        for e2, (u, v) in b_rest:
-            e3 = tuple(map(add, t, e2))
-            old = rem.get(e3)
-            if old is None:
-                rem[e3] = (qi * v - qr * u, -qr * v - qi * u)
-                heappush(heap, (_lex_key(e3), e3))
-            else:
-                rem[e3] = (old[0] - qr * u + qi * v, old[1] - qr * v - qi * u)
-    shift = tuple(map(sub, sa, sb))
-    return {tuple(map(add, e, shift)): cf for e, cf in quotient.items()}
-
-
 # -- determinants ----------------------------------------------------------------
 
 
 def determinant_cofactor(B: PolyMatrix) -> LaurentPoly:
     """Determinant by recursive first-row expansion (exact, exponential).
 
-    Kept as an independent oracle for the Bareiss kernel.
+    Kept as an independent oracle for the Laplace sweep.
     """
     if B.rows != B.cols:
         raise ValueError(f"determinant of a non-square {B.rows}x{B.cols} matrix")
@@ -244,73 +171,36 @@ def _det_cofactor(rows: Sequence[Sequence[LaurentPoly]], dim: int) -> LaurentPol
     return total
 
 
-def _bareiss_entry(
-    pivot: _KPoly, x: _KPoly, head: _KPoly, y: _KPoly, prev: _KPoly | None
-) -> _KPoly:
-    """One Bareiss update, (pivot * x - head * y) / prev; prev None means 1."""
-    acc: _KPoly = {}
-    _mul_acc(acc, pivot, x, 1)
-    _mul_acc(acc, head, y, -1)
-    elt = {e: cf for e, cf in acc.items() if cf[0] or cf[1]}
-    return _kdiv(elt, prev) if prev is not None and elt else elt
-
-
 def _row_scale(row: Sequence[LaurentPoly]) -> int:
     """The lcm of the coefficient denominators in a row."""
     return math.lcm(*(x.denominator for p in row for c in p.terms.values() for x in (c.re, c.im)))
 
 
-def _row_echelon(A: PolyMatrix) -> Iterator[tuple[int | None, int, list[_KPoly]]]:
-    """The one fraction-free elimination: reduce the rows of A in order.
+def _scaled_kernel(A: PolyMatrix) -> tuple[list[int], list[list[_KPoly]]]:
+    """The row scales of A and its rows, each times its scale, on the kernel.
 
-    Row i is scaled by the lcm s of its denominators and reduced by the
-    earlier pivot rows with the Bareiss step, skipping each pivot column,
-    whose entry always cancels; its leftmost non-zero entry then becomes its
-    pivot.  Yields (c, s, row) per row, with c the pivot column, or None when
-    the row reduced to zero.  After t steps every entry of a reduced row is a
-    (t+1)x(t+1) minor of the scaled matrix (Sylvester's identity), so the
-    divisions are exact and a row reduces to zero exactly when it lies in the
-    span of the earlier pivot rows.
+    Row i is scaled by the lcm s_i of its denominators (:func:`_row_scale`),
+    so its entries become Gaussian integers; a minor of the scaled matrix is
+    the minor of A times the scales of its rows.
     """
-    pivots: list[tuple[int, _KPoly, list[_KPoly]]] = []
-    for entries in A.entries:
-        s = _row_scale(entries)
-        row = [_to_kernel(p, s) for p in entries]
-        prev: _KPoly | None = None
-        for c, pivot, pivot_row in pivots:
-            head = row[c]
-            row = [
-                {} if j == c else _bareiss_entry(pivot, x, head, y, prev)
-                for j, (x, y) in enumerate(zip(row, pivot_row))
-            ]
-            prev = pivot
-        c = next((j for j, x in enumerate(row) if x), None)
-        if c is not None:
-            pivots.append((c, row[c], row))
-        yield c, s, row
+    scales = [_row_scale(row) for row in A.entries]
+    return scales, [[_to_kernel(p, s) for p in row] for row, s in zip(A.entries, scales)]
 
 
 def determinant(B: PolyMatrix) -> LaurentPoly:
-    """Exact determinant of a square matrix, from one row-echelon pass.
+    """Exact determinant of a square matrix, by one Laplace sweep.
 
-    :func:`_row_echelon` scales row r by the lcm s_r of its denominators, so
-    the elimination never leaves the Gaussian integers.  When every row keeps
-    a pivot, the pivot columns in pivot order form a permutation sigma and
-    the last pivot is det(S B[:, sigma]) by Sylvester's identity, so
-    det B = sign(sigma) * (last pivot) / prod(s_r).  The first row that
-    reduces to zero proves det B = 0 and ends the pass.
+    :func:`_laplace_levels` expands the rows of the row-scaled matrix in
+    order, level t holding the non-zero t x t minors of the first t rows,
+    so the last level holds det(S B) alone, or nothing when det B = 0; then
+    det B = det(S B) / prod(s_r).  It forms 2^n - n - 1 minors and divides
+    nothing.
     """
     if B.rows != B.cols:
         raise ValueError(f"determinant of a non-square {B.rows}x{B.cols} matrix")
-    cols: list[int] = []
-    scale = 1
-    for c, s, row in _row_echelon(B):
-        if c is None:
-            return LaurentPoly.zero(B.dim)
-        cols.append(c)
-        scale *= s
-    inversions = sum(a > b for a, b in combinations(cols, 2))
-    return _from_kernel(B.dim, row[c], (-1) ** inversions * scale)
+    scales, kernel = _scaled_kernel(B)
+    [(_, level)] = _laplace_levels(kernel, B.rows)
+    return _from_kernel(B.dim, level.get(tuple(range(B.cols)), {}), math.prod(scales))
 
 
 def minor(A: PolyMatrix, rows: Iterable[int], cols: Iterable[int]) -> LaurentPoly:
@@ -356,7 +246,7 @@ def _laplace_levels(
     minors maps each column set J, in lexicographic order, to the non-zero
     det(rows[I, J]).  Level t holds the t x t minors of the row prefix
     I[:t] and is expanded along that prefix's last row from level t - 1
-    (:func:`_expand_level`).  Only the levels of the current row prefix are
+    (:func:`_next_level`).  Only the levels of the current row prefix are
     kept; row sets visited in lexicographic order share them.
     """
     path: list[tuple[int, dict[tuple[int, ...], _KPoly]]] = []
@@ -364,13 +254,23 @@ def _laplace_levels(
         keep = next((t for t, (i, _) in enumerate(path) if i != I[t]), len(path))
         del path[keep:]
         for t in range(keep + 1, size + 1):
-            row = rows[I[t - 1]]
-            if t == 1:
-                level = {(j,): x for j, x in enumerate(row) if x}
-            else:
-                level = _expand_level(row, path[-1][1], t)
-            path.append((I[t - 1], level))
+            below = path[-1][1] if path else {}
+            path.append((I[t - 1], _next_level(rows[I[t - 1]], below, t)))
         yield I, path[-1][1]
+
+
+def _next_level(
+    row: Sequence[_KPoly], below: dict[tuple[int, ...], _KPoly], t: int
+) -> dict[tuple[int, ...], _KPoly]:
+    """Level t of a row prefix ending in ``row``: its non-zero t x t minors.
+
+    Level 1 is the non-zero entries of ``row``; a higher level is expanded
+    from ``below``, level t - 1 of the prefix without ``row``
+    (:func:`_expand_level`).
+    """
+    if t == 1:
+        return {(j,): x for j, x in enumerate(row) if x}
+    return _expand_level(row, below, t)
 
 
 def _expand_level(
@@ -403,16 +303,13 @@ def iter_nonvanishing_minors(
 
     Index sets are visited in lexicographic order (rows outer, columns
     inner), so the iteration order is deterministic.  The minors come from
-    one Laplace sweep (:func:`_laplace_levels`).  Each row is first scaled
-    by the lcm of its denominators, as in :func:`_row_echelon`, so the
-    sweep stays in the Gaussian integers; a minor of the scaled matrix is
-    the minor of A times the scales of its rows.
+    one Laplace sweep (:func:`_laplace_levels`) over the row-scaled matrix
+    (:func:`_scaled_kernel`).
     """
     if size < 1:
         raise ValueError(f"minor size must be at least 1, got {size}")
     _size_guard(A.rows, A.cols, size, cap)
-    scales = [_row_scale(row) for row in A.entries]
-    kernel = [[_to_kernel(p, s) for p in row] for row, s in zip(A.entries, scales)]
+    scales, kernel = _scaled_kernel(A)
     for I, minors in _laplace_levels(kernel, size):
         scale = math.prod(scales[i] for i in I)
         for J, M in minors.items():
@@ -420,22 +317,44 @@ def iter_nonvanishing_minors(
             yield MinorCertificate(I, J, size, det, A.submatrix(I, J).l1_norm())
 
 
+def _greedy_basis(vectors: Sequence[Sequence[_KPoly]]) -> tuple[int, ...]:
+    """The lexicographically first basis among ``vectors``, by index.
+
+    Each vector is kept when it is independent of those kept before it:
+    the level of the kept vectors' maximal minors, extended along it
+    (:func:`_next_level`), is non-empty.  Each candidate forms at most
+    C(len(vector), t) minors, t the size of the extended level.
+    """
+    basis: list[int] = []
+    level: dict[tuple[int, ...], _KPoly] = {}
+    for i, v in enumerate(vectors):
+        extended = _next_level(v, level, len(basis) + 1)
+        if extended:
+            basis.append(i)
+            level = extended
+            if len(basis) == len(v):
+                break
+    return tuple(basis)
+
+
 def _rank_profile(A: PolyMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Greedy row basis I of A and the column rank profile J of A[I, :].
 
-    The rows that keep a pivot in :func:`_row_echelon` form I, and their
-    pivot columns, sorted, form J.
+    One greedy pass (:func:`_greedy_basis`) runs over the vectors of the
+    long side, then one over the vectors of the short side restricted to
+    the basis just found, so at most (rows + cols) * 2^min(rows, cols)
+    minors are formed.  Both are lexicographically first: rows of A
+    restricted to a column basis have the same dependencies as the rows of
+    A, and columns restricted to a row basis the same as the columns, so the
+    order of the two passes does not change I or J.
     """
-    row_set: list[int] = []
-    col_set: list[int] = []
-    for i, (c, _, _) in enumerate(_row_echelon(A)):
-        if c is None:
-            continue
-        row_set.append(i)
-        col_set.append(c)
-        if len(col_set) == A.cols:
-            break
-    return tuple(row_set), tuple(sorted(col_set))
+    _, rows = _scaled_kernel(A)
+    cols = [list(c) for c in zip(*rows)]
+    tall = A.rows >= A.cols
+    long_side, short_side = (rows, cols) if tall else (cols, rows)
+    first = _greedy_basis(long_side)
+    second = _greedy_basis([[v[i] for i in first] for v in short_side])
+    return (first, second) if tall else (second, first)
 
 
 def max_nonvanishing_minor(A: PolyMatrix) -> MinorCertificate:
@@ -446,12 +365,10 @@ def max_nonvanishing_minor(A: PolyMatrix) -> MinorCertificate:
     find first.  The leading min(rows, cols) minor is tried first, so a
     full-rank input whose leading minor is non-zero costs one determinant.
     Otherwise one rank-profile pass (:func:`_rank_profile`) finds I, the
-    greedy row basis, which is the lexicographically first set of rank(A)
-    independent rows, and J, the pivot columns of A[I, :].  Sorting the
-    reduced pivot rows by pivot column gives a row echelon form of A[I, :],
-    so J is its column rank profile, the lexicographically first set of
-    independent columns of A[I, :].  One determinant of A[I, J] then gives
-    the certificate.  The zero matrix is rejected.
+    lexicographically first set of rank(A) independent rows, and J, the
+    lexicographically first set of independent columns of A[I, :].  One
+    determinant of A[I, J] then gives the certificate.  The zero matrix is
+    rejected.
     """
     if A.is_zero():
         raise ZeroMatrixError("the zero matrix has no non-vanishing minor")

@@ -100,7 +100,7 @@ class GaussianRational:
         return self.re * self.re + self.im * self.im
 
     def __abs__(self) -> float:
-        return math.sqrt(float(self.abs2()))
+        return math.hypot(float(self.re), float(self.im))
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -321,7 +321,7 @@ class LaurentPoly:
 
         With real coefficients the sum is formed exactly and rounded up to
         the nearest float at the end.  With complex coefficients each
-        modulus uses a double precision square root and the final sum is
+        modulus is a double precision ``hypot`` and the final sum is
         bumped by one ulp, so the result stays a valid upper bound up to
         ~1e-15 relative slack per term.
         """

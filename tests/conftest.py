@@ -13,6 +13,12 @@ from nsbound import GaussianRational, LaurentPoly, PolyMatrix, matrices, parse_m
 
 EXAMPLE_MATRIX_TEXT = "[[z1^3, -1, 1], [2*z1*z2^2 - 16, z2, z1*z2]]"
 
+#: factors of RANK3_LEFT @ RANK3_RIGHT, a rank-3 5x6 matrix whose leading
+#: 3x3 minor does not vanish: enumerating minors in lex order meets 6 + 75
+#: vanishing 5x5 and 4x4 minors first
+RANK3_LEFT = "[[1, z1, 2], [z2, 1, -1], [3, 0, z1^-1], [1, 1, 1], [z1*z2, 2, 0]]"
+RANK3_RIGHT = "[[1, 0, z2, 1, 2, -1], [0, 1, 1, z1, 0, 3], [z1, 2, 0, 1, 1, z2^-1]]"
+
 
 @pytest.fixture
 def example_matrix() -> PolyMatrix:

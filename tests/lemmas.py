@@ -19,20 +19,7 @@ from nsbound import (
     scalar_density,
 )
 from nsbound.bounds import _norm_factor
-from nsbound.matrices import _from_kernel, _kdiv, _to_kernel
 from nsbound.poly import _float_up
-
-
-def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact quotient a / b in the Laurent ring, by the kernel's division.
-
-    Raises ExactDivisionError if b does not divide a.
-    """
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero():
-        return LaurentPoly.zero(a.dim)
-    return _from_kernel(a.dim, _kdiv(_to_kernel(a), _to_kernel(b)))
 
 
 def rescale_lambda(k: int, b_l1: float, lam: float) -> float:

@@ -291,7 +291,7 @@ def test_criterion_10_determinant_oracle(capsys):
         assert determinant_cofactor(AB) == determinant_cofactor(A) * determinant_cofactor(B)
     elapsed = time.perf_counter() - t0
     with capsys.disabled():
-        _report(10, f"200 Bareiss/cofactor agreements and 100 multiplicativity "
+        _report(10, f"200 sweep/cofactor agreements and 100 multiplicativity "
                     f"identities, exact, in {elapsed:.1f}s")
 
 

@@ -30,7 +30,14 @@ from nsbound import (
 from nsbound import matrices
 from nsbound.matrices import ZeroMatrixError
 
-from conftest import EXAMPLE_MATRIX_TEXT, count_swept_minors, matrix_product, random_poly
+from conftest import (
+    EXAMPLE_MATRIX_TEXT,
+    RANK3_LEFT,
+    RANK3_RIGHT,
+    count_swept_minors,
+    matrix_product,
+    random_poly,
+)
 from lemmas import rescale_lambda
 
 
@@ -299,6 +306,10 @@ def test_exact_lead_moduli_stay_exact(example_matrix):
 @example(Fraction(2), Fraction(0))
 @example(Fraction(3, 7), Fraction(-4, 7))
 @example(Fraction(1, 3), Fraction(0))
+# the hypot of the rounded parts lands two ulps above |lead| here, and one
+# ulp below the largest float <= |lead| in the next example
+@example(Fraction(-218534, 773), Fraction(-69719, 262))
+@example(Fraction(789079, 258), Fraction(644059, 252))
 def test_lead_abs_is_the_largest_float_below_the_modulus(re, im):
     assume(re or im)
     lead = GaussianRational(re, im)
@@ -350,12 +361,6 @@ def test_analyze_best_minor_computes_each_minor_once(example_matrix, monkeypatch
     swept = count_swept_minors(monkeypatch)
     analyze(example_matrix, minor="best")
     assert calls == [] and swept == [3]
-
-
-# A rank-3 5x6 matrix whose leading 3x3 minor does not vanish: enumerating
-# minors in lex order meets 6 + 75 vanishing 5x5 and 4x4 minors first.
-RANK3_LEFT = "[[1, z1, 2], [z2, 1, -1], [3, 0, z1^-1], [1, 1, 1], [z1*z2, 2, 0]]"
-RANK3_RIGHT = "[[1, 0, z2, 1, 2, -1], [0, 1, 1, z1, 0, 3], [z1, 2, 0, 1, 1, z2^-1]]"
 
 
 @pytest.mark.parametrize(

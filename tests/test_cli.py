@@ -72,8 +72,8 @@ def test_parse_error_exit_2(capsys, tmp_path):
     [
         # the leading coefficient's modulus underflows to zero as a float
         ("tiny.poly", "1/1" + "0" * 400 + " * z1 + 1\n", ["analyze"]),
-        # the leading coefficient's squared modulus overflows a float
-        ("huge.mat", "[[1" + "0" * 200 + "*z1 + 1, 1], [z1, 2]]\n", ["analyze"]),
+        # the leading coefficient's modulus overflows a float
+        ("huge.mat", "[[1" + "0" * 400 + "*z1 + 1, 1], [z1, 2]]\n", ["analyze"]),
         # the gram entries overflow a float, so no eigenvalue can be trusted
         ("huge-gram.mat", "[[1, 1*z1, 1" + "0" * 200 + "]]\n", ["verify", "--grid", "8"]),
     ],
@@ -86,6 +86,18 @@ def test_float_range_exit_2(capsys, tmp_path, name, text, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("coefficient", ["1" + "0" * 200, "1" + "0" * 200 + "i"])
+def test_coefficient_whose_square_leaves_the_float_range_exit_0(capsys, tmp_path, coefficient):
+    # |c| = 10^200 is a float although |c|^2 is not
+    f = tmp_path / "big.mat"
+    f.write_text(f"[[{coefficient}*z1 + 1]]\n")
+    code, out, err = run(capsys, "analyze", str(f))
+    assert code == 0
+    assert err == ""
+    assert "|lead| = 9.9999999999999997e+199" in out
+    assert "||B||_1 = 1.0000000000000001e+200" in out
 
 
 @pytest.mark.parametrize(
@@ -198,19 +210,6 @@ def test_max_points_below_one_exit_2(capsys, example_file, command, max_points):
     assert code == 2
     assert out == ""
     assert err == "error: --max-points must be at least 1\n"
-
-
-def test_exact_division_error_exit_6(capsys, example_file, monkeypatch):
-    from nsbound import matrices
-
-    def fail(B):
-        raise matrices.ExactDivisionError("remainder left")
-
-    monkeypatch.setattr(matrices, "determinant", fail)
-    code, out, err = run(capsys, "analyze", example_file)
-    assert code == 6
-    assert out == ""
-    assert err == "error: internal arithmetic error: remainder left\n"
 
 
 def test_zero_matrix_exit_3(capsys, tmp_path):
@@ -386,8 +385,7 @@ def test_example_command(capsys):
     assert "18" in out
 
 
-# exit 6 (internal arithmetic error) is documented too, but it marks a bug,
-# so no input may reach it
+# the exit codes that README and the cli module docstring list
 DOCUMENTED_EXIT_CODES = {0, 1, 2, 3, 4, 5}
 COEFFICIENTS = [str(c) for c in range(1, 10)] + [
     "1" + "0" * 200,

@@ -1,4 +1,4 @@
-"""README's Library section against the package's public names."""
+"""README against the package: its Library section and its exit codes."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import nsbound
+import nsbound.cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,3 +37,16 @@ def test_readme_export_list_names_nothing_beyond_all():
     exports = _library_section().split("no others:\n", 1)[1].split("\n\n", 1)[0]
     listed = set(re.findall(r"`([A-Za-z_]\w*)`", exports))
     assert listed and listed <= set(nsbound.__all__), listed - set(nsbound.__all__)
+
+
+def _exit_codes(text: str) -> set[int]:
+    """The codes of the sentence that begins "Exit codes:", each one a
+    number that opens the sentence or follows a comma."""
+    sentence = re.search(r"Exit codes:(.*?)\.(?:\s|$)", " ".join(text.split())).group(1)
+    return {int(code) for code in re.findall(r"(?:^|,) (\d+) ", sentence)}
+
+
+def test_readme_and_cli_docstring_list_the_same_exit_codes():
+    readme = _exit_codes(README.read_text(encoding="utf-8"))
+    assert readme == _exit_codes(nsbound.cli.__doc__)
+    assert readme == {0, 1, 2, 3, 4, 5}

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import random
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -28,15 +26,20 @@ from nsbound import (
 )
 from nsbound import matrices
 from nsbound.matrices import (
-    ExactDivisionError,
     MinorCertificate,
     MinorSearchCapExceeded,
     ZeroMatrixError,
     maximal_minors,
 )
 
-from conftest import count_swept_minors, matrix_product, random_poly, star_transpose
-from lemmas import exact_div
+from conftest import (
+    RANK3_LEFT,
+    RANK3_RIGHT,
+    count_swept_minors,
+    matrix_product,
+    random_poly,
+    star_transpose,
+)
 
 
 def random_matrix(rng, rows, cols, dim=2, max_terms=2, real_only=False):
@@ -116,84 +119,6 @@ def low_rank_matrices(draw):
     return A.submatrix(row_order, col_order)
 
 
-@contextmanager
-def time_limit(seconds: float):
-    """Turn a call that runs past ``seconds`` into a TimeoutError."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"no answer within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-# -- exact division -----------------------------------------------------------
-
-
-def test_exact_div_basic():
-    num = parse_poly("z1^2 - 1")
-    den = parse_poly("z1 + 1")
-    assert exact_div(num, den) == parse_poly("z1 - 1")
-
-
-def test_exact_div_laurent_shift():
-    num = parse_poly("z1^2 + z1")
-    den = parse_poly("z1^3 + z1^2")
-    assert exact_div(num, den) == parse_poly("z1^-1")
-
-
-def test_exact_div_rejects_inexact():
-    with pytest.raises(ExactDivisionError):
-        exact_div(parse_poly("z1^2 + 1"), parse_poly("z1 + 1"))
-
-
-def test_exact_div_random_products():
-    rng = random.Random(5)
-    for _ in range(50):
-        dim = rng.randint(1, 2)
-        a = random_poly(rng, dim, max_terms=4, exp_range=3)
-        b = random_poly(rng, dim, max_terms=4, exp_range=3)
-        assert exact_div(a * b, b) == a
-
-
-def test_exact_div_non_integral_quotient():
-    assert exact_div(parse_poly("z1 + 1"), parse_poly("2*z1 + 2")) == parse_poly("1/2")
-    assert exact_div(parse_poly("z1 - i"), parse_poly("(1 + i)*z1 + (1 - i)")) == parse_poly(
-        "(1/2 - 1/2i)"
-    )
-
-
-@st.composite
-def laurent_pairs(draw, min_b_terms=1):
-    dim = draw(st.integers(1, 3))
-    a = draw(laurent_polys(dim, max_terms=4))
-    b = draw(laurent_polys(dim, min_terms=min_b_terms, max_terms=4))
-    return dim, a, b
-
-
-@settings(max_examples=100, deadline=None)
-@given(laurent_pairs())
-def test_exact_div_recovers_factor_property(pair):
-    _, a, b = pair
-    assert exact_div(a * b, b) == a
-
-
-@settings(max_examples=100, deadline=None)
-@given(laurent_pairs(min_b_terms=2), st.data())
-def test_exact_div_remainder_raises_promptly_property(pair, data):
-    # b has two or more terms, so it is not a unit of the Laurent ring (the
-    # units are the monomials) and divides no monomial m, nor a*b + m
-    dim, a, b = pair
-    m = data.draw(laurent_polys(dim, min_terms=1, max_terms=1))
-    with time_limit(2.0), pytest.raises(ExactDivisionError):
-        exact_div(a * b + m, b)
-
-
 # -- determinants ---------------------------------------------------------------
 
 
@@ -234,7 +159,7 @@ def test_det_multiplicative():
         assert determinant(AB) == determinant(A) * determinant(B)
 
 
-def test_bareiss_equals_cofactor():
+def test_det_equals_cofactor_on_random_matrices():
     rng = random.Random(13)
     for _ in range(30):
         n = rng.randint(1, 4)
@@ -242,12 +167,11 @@ def test_bareiss_equals_cofactor():
         assert determinant(A) == determinant_cofactor(A)
 
 
-def test_bareiss_zero_pivot_swap():
+def test_det_signs_with_zero_leading_entries_and_all_4x4_permutations():
     A = parse_matrix("[[0, 1, 2, 1], [1, 0, 1, 1], [0, 0, 0, 1], [1, 1, 0, 0]]")
     assert determinant(A) == determinant_cofactor(A)
-    # row i of a permutation matrix keeps its pivot in column sigma(i), so
-    # the 24 permutations drive the echelon pass through every pivot-column
-    # order and pin the sign of the result
+    # the determinant of a permutation matrix is one signed product, so the
+    # 24 permutations pin the sign of every term of the expansion
     for sigma in permutations(range(4)):
         entries = [[LaurentPoly.zero(2)] * 4 for _ in range(4)]
         for i, j in enumerate(sigma):
@@ -311,7 +235,7 @@ def test_det_fixed_5x5_matches_stored_cofactor():
 
 
 def test_det_runs_without_per_term_objects(monkeypatch):
-    # the kernel multiplies plain int pairs; routing the elimination back
+    # the kernel multiplies plain int pairs; routing the sweep back
     # through LaurentPoly or GaussianRational products fails here
     A = parse_matrix(FIXED_5X5)
     want = parse_poly(FIXED_5X5_DET)
@@ -420,6 +344,37 @@ def test_max_minor_is_first_enumerated_property(A):
     assert max_nonvanishing_minor(A) == first
 
 
+def _wide_rank_profile_input() -> PolyMatrix:
+    """3x40 with a vanishing leading minor: every column is a multiple of
+    (1, z1, z1^2) except columns 17 and 39, which make the rank 3."""
+    special = {17: ("1", "z2", "0"), 39: ("z1^-1", "0", "1")}
+    cols = [
+        special.get(j) or tuple(f"{j + 1}*z1^{i}*z2^{j % 3}" for i in range(3))
+        for j in range(40)
+    ]
+    return parse_matrix("[" + ", ".join("[" + ", ".join(row) + "]" for row in zip(*cols)) + "]")
+
+
+@pytest.mark.parametrize("shape", ["wide", "tall", "rank3-5x6"])
+def test_rank_profile_forms_at_most_rows_plus_cols_times_2_to_the_min(shape, monkeypatch):
+    # the greedy passes run over the long side with levels keyed by subsets
+    # of the short side, so the 3x40 and 40x3 cases never enumerate the
+    # C(40, 3) = 9880 triples of the long side
+    wide = _wide_rank_profile_input()
+    A = {
+        "wide": wide,
+        "tall": PolyMatrix([list(col) for col in zip(*wide.entries)]),
+        "rank3-5x6": matrix_product(parse_matrix(RANK3_LEFT), parse_matrix(RANK3_RIGHT)),
+    }[shape]
+    swept = count_swept_minors(monkeypatch)
+    cert = max_nonvanishing_minor(A)
+    assert 0 < sum(swept) <= (A.rows + A.cols) * 2 ** min(A.rows, A.cols)
+    first = next(
+        c for size in range(min(A.rows, A.cols), 0, -1) for c in _minors_by_determinant(A, size)
+    )
+    assert cert == first and cert.size == 3
+
+
 def test_minor_search_cap():
     # rank one, so the one 6x6 minor vanishes and the best-minor search
     # goes straight to the rank, size 1, whose 36 candidates pass the cap
@@ -434,11 +389,12 @@ def test_minor_search_cap():
 
 
 def _minors_by_determinant(A, size):
-    """The enumeration the sweep must reproduce: one determinant per candidate."""
+    """The enumeration the sweep must reproduce: one cofactor determinant per
+    candidate, so the oracle shares no code with the sweep."""
     for I in combinations(range(A.rows), size):
         for J in combinations(range(A.cols), size):
             sub = A.submatrix(I, J)
-            det = determinant(sub)
+            det = determinant_cofactor(sub)
             if not det.is_zero():
                 yield MinorCertificate(I, J, size, det, sub.l1_norm())
 
@@ -454,24 +410,14 @@ def rectangular_matrices(draw):
     return PolyMatrix([[draw(entry) for _ in range(n)] for _ in range(m)])
 
 
-def _outcome(minors):
-    """The certificates, or OverflowError where b_l1 leaves the float range
-    (the modulus of a coefficient like 10^200 * i is computed from its
-    square)."""
-    try:
-        return list(minors)
-    except OverflowError:
-        return OverflowError
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(rectangular_matrices(), low_rank_matrices()))
 def test_sweep_matches_determinant_enumeration_property(A):
     # certificate for certificate (row_set, col_set, size, det, b_l1) and in
     # the same order, at every size
     for size in range(1, min(A.rows, A.cols) + 1):
-        want = _outcome(_minors_by_determinant(A, size))
-        assert _outcome(iter_nonvanishing_minors(A, size)) == want, size
+        want = list(_minors_by_determinant(A, size))
+        assert list(iter_nonvanishing_minors(A, size)) == want, size
 
 
 @pytest.mark.parametrize(
