@@ -18,7 +18,7 @@ from .bounds import (
     bound_coefficient,
     ns_lower_bound,
 )
-from .density import DensityCurve, TorusGrid, alpha_fit, matrix_density, scalar_density
+from .density import DensityCurve, TorusGrid, alpha_fit, matrix_density
 from .matrices import (
     MinorCertificate,
     PolyMatrix,
@@ -66,6 +66,5 @@ __all__ = [
     "ns_lower_bound",
     "parse_matrix",
     "parse_poly",
-    "scalar_density",
     "width_profile",
 ]

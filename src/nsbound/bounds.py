@@ -37,7 +37,7 @@ from .matrices import (
     max_nonvanishing_minor,
     maximal_minors,
 )
-from .poly import LaurentPoly, WidthProfile, _float_down, _float_up, width_profile
+from .poly import LaurentPoly, WidthProfile, _abs_down, _float_down, _float_up, width_profile
 
 #: 8*sqrt(3)/sqrt(47) = sqrt(192/47), rounded up: 2.0211646105596457.
 SPECTRAL_CONSTANT = math.nextafter(8.0 * math.sqrt(3.0) / math.sqrt(47.0), math.inf)
@@ -111,21 +111,10 @@ def bound_coefficient(params: BoundParameters) -> float:
 
 
 def _lead_abs_down(profile: WidthProfile) -> float:
-    """|lead| as a float no greater than it (it sits in a denominator).
-
-    ``abs`` is the ``hypot`` of the rounded parts: finite wherever |lead|
-    is, but up to two ulps from it on either side.  So it steps down one
-    ulp at a time while its exact square exceeds |lead|^2, then up while
-    the next float's does not, and returns the largest float <= |lead|.
-    """
-    abs2 = profile.lead.abs2()
-    f = abs(profile.lead)
+    """The largest float <= |lead| (it sits in a denominator)."""
+    f = _abs_down(profile.lead)
     if f == 0.0:
         raise OverflowError("leading coefficient modulus underflows to zero")
-    while Fraction(f) ** 2 > abs2:
-        f = math.nextafter(f, 0.0)
-    while Fraction(up := math.nextafter(f, math.inf)) ** 2 <= abs2:
-        f = up
     return f
 
 

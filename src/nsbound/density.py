@@ -1,20 +1,20 @@
 """Brute-force spectral density estimation over the d-torus.
 
-The density of a polynomial p at lambda is the Haar measure of the set
-where |p| <= lambda; for a matrix it is the average number of eigenvalues
-of the pointwise gram matrix below lambda^2.  Both are estimated by
+The density of a matrix at lambda is the average number of eigenvalues of
+the pointwise gram matrix below lambda^2; for a 1x1 matrix [[p]] it is the
+Haar measure of the set where |p| <= lambda.  It is estimated by
 deterministic quadrature: a midpoint product grid by default, optionally a
 rank-1 Korobov lattice shifted by numpy's ``default_rng(seed).random(d)``,
 computed by ``_pcg64`` without importing ``numpy.random``.
 
 Exactness conventions that the tests rely on:
 
-* Scalar densities normalize by the exact leading coefficient, so the
-  float sample set of p and of c*p is literally identical, and thresholds
-  are exact rationals rounded down to the nearest float.  The scaling
-  identity F(c*p)(lambda) = F(p)(lambda/|c|) then holds at the level of
-  integer sample counts.
-* A one-term polynomial has constant modulus on the torus, so its density
+* A 1x1 matrix [[p]] is normalized by the exact leading coefficient of p,
+  so the float sample set of p and of c*p is literally identical, and
+  thresholds are exact rationals rounded down to the nearest float.  The
+  scaling identity F(c*p)(lambda) = F(p)(lambda/|c|) then holds at the
+  level of integer sample counts.
+* A one-term 1x1 entry has constant modulus on the torus, so its density
   is an exact step; no quadrature is performed.
 * Counting uses the closed condition (<=) throughout.
 
@@ -34,7 +34,6 @@ does not grow with the grid (about 4.4 MiB per worker for a 4x4 matrix
 over three variables) and no chunk faults fresh pages in: a complex array
 of 8192 points is exactly glibc's 128 KiB mmap threshold, so arrays
 allocated afresh per chunk would be mapped and unmapped every chunk.
-Scalar densities run through the same evaluator as 1x1 matrices.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from .matrices import PolyMatrix
 from .poly import (
     GaussianRational,
     LaurentPoly,
-    ZeroPolynomialError,
     _float_down,
     _power_rows,
     _power_table,
@@ -299,13 +297,15 @@ class DensityCurve:
         if any(b < a for a, b in zip(lam, lam[1:])):
             raise ValueError("lambdas must be ascending")
         if any(b < a for a, b in zip(self.counts, self.counts[1:])):
-            raise AssertionError("counts must be non-decreasing")
+            raise ValueError("counts must be non-decreasing")
 
 
 def _check_lambdas(lambdas: Sequence[float]) -> tuple[float, ...]:
     lam = tuple(float(x) for x in lambdas)
     if not lam:
         raise ValueError("empty lambda list")
+    if not all(math.isfinite(x) for x in lam):
+        raise ValueError("lambda values must be finite")
     if any(x < 0 for x in lam):
         raise ValueError("lambda values must be >= 0")
     if any(b < a for a, b in zip(lam, lam[1:])):
@@ -332,41 +332,6 @@ def _count_at_most(samples: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return np.cumsum(np.bincount(slot, minlength=len(thresholds) + 1)[:-1])
 
 
-def scalar_density(
-    p: LaurentPoly,
-    lambdas: Sequence[float],
-    grid: TorusGrid,
-    workers: int = 1,
-) -> DensityCurve:
-    """Fraction of the torus where |p| <= lambda, for each lambda.
-
-    One evaluation pass is shared across all thresholds.  The polynomial is
-    divided by its exact leading coefficient before evaluation, and the
-    thresholds absorb the scale exactly, so densities of p and c*p agree
-    count-for-count at corresponding lambdas.
-    """
-    if p.is_zero():
-        raise ZeroPolynomialError("density of the zero polynomial is undefined")
-    if grid.dim != p.dim:
-        raise ValueError(f"grid dimension {grid.dim} != polynomial dimension {p.dim}")
-    lam = _check_lambdas(lambdas)
-    lead = lead_lex(p)
-    if p.is_monomial():
-        # |p| is constant |lead| on the torus: the density is an exact step.
-        lead2 = lead.abs2()
-        counts = tuple(
-            grid.total if Fraction(x) * Fraction(x) >= lead2 else 0 for x in lam
-        )
-        estimates = tuple(c / grid.total for c in counts)
-        return DensityCurve(lam, counts, estimates, 0)
-    q = p * (GaussianRational(1) / lead)
-    thresholds = _squared_thresholds(lam, lead.abs2())
-    totals = _sum_chunks(grid, _chunk_counter([[q]], thresholds, grid), workers)
-    counts = tuple(int(c) for c in totals)
-    estimates = tuple(c / grid.total for c in counts)
-    return DensityCurve(lam, counts, estimates, 0)
-
-
 def matrix_density(
     A: PolyMatrix,
     k: int,
@@ -381,6 +346,12 @@ def matrix_density(
     diagonalized and the |rows - cols| exact zero eigenvalues are added as
     a constant.  ``k`` (the maximal non-vanishing minor size) fixes the
     analytic value f_zero = max(rows, cols) - k.
+
+    A 1x1 matrix [[p]] is the fraction of the torus where |p| <= lambda.
+    A zero p raises ``ZeroPolynomialError``.  A one-term p is the exact
+    step at |lead|, with no quadrature.  Any other p is divided by its
+    exact leading coefficient and the thresholds absorb the scale exactly,
+    so p and c*p agree count for count at corresponding lambdas.
     """
     if grid.dim != A.dim:
         raise ValueError(f"grid dimension {grid.dim} != matrix dimension {A.dim}")
@@ -389,8 +360,18 @@ def matrix_density(
     extra_zeros = max(A.rows, A.cols) - small
     if not 1 <= k <= small:
         raise ValueError(f"minor size {k} out of range for a {A.rows}x{A.cols} matrix")
-    thresholds = _squared_thresholds(lam, Fraction(1))
-    totals = _sum_chunks(grid, _chunk_counter(A.entries, thresholds, grid), workers)
+    entries, scale2 = A.entries, Fraction(1)
+    if A.rows == A.cols == 1:
+        p = A[0, 0]
+        lead = lead_lex(p)
+        scale2 = lead.abs2()
+        if p.is_monomial():
+            # |p| is constant |lead| on the torus: the density is an exact step.
+            counts = tuple(grid.total if Fraction(x) ** 2 >= scale2 else 0 for x in lam)
+            return DensityCurve(lam, counts, tuple(c / grid.total for c in counts), 0)
+        entries = [[p * (GaussianRational(1) / lead)]]
+    thresholds = _squared_thresholds(lam, scale2)
+    totals = _sum_chunks(grid, _chunk_counter(entries, thresholds, grid), workers)
     counts = tuple(int(c) + extra_zeros * grid.total for c in totals)
     estimates = tuple(c / grid.total for c in counts)
     return DensityCurve(lam, counts, estimates, max(A.rows, A.cols) - k)

@@ -154,6 +154,38 @@ def _float_down(x: Fraction) -> float:
     return f
 
 
+def _abs_down(c: GaussianRational) -> float:
+    """Largest float <= |c|; OverflowError beyond the float range.
+
+    ``abs`` is the ``hypot`` of the rounded parts: finite wherever |c| is,
+    but up to two ulps from it on either side.  So it steps down one ulp
+    at a time while its exact square exceeds |c|^2, then up while the next
+    float's does not.
+    """
+    abs2 = c.abs2()
+    f = abs(c)
+    while Fraction(f) ** 2 > abs2:
+        f = math.nextafter(f, 0.0)
+    while (up := math.nextafter(f, math.inf)) < math.inf and Fraction(up) ** 2 <= abs2:
+        f = up
+    return f
+
+
+def _abs_up(c: GaussianRational) -> Fraction:
+    """A rational >= |c|: |c| itself when that is rational, else within 2^-99 of it.
+
+    With |c|^2 = n/d, |c| = sqrt(n*d*4^s) / (d*2^s); s gives the integer
+    square root at least 100 bits, and it is rounded up.  A float bound per
+    term would round a sum up once per term: 10^200 + 1 would come out two
+    ulps above it instead of one.
+    """
+    n, d = c.abs2().as_integer_ratio()
+    s = max(0, 201 - (n * d).bit_length()) // 2
+    m = n * d << 2 * s
+    r = math.isqrt(m)
+    return Fraction(r + (r * r < m), d << s)
+
+
 class LaurentPoly:
     """A sparse Laurent polynomial with GaussianRational coefficients.
 
@@ -317,20 +349,14 @@ class LaurentPoly:
     # -- norms and evaluation -------------------------------------------
 
     def l1_norm(self) -> float:
-        """Sum of coefficient moduli, reported as a float upper bound.
+        """Sum of coefficient moduli, rounded up to a float upper bound.
 
-        With real coefficients the sum is formed exactly and rounded up to
-        the nearest float at the end.  With complex coefficients each
-        modulus is a double precision ``hypot`` and the final sum is
-        bumped by one ulp, so the result stays a valid upper bound up to
-        ~1e-15 relative slack per term.
+        A real coefficient adds |re|, a complex one ``_abs_up``, which is
+        exact when its modulus is rational, and the sum is rounded up once,
+        so with real coefficients the result is the smallest float >= the norm.
         """
-        if not self._terms:
-            return 0.0
-        if all(c.is_real() for c in self._terms.values()):
-            return _float_up(sum(abs(c.re) for c in self._terms.values()))
-        total = math.fsum(abs(c) for c in self._terms.values())
-        return math.nextafter(total, math.inf)
+        terms = self._terms.values()
+        return _float_up(sum(abs(c.re) if c.is_real() else _abs_up(c) for c in terms))
 
     def eval_block(
         self,

@@ -16,7 +16,6 @@ from nsbound import (
     TorusGrid,
     determinant,
     matrix_density,
-    scalar_density,
 )
 from nsbound.bounds import _norm_factor
 from nsbound.poly import _float_up
@@ -24,7 +23,7 @@ from nsbound.poly import _float_up
 
 def rescale_lambda(k: int, b_l1: float, lam: float) -> float:
     """(k^2 * b_l1)^(k-1) * lam, rounded up: the bound's argument change
-    from matrix to scalar density."""
+    from the matrix density to that of det B."""
     return _float_up(_norm_factor(k, b_l1) * Fraction(lam))
 
 
@@ -33,9 +32,10 @@ def product_violations(
 ) -> list[float]:
     """F(q1*q2)(lam) - (F(q1)(lam^(1-s)) + F(q2)(lam^s)) for each lambda."""
     assert 0.0 < s < 1.0
-    left = scalar_density(q1 * q2, lambdas, grid)
-    right1 = scalar_density(q1, [x ** (1.0 - s) for x in lambdas], grid)
-    right2 = scalar_density(q2, [x**s for x in lambdas], grid)
+    left = matrix_density(PolyMatrix([[q1 * q2]]), 1, lambdas, grid)
+    lam1 = [x ** (1.0 - s) for x in lambdas]
+    right1 = matrix_density(PolyMatrix([[q1]]), 1, lam1, grid)
+    right2 = matrix_density(PolyMatrix([[q2]]), 1, [x**s for x in lambdas], grid)
     return [l - (a + b) for l, a, b in zip(left.estimates, right1.estimates, right2.estimates)]
 
 
@@ -50,5 +50,5 @@ def det_domination_violations(
     k = B.rows
     left = matrix_density(B, k, lambdas, grid)
     scaled = [rescale_lambda(k, B.l1_norm(), x) for x in lambdas]
-    right = scalar_density(determinant(B), scaled, grid)
+    right = matrix_density(PolyMatrix([[determinant(B)]]), 1, scaled, grid)
     return [l - k * r for l, r in zip(left.estimates, right.estimates)]

@@ -305,6 +305,17 @@ def test_density_two_valued_for_unit_variable(capsys, tmp_path):
     assert values == {"0", "1"}
 
 
+def test_density_of_one_term_poly_is_the_exact_step_at_lead(capsys, tmp_path):
+    # the default range ends at |lead| = 5, where |5*z1^2| <= 5 on the whole torus
+    f = tmp_path / "m.poly"
+    f.write_text("5*z1^2\n")
+    code, out, _ = run(capsys, "density", str(f), "--grid", "300")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert rows[-1][:2] == ["5", "1"]
+    assert {r[1] for r in rows} == {"0", "1"}
+
+
 def test_csv_byte_identical_across_workers(tmp_path, example_file, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsbound import (
+    DensityCurve,
     GaussianRational,
     LaurentPoly,
     PolyMatrix,
@@ -25,7 +26,6 @@ from nsbound import (
     matrix_density,
     parse_matrix,
     parse_poly,
-    scalar_density,
 )
 from nsbound import density
 from nsbound.density import (
@@ -119,8 +119,8 @@ def test_block_ranges_partition():
 def test_lattice_density_agrees_with_midpoint():
     p = parse_poly("z1*z2 - 2")
     lams = [0.5, 1.0, 1.5, 2.5]
-    mid = scalar_density(p, lams, TorusGrid.midpoint(2, 120))
-    lat = scalar_density(p, lams, TorusGrid.lattice(2, 120 * 120, seed=1))
+    mid = matrix_density(PolyMatrix([[p]]), 1, lams, TorusGrid.midpoint(2, 120))
+    lat = matrix_density(PolyMatrix([[p]]), 1, lams, TorusGrid.lattice(2, 120 * 120, seed=1))
     for a, b in zip(mid.estimates, lat.estimates):
         assert a == pytest.approx(b, abs=0.02)
 
@@ -179,51 +179,51 @@ def test_eigen_example_corner_gram():
     assert hi == pytest.approx(198.1470982847443, rel=1e-10)
 
 
-# -- scalar density ----------------------------------------------------------------
+# -- polynomials as 1x1 matrices --------------------------------------------------
 
 
-def test_scalar_density_unit_variable_step():
+def test_poly_density_unit_variable_step():
     p = parse_poly("z1")
     g = TorusGrid.midpoint(1, 101)
-    curve = scalar_density(p, [0.5, 0.999, 1.0, 1.5], g)
+    curve = matrix_density(PolyMatrix([[p]]), 1, [0.5, 0.999, 1.0, 1.5], g)
     assert curve.estimates == (0.0, 0.0, 1.0, 1.0)
 
 
-def test_scalar_density_arc_oracle_z_minus_one():
+def test_poly_density_arc_oracle_z_minus_one():
     g = TorusGrid.midpoint(1, 30000)
-    curve = scalar_density(parse_poly("z1 - 1"), [1.0], g)
+    curve = matrix_density(PolyMatrix([[parse_poly("z1 - 1")]]), 1, [1.0], g)
     assert curve.estimates[0] == pytest.approx(1.0 / 3.0, abs=1e-4)
 
 
-def test_scalar_density_arc_oracle_general_radius():
+def test_poly_density_arc_oracle_general_radius():
     g = TorusGrid.midpoint(1, 30000)
     lams = np.linspace(0.05, 3.2, 40).tolist()
     for r in (0.5, 2.0):
         p = parse_poly(f"z1 - {Fraction(r)}")
-        curve = scalar_density(p, lams, g)
+        curve = matrix_density(PolyMatrix([[p]]), 1, lams, g)
         for lam, est in zip(lams, curve.estimates):
             assert est == pytest.approx(arc_measure(r, lam), abs=5e-4)
 
 
-def test_scalar_density_complex_root_uses_modulus():
+def test_poly_density_complex_root_uses_modulus():
     # |z - i| is distributed like |z - 1|
     g = TorusGrid.midpoint(1, 20000)
     lams = [0.3, 0.8, 1.4]
-    ci = scalar_density(parse_poly("z1 - i"), lams, g)
+    ci = matrix_density(PolyMatrix([[parse_poly("z1 - i")]]), 1, lams, g)
     for lam, est in zip(lams, ci.estimates):
         assert est == pytest.approx(arc_measure(1.0, lam), abs=5e-4)
 
 
-def test_scalar_density_monomial_exact_step_any_grid():
+def test_poly_density_monomial_exact_step_any_grid():
     p = parse_poly("5*z1^2*z2^-1")
     for n in (3, 7, 20):
         g = TorusGrid.midpoint(2, n)
-        curve = scalar_density(p, [4.999999, 5.0, 5.000001], g)
+        curve = matrix_density(PolyMatrix([[p]]), 1, [4.999999, 5.0, 5.000001], g)
         assert curve.estimates == (0.0, 1.0, 1.0)
         assert curve.counts == (0, g.total, g.total)
 
 
-def test_scalar_density_linear_domination_incl_complex_roots():
+def test_poly_density_linear_domination_incl_complex_roots():
     # C*lambda dominates the density of z - a for real and complex a alike
     from nsbound import SPECTRAL_CONSTANT
 
@@ -237,23 +237,23 @@ def test_scalar_density_linear_domination_incl_complex_roots():
         "z1 - (1 + i)": None,
     }
     for text in cases:
-        curve = scalar_density(parse_poly(text), lams, g)
+        curve = matrix_density(PolyMatrix([[parse_poly(text)]]), 1, lams, g)
         for lam, est in zip(lams, curve.estimates):
             assert est <= SPECTRAL_CONSTANT * lam + g.epsilon_quad()
 
 
-def test_scalar_density_monotone_and_bounded():
+def test_poly_density_monotone_and_bounded():
     rng = random.Random(8)
     g = TorusGrid.midpoint(1, 2048)
     for _ in range(10):
         p = random_poly(rng, 1, max_terms=5, exp_range=4)
         lams = sorted(rng.uniform(0, 4) for _ in range(12))
-        curve = scalar_density(p, lams, g)
+        curve = matrix_density(PolyMatrix([[p]]), 1, lams, g)
         assert all(b >= a for a, b in zip(curve.estimates, curve.estimates[1:]))
         assert all(0.0 <= e <= 1.0 for e in curve.estimates)
 
 
-def test_scalar_density_scaling_identity_exact_counts():
+def test_poly_density_scaling_identity_exact_counts():
     rng = random.Random(404)
     g = TorusGrid.midpoint(1, 4096)
     for _ in range(25):
@@ -267,27 +267,40 @@ def test_scalar_density_scaling_identity_exact_counts():
         if not c:
             continue
         lams = sorted(rng.uniform(0.01, 5.0) for _ in range(16))
-        scaled = scalar_density(p * c, lams, g)
-        base = scalar_density(p, [x / abs(c) for x in lams], g)
+        scaled = matrix_density(PolyMatrix([[p * c]]), 1, lams, g)
+        base = matrix_density(PolyMatrix([[p]]), 1, [x / abs(c) for x in lams], g)
         assert scaled.counts == base.counts
 
 
-def test_scalar_density_errors():
+def test_poly_density_errors():
     g = TorusGrid.midpoint(1, 16)
     with pytest.raises(ValueError):
-        scalar_density(parse_poly("z1"), [], g)
+        matrix_density(PolyMatrix([[parse_poly("z1")]]), 1, [], g)
     with pytest.raises(ValueError):
-        scalar_density(parse_poly("z1"), [2.0, 1.0], g)
+        matrix_density(PolyMatrix([[parse_poly("z1")]]), 1, [2.0, 1.0], g)
     with pytest.raises(ValueError):
-        scalar_density(LaurentPoly.zero(1), [1.0], g)
+        matrix_density(PolyMatrix([[LaurentPoly.zero(1)]]), 1, [1.0], g)
 
 
-def test_scalar_density_workers_bit_identical():
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_lambdas_rejected(bad):
+    g = TorusGrid.midpoint(1, 16)
+    for text in ("[[z1 - 1]]", "[[z1]]", "[[z1, 1]]"):
+        with pytest.raises(ValueError, match="finite"):
+            matrix_density(parse_matrix(text), 1, [0.5, bad], g)
+
+
+def test_density_curve_rejects_decreasing_counts():
+    with pytest.raises(ValueError, match="non-decreasing"):
+        DensityCurve((1.0, 2.0), (3, 2), (0.75, 0.5), 0)
+
+
+def test_poly_density_workers_bit_identical():
     p = parse_poly("z1^3 - 2*z1 + 1")
     g = TorusGrid.midpoint(1, 200000)
     lams = np.geomspace(1e-3, 3, 24).tolist()
-    c1 = scalar_density(p, lams, g, workers=1)
-    c2 = scalar_density(p, lams, g, workers=3)
+    c1 = matrix_density(PolyMatrix([[p]]), 1, lams, g, workers=1)
+    c2 = matrix_density(PolyMatrix([[p]]), 1, lams, g, workers=3)
     assert c1.counts == c2.counts
     assert c1.estimates == c2.estimates
 
@@ -307,7 +320,7 @@ def test_matrix_density_block_additivity_exact():
     g = TorusGrid.midpoint(1, 512)
     zero = LaurentPoly.zero(1)
     for trial in range(10):
-        # leading coefficients forced to 1 so the scalar normalization is the
+        # leading coefficients forced to 1 so the 1x1 normalization is the
         # identity and the comparison is bit-exact
         p = random_poly(rng, 1, max_terms=4, exp_range=3, real_only=True) + LaurentPoly.monomial(1, (9,), 1)
         q = random_poly(rng, 1, max_terms=4, exp_range=3, real_only=True) + LaurentPoly.monomial(1, (9,), 1)
@@ -316,8 +329,8 @@ def test_matrix_density_block_additivity_exact():
         A = PolyMatrix([[p, zero], [zero, q]])
         lams = sorted(rng.uniform(0.01, 6.0) for _ in range(10))
         both = matrix_density(A, 2, lams, g)
-        cp = scalar_density(p, lams, g)
-        cq = scalar_density(q, lams, g)
+        cp = matrix_density(PolyMatrix([[p]]), 1, lams, g)
+        cq = matrix_density(PolyMatrix([[q]]), 1, lams, g)
         assert both.counts == tuple(a + b for a, b in zip(cp.counts, cq.counts))
 
 
@@ -417,7 +430,7 @@ def test_counts_do_not_depend_on_chunk_size(monkeypatch, grid):
     runs = []
     for chunk, workers in ((1000, 1), (1000, 2), (density.CHUNK, 1), (grid.total, 1)):
         monkeypatch.setattr(density, "CHUNK", chunk)
-        curves = [scalar_density(p, lams, grid, workers)]
+        curves = [matrix_density(PolyMatrix([[p]]), 1, lams, grid, workers)]
         for text in CHUNK_MATRICES.values():
             A = parse_matrix(text)
             curves.append(matrix_density(A, min(A.rows, A.cols), lams, grid, workers))
@@ -513,12 +526,9 @@ def _arcsine_density(mu: float) -> float:
 def _assert_midpoint_error(p: LaurentPoly, exact, arcs: int, n_points: int):
     grid = TorusGrid.midpoint(1, n_points)
     lams = np.geomspace(1e-3, 2.5, 50).tolist()
-    for curve in (
-        scalar_density(p, lams, grid),
-        matrix_density(PolyMatrix([[p]]), 1, lams, grid),
-    ):
-        for lam, est in zip(lams, curve.estimates):
-            assert abs(est - exact(lam)) <= arcs / n_points + 1e-12, lam
+    curve = matrix_density(PolyMatrix([[p]]), 1, lams, grid)
+    for lam, est in zip(lams, curve.estimates):
+        assert abs(est - exact(lam)) <= arcs / n_points + 1e-12, lam
 
 
 @pytest.mark.parametrize(
@@ -616,7 +626,7 @@ def test_det_domination_example_submatrix(example_matrix):
 def test_alpha_fit_linear_factor():
     g = TorusGrid.midpoint(1, 200000)
     lams = np.geomspace(1e-4, 1e-1, 40).tolist()
-    curve = scalar_density(parse_poly("z1 - 1"), lams, g)
+    curve = matrix_density(PolyMatrix([[parse_poly("z1 - 1")]]), 1, lams, g)
     a, r2 = alpha_fit(curve, (1e-4, 1e-1))
     assert a == pytest.approx(1.0, abs=0.03)
     assert r2 >= 0.99
@@ -626,7 +636,7 @@ def test_alpha_fit_squared_factor():
     g = TorusGrid.midpoint(1, 200000)
     lams = np.geomspace(1e-4, 1e-1, 40).tolist()
     p = parse_poly("z1^2 - 2*z1 + 1")  # (z-1)^2
-    curve = scalar_density(p, lams, g)
+    curve = matrix_density(PolyMatrix([[p]]), 1, lams, g)
     a, r2 = alpha_fit(curve, (1e-4, 1e-1))
     assert a == pytest.approx(0.5, abs=0.03)
     assert r2 >= 0.99
@@ -634,7 +644,8 @@ def test_alpha_fit_squared_factor():
 
 def test_alpha_fit_step_curve_rejected():
     g = TorusGrid.midpoint(2, 32)
-    curve = scalar_density(parse_poly("5*z1^2*z2^-1"), [0.5, 1.0, 2.0, 3.0, 4.0, 4.9], g)
+    A = PolyMatrix([[parse_poly("5*z1^2*z2^-1")]])
+    curve = matrix_density(A, 1, [0.5, 1.0, 2.0, 3.0, 4.0, 4.9], g)
     with pytest.raises(InsufficientDataError):
         alpha_fit(curve, (0.5, 4.9))
 
@@ -642,7 +653,7 @@ def test_alpha_fit_step_curve_rejected():
 def test_alpha_fit_equal_lambdas_rejected():
     # every usable point sits at lambda = 1: no slope, not a 0/0 slope of nan
     g = TorusGrid.midpoint(1, 10)
-    curve = scalar_density(parse_poly("z1 - 1"), [1.0] * 8, g)
+    curve = matrix_density(PolyMatrix([[parse_poly("z1 - 1")]]), 1, [1.0] * 8, g)
     assert sum(est > curve.f_zero for est in curve.estimates) >= 5
     with pytest.raises(InsufficientDataError, match="distinct lambdas"):
         alpha_fit(curve, (1.0, 1.0))
@@ -651,7 +662,7 @@ def test_alpha_fit_equal_lambdas_rejected():
 def test_default_fit_window():
     g = TorusGrid.midpoint(1, 50000)
     lams = np.geomspace(1e-4, 1.0, 48).tolist()
-    curve = scalar_density(parse_poly("z1 - 1"), lams, g)
+    curve = matrix_density(PolyMatrix([[parse_poly("z1 - 1")]]), 1, lams, g)
     lo, hi = default_fit_window(curve)
     assert lo >= lams[0]
     assert hi <= lams[-1]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import permutations
 
@@ -19,7 +21,14 @@ from nsbound import (
     parse_poly,
     width_profile,
 )
-from nsbound.poly import DimensionMismatch, ZeroPolynomialError, _power_rows, _power_table
+from nsbound.poly import (
+    DimensionMismatch,
+    ZeroPolynomialError,
+    _abs_down,
+    _abs_up,
+    _power_rows,
+    _power_table,
+)
 
 from conftest import eval_at, random_poly
 
@@ -138,6 +147,67 @@ def test_l1_example_entry():
 def test_l1_gaussian_modulus():
     p = parse_poly("(3 + 4i)*z1")
     assert p.l1_norm() == pytest.approx(5.0, rel=1e-12)
+
+
+# coefficients near 1, 1e200 and 1e-200: squares leave the float range
+scaled_gaussians = st.builds(
+    lambda re, im, scale: GaussianRational(re * scale, im * scale),
+    st.fractions(-10**6, 10**6, max_denominator=10**6),
+    st.fractions(-10**6, 10**6, max_denominator=10**6),
+    st.sampled_from([1, 10**200, Fraction(1, 10**200)]),
+).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_gaussians)
+@example(GaussianRational(Fraction(-22409, 13992), Fraction(-335759, 831240)))
+@example(GaussianRational(3, 4))
+@example(GaussianRational(Fraction(-1, 3)))
+@example(GaussianRational(int(sys.float_info.max)))
+def test_abs_bounds_enclose_the_modulus_tightly(c):
+    lo, hi = _abs_down(c), _abs_up(c)
+    # lo is the largest float <= |c|; hi is |c| when that is rational (n/d
+    # in lowest terms is a square exactly when n*d is), else just above it
+    above = math.nextafter(lo, math.inf)
+    assert Fraction(lo) ** 2 <= c.abs2()
+    assert above == math.inf or c.abs2() < Fraction(above) ** 2
+    assert c.abs2() <= hi**2 <= c.abs2() * (1 + Fraction(1, 2**98))
+    n, d = c.abs2().as_integer_ratio()
+    assert (hi**2 == c.abs2()) == (math.isqrt(n * d) ** 2 == n * d)
+
+
+def _decimal_l1(p: LaurentPoly) -> Decimal:
+    """Sum of coefficient moduli to 60 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        squares = (c.abs2() for c in p.terms.values())
+        return sum(((Decimal(a.numerator) / a.denominator).sqrt() for a in squares), Decimal(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(scaled_gaussians, min_size=2, max_size=6))
+@example(
+    [
+        GaussianRational(Fraction(-22409, 13992), Fraction(-335759, 831240)),
+        GaussianRational(Fraction(776570, 607133), Fraction(873805, 966108)),
+    ]
+)
+def test_l1_norm_bounds_the_decimal_sum_from_above(coeffs):
+    p = LaurentPoly(1, {(j,): c for j, c in enumerate(coeffs)})
+    exact = _decimal_l1(p)
+    f = p.l1_norm()
+    # the smallest float above the sum, up to the 60-digit sum's and
+    # _abs_up's relative errors, which are far below a float's 1e-16
+    assert Decimal(f) >= exact * (1 - Decimal(10) ** -50)
+    assert Decimal(math.nextafter(f, -math.inf)) < exact * (1 + Decimal(10) ** -28)
+
+
+@settings(max_examples=200)
+@given(polys(real_only=True))
+def test_l1_real_is_the_smallest_float_above_the_exact_sum(p):
+    exact = sum((abs(c.re) for c in p.terms.values()), Fraction(0))
+    f = p.l1_norm()
+    assert Fraction(math.nextafter(f, -math.inf)) < exact <= Fraction(f)
 
 
 @settings(max_examples=100)
