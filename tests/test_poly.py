@@ -192,14 +192,19 @@ def _decimal_l1(p: LaurentPoly) -> Decimal:
         GaussianRational(Fraction(776570, 607133), Fraction(873805, 966108)),
     ]
 )
+# the sum 1 + 1e-200 rounds to 1 in 60 digits, and its norm is the float after 1
+@example([GaussianRational(0, 1), GaussianRational(0, Fraction(1, 10**200))])
 def test_l1_norm_bounds_the_decimal_sum_from_above(coeffs):
     p = LaurentPoly(1, {(j,): c for j, c in enumerate(coeffs)})
     exact = _decimal_l1(p)
     f = p.l1_norm()
     # the smallest float above the sum, up to the 60-digit sum's and
-    # _abs_up's relative errors, which are far below a float's 1e-16
-    assert Decimal(f) >= exact * (1 - Decimal(10) ** -50)
-    assert Decimal(math.nextafter(f, -math.inf)) < exact * (1 + Decimal(10) ** -28)
+    # _abs_up's relative errors, which are far below a float's 1e-16; the
+    # tolerances are formed in 60 digits, since 1 + 1e-28 rounds to 1 in 28
+    with localcontext() as ctx:
+        ctx.prec = 60
+        assert Decimal(f) >= exact * (1 - Decimal(10) ** -50)
+        assert Decimal(math.nextafter(f, -math.inf)) < exact * (1 + Decimal(10) ** -28)
 
 
 @settings(max_examples=200)
