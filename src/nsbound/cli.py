@@ -62,15 +62,13 @@ def _read_matrix(path: str) -> PolyMatrix:
 
 
 def _grid_for(args: argparse.Namespace, dim: int) -> TorusGrid:
+    # the cost guard comes first: it outranks the grids' own size limits
+    total = args.grid**dim if args.lattice is None else args.lattice
+    if total > args.max_points:
+        raise CostGuardExceeded(f"grid has {total} points, beyond the cap of {args.max_points}")
     if args.lattice is not None:
-        grid = TorusGrid.lattice(dim, args.lattice, args.seed)
-    else:
-        grid = TorusGrid.midpoint(dim, args.grid)
-    if grid.total > args.max_points:
-        raise CostGuardExceeded(
-            f"grid has {grid.total} points, beyond the cap of {args.max_points}"
-        )
-    return grid
+        return TorusGrid.lattice(dim, args.lattice, args.seed)
+    return TorusGrid.midpoint(dim, args.grid)
 
 
 def _lambda_grid(args: argparse.Namespace, report: BoundReport) -> list[float]:
@@ -302,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: Smallest accepted value of each integer option, checked in this order.
-_LEAST = {"grid": 2, "points": 2, "workers": 1, "max_points": 1, "minor_cap": 1, "seed": 0}
+_LEAST = {
+    "grid": 2, "lattice": 1, "points": 2, "workers": 1, "max_points": 1, "minor_cap": 1, "seed": 0
+}
 
 _COMMANDS = {
     "analyze": cmd_analyze,
@@ -316,7 +316,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         for name, least in _LEAST.items():
-            if getattr(args, name, least) < least:
+            value = getattr(args, name, None)  # None: absent, or --lattice not given
+            if value is not None and value < least:
                 raise ValueError(f"--{name.replace('_', '-')} must be at least {least}")
         return _COMMANDS[args.subcommand](args)
     except ParseError as exc:

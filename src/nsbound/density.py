@@ -21,10 +21,12 @@ Exactness conventions that the tests rely on:
 Grid evaluation streams through chunks of ``CHUNK`` = 8192 points, a
 fixed size at which one chunk's arrays stay in cache.  Every step works
 point by point or matrix by matrix and every count is an exact integer, so
-the counts are bit-identical for any chunk size and worker count.  A chunk
-takes one complex exp per coordinate per point, z = exp(i*angles), and
-builds one table of the integer powers of z that the entries use, with
-conjugates for negative exponents; every entry is evaluated from that
+the counts are bit-identical for any chunk size and worker count.  A
+midpoint chunk with n <= 8192 points per axis gathers its points
+z = exp(i*angles) from a table of the n roots; other grids take one
+complex exp per coordinate per point; counts do not depend on which ran.
+A chunk builds one table of the integer powers of z that the entries use,
+with conjugates for negative exponents; every entry is evaluated from that
 shared table (``LaurentPoly.eval_block``), and no exp is taken per term.
 The gram on the smaller side is summed entry by entry from those values,
 and each chunk's samples are counted against the thresholds by binning,
@@ -81,6 +83,8 @@ class TorusGrid:
         """Product of 1-d midpoint rules, n points per dimension."""
         if dim < 1 or n < 1:
             raise ValueError("need dim >= 1 and n >= 1")
+        if n**dim >= 1 << 61:
+            raise ValueError(f"a midpoint grid needs fewer than 2^61 points, not {n}^{dim}")
         return TorusGrid(dim=dim, scheme="midpoint", total=n**dim, points_per_dim=n)
 
     @staticmethod
@@ -145,31 +149,15 @@ class TorusGrid:
                 col += 0.5
                 col *= 2.0 * math.pi / n
             else:
-                _mul_mod(idx, self.generator[j], self.total, out=digits)
+                from ._lattice import mul_mod  # only lattice runs load it
+
+                mul_mod(idx, self.generator[j], self.total, out=digits)
                 np.copyto(col, digits, casting="unsafe")
                 col /= self.total
                 col += self.shift[j]
                 np.mod(col, 1.0, out=col)
                 col *= 2.0 * math.pi
         return out
-
-
-def _mul_mod(idx: np.ndarray, g: int, m: int, out: np.ndarray) -> np.ndarray:
-    """idx * g mod m exactly into ``out``, for int64 idx and g in [0, m), m < 2^61.
-
-    The product is taken directly while (m - 1)^2 fits in int64.  Beyond
-    that, g is split into b-bit digits with m * 2^b <= 2^62, and Horner's
-    rule reduces after every digit, so no intermediate reaches 2^63.
-    """
-    if (m - 1) * (m - 1) < 1 << 63:
-        np.multiply(idx, g, out=out)
-        return np.remainder(out, m, out=out)
-    b = 62 - m.bit_length()
-    acc = np.zeros_like(idx)
-    for shift in range((g.bit_length() - 1) // b * b, -1, -b):
-        acc = (acc * (1 << b) + idx * (g >> shift & (1 << b) - 1)) % m
-    out[...] = acc
-    return out
 
 
 def _sum_chunks(grid: TorusGrid, fn: Callable[[int, int], np.ndarray], workers: int = 1):
@@ -388,10 +376,12 @@ def _chunk_counter(
     CHUNK points hold, in turn:
 
     * z, one row per coordinate, with the angles written into its
-      imaginary parts and exponentiated in place; once the entries are
-      evaluated, the first row is the gram's scratch row;
-    * the entry values, one row each; once they are summed into the gram
-      they hold the finiteness mask and the 2x2 eigenvalues;
+      imaginary parts and then the points, gathered from the table of
+      roots or exponentiated in place; once the entries are evaluated, the
+      first row is the gram's scratch row;
+    * the entry values, one row each, the first holding the digits of a
+      gather; once the values are summed into the gram they hold the
+      finiteness mask and the 2x2 eigenvalues;
     * the power table, two rows it leaves free being the evaluation's
       scratch rows; then the gram stack reuses its rows.
     """
@@ -401,6 +391,7 @@ def _chunk_counter(
     size = min(CHUNK, grid.total)
     dim, nvals = grid.dim, len(polys)
     pool = max(_power_rows(polys), k * k)
+    roots = _midpoint_roots(grid)
     local = threading.local()
 
     def count_chunk(start: int, stop: int) -> np.ndarray:
@@ -409,8 +400,15 @@ def _chunk_counter(
         n = stop - start
         z, values, table = np.split(local.rows[:, :n], [dim, dim + nvals])
         grid.angles(start, stop, out=z.imag.T)
-        z.real = 0.0
-        np.exp(z, out=z)
+        if roots is None:
+            z.real = 0.0
+            np.exp(z, out=z)
+        else:
+            # theta * n / (2 pi) is within 1e-11 of digit + 1/2, so truncation gives the digit
+            digits = values[0].view(np.int64)[:n]
+            for row in z:
+                np.multiply(row.imag, len(roots) / (2.0 * math.pi), out=digits, casting="unsafe")
+                np.take(roots, digits, out=row, mode="clip")  # "raise" would copy the row
         free: list[np.ndarray] = []
         powers = _power_table(z.T, polys, out=table, free=free)
         for p, v in zip(polys, values):
@@ -424,6 +422,21 @@ def _chunk_counter(
         return _count_at_most(hermitian_eigenvalues(gram, out=eig), thresholds)
 
     return count_chunk
+
+
+def _midpoint_roots(grid: TorusGrid) -> np.ndarray | None:
+    """exp(i*theta) at the n angles of each midpoint axis; None on a lattice or past ``CHUNK``.
+
+    The angles take the float steps of ``TorusGrid.angles``, so each entry
+    is bitwise the exp a chunk would take.
+    """
+    n = grid.points_per_dim
+    if grid.scheme != "midpoint" or n > CHUNK:
+        return None
+    theta = np.arange(n, dtype=np.float64)
+    theta += 0.5
+    theta *= 2.0 * math.pi / n
+    return np.exp(1j * theta)
 
 
 # -- decay exponent fit -----------------------------------------------------

@@ -194,6 +194,30 @@ def test_non_finite_lambda_exit_2(capsys, example_file, flag, value):
     assert err == f"error: {flag} must be finite, not {float(value)}\n"
 
 
+@pytest.mark.parametrize("command", ["density", "verify"])
+@pytest.mark.parametrize("lattice", ["0", "-3"])
+def test_lattice_below_one_exit_2(capsys, example_file, command, lattice):
+    code, out, err = run(capsys, command, example_file, "--lattice", lattice)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --lattice must be at least 1\n"
+
+
+@pytest.mark.parametrize(
+    "size",
+    [["--lattice", "3000000000000000000"], ["--grid", "2000000000"]],
+    ids=["lattice", "midpoint"],
+)
+def test_cost_guard_outranks_the_grid_size_limit(capsys, example_file, size):
+    # both grids hold 2^61 points or more; the default cap stops them first
+    code, out, err = run(capsys, "verify", example_file, *size)
+    assert (code, out) == (5, "")
+    assert err.startswith("error: grid has ") and "beyond the cap of 100000000" in err
+    code, out, err = run(capsys, "verify", example_file, *size, "--max-points", str(10**19))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a ") and "fewer than 2^61 points" in err
+
+
 @pytest.mark.parametrize("command", ["analyze", "density", "verify"])
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_minor_cap_below_one_exit_2(capsys, example_file, command, cap):

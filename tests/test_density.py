@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -83,6 +84,16 @@ def test_lattice_angles_exact_near_the_end_of_a_large_lattice():
 def test_lattice_rejects_totals_beyond_exact_indexing():
     with pytest.raises(ValueError, match="2\\^61"):
         TorusGrid.lattice(2, 1 << 61)
+
+
+def test_midpoint_rejects_totals_beyond_exact_indexing():
+    # 3_000_000^3 > 2^63: its last angles would overflow an int64 index
+    with pytest.raises(ValueError, match="2\\^61"):
+        TorusGrid.midpoint(3, 3_000_000)
+    with pytest.raises(ValueError, match="2\\^61"):
+        TorusGrid.midpoint(1, 1 << 61)
+    g = TorusGrid.midpoint(1, (1 << 61) - 1)
+    assert g.angles(g.total - 2, g.total)[-1, 0] == pytest.approx(2 * math.pi)
 
 
 def test_lattice_rejects_a_negative_seed():
@@ -438,6 +449,69 @@ def test_counts_do_not_depend_on_chunk_size(monkeypatch, grid):
     assert all(run == runs[0] for run in runs[1:])
     # the counts move over the lambdas, so equality says something
     assert all(counts[0] < counts[-1] for counts in runs[0])
+
+
+def _chunk_points(grid: TorusGrid, start: int, stop: int) -> np.ndarray:
+    """The unit points z, (stop - start, dim), that a chunk evaluates its entries at."""
+    seen = []
+
+    def spy(z, polys, **kwargs):
+        seen.append(z.copy())
+        return real(z, polys, **kwargs)
+
+    real = density._power_table
+    p = LaurentPoly(grid.dim, {(1,) * grid.dim: 1, (0,) * grid.dim: -1})
+    with mock.patch.object(density, "_power_table", spy):
+        density._chunk_counter([[p]], np.array([1.0]), grid)(start, stop)
+    return seen[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.one_of(
+        st.integers(1, 40),
+        st.integers(1, density.CHUNK),
+        st.sampled_from([density.CHUNK, density.CHUNK + 1]),
+    ),
+    st.data(),
+)
+def test_chunk_points_are_the_exp_of_the_angles_bit_for_bit(dim, n, data):
+    # the table path (n <= CHUNK) and the exp path (n > CHUNK) give the same z
+    grid = TorusGrid.midpoint(dim, n)
+    if data.draw(st.booleans(), label="last chunk"):
+        start, stop = (grid.total - 1) // density.CHUNK * density.CHUNK, grid.total
+    else:
+        start = data.draw(st.integers(0, grid.total - 1), label="start")
+        stop = data.draw(st.integers(start + 1, min(start + density.CHUNK, grid.total)))
+    want = np.exp(1j * grid.angles(start, stop))
+    assert np.array_equal(_chunk_points(grid, start, stop).view(np.int64), want.view(np.int64))
+    roots = density._midpoint_roots(grid)
+    assert (roots is None) == (n > density.CHUNK)
+    assert roots is None or len(roots) == n <= density.CHUNK
+
+
+def test_midpoint_roots_table_only_for_midpoint_grids():
+    assert density._midpoint_roots(TorusGrid.lattice(2, 1000, seed=1)) is None
+    assert len(density._midpoint_roots(TorusGrid.midpoint(3, density.CHUNK))) == density.CHUNK
+    assert density._midpoint_roots(TorusGrid.midpoint(1, density.CHUNK + 1)) is None
+
+
+@pytest.mark.parametrize("dim, n", [(1, 5000), (2, 90), (3, 23)])
+def test_table_and_exp_paths_count_alike(monkeypatch, dim, n):
+    grid = TorusGrid.midpoint(dim, n)
+    A = PolyMatrix(
+        [[random_poly(random.Random(f"{dim} {i} {j}"), dim, max_terms=3, exp_range=3)
+          for j in range(3)] for i in range(2)]
+    )
+    lams = np.geomspace(1e-2, 40, 32).tolist()
+    runs = []
+    for chunk in (n - 1, n):  # the exp path, then the table path
+        monkeypatch.setattr(density, "CHUNK", chunk)
+        assert (density._midpoint_roots(grid) is None) == (chunk < n)
+        runs.append(matrix_density(A, 2, lams, grid).counts)
+    assert runs[0] == runs[1]
+    assert runs[0][0] < runs[0][-1]
 
 
 @settings(max_examples=200, deadline=None)
