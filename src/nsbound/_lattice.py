@@ -1,12 +1,20 @@
-"""Exact index arithmetic of rank-1 lattices.
+"""Integer arithmetic of rank-1 lattices: the generator and exact index products.
 
-``TorusGrid.angles`` imports this module on a lattice grid only, so a
-midpoint run never compiles or loads it.
+Only lattice grids import this module (``TorusGrid.lattice`` and
+``TorusGrid.angles``), so a midpoint run never compiles or loads it.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+def korobov_generator(dim: int, total: int) -> tuple[int, ...]:
+    """(1, a, a^2, ...) mod total, a = floor(total * (sqrt(5) - 1) / 2) | 1."""
+    a = max(1, int(total * (math.sqrt(5.0) - 1.0) / 2.0)) | 1
+    return tuple(pow(a, j, total) if total > 1 else 0 for j in range(dim))
 
 
 def mul_mod(idx: np.ndarray, g: int, m: int, out: np.ndarray) -> np.ndarray:

@@ -101,17 +101,15 @@ class TorusGrid:
             raise ValueError(f"a lattice needs fewer than 2^61 points, not {total}")
         if seed < 0:
             raise ValueError(f"a lattice shift seed must be at least 0, not {seed}")
-        from ._pcg64 import uniform_floats  # only lattice runs load it
+        from ._lattice import korobov_generator  # only lattice runs load it
+        from ._pcg64 import uniform_floats
 
-        a = max(1, int(total * (math.sqrt(5.0) - 1.0) / 2.0)) | 1
-        gen = tuple(pow(a, j, total) if total > 1 else 0 for j in range(dim))
-        shift = uniform_floats(seed, dim)
         return TorusGrid(
             dim=dim,
             scheme="lattice-shift",
             total=total,
-            generator=gen,
-            shift=shift,
+            generator=korobov_generator(dim, total),
+            shift=uniform_floats(seed, dim),
         )
 
     def epsilon_quad(self) -> float:

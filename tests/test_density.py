@@ -491,10 +491,8 @@ def test_chunk_points_are_the_exp_of_the_angles_bit_for_bit(dim, n, data):
     assert roots is None or len(roots) == n <= density.CHUNK
 
 
-def test_midpoint_roots_table_only_for_midpoint_grids():
+def test_lattice_grids_have_no_roots_table():
     assert density._midpoint_roots(TorusGrid.lattice(2, 1000, seed=1)) is None
-    assert len(density._midpoint_roots(TorusGrid.midpoint(3, density.CHUNK))) == density.CHUNK
-    assert density._midpoint_roots(TorusGrid.midpoint(1, density.CHUNK + 1)) is None
 
 
 @pytest.mark.parametrize("dim, n", [(1, 5000), (2, 90), (3, 23)])
