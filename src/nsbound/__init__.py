@@ -9,9 +9,7 @@ density functions estimate F on the torus so the bound can be checked.
 """
 
 from .bounds import (
-    INFINITE_TYPE,
     SPECTRAL_CONSTANT,
-    BoundParameters,
     BoundReport,
     analyze,
     best_ordering,
@@ -38,11 +36,9 @@ from .poly import (
 )
 
 __all__ = [
-    "BoundParameters",
     "BoundReport",
     "DensityCurve",
     "GaussianRational",
-    "INFINITE_TYPE",
     "LaurentPoly",
     "MinorCertificate",
     "ParseError",

@@ -10,9 +10,10 @@ with the universal constant C = 8*sqrt(3)/sqrt(47).  The scalar case is
 k = 1.  :func:`_norm_factor` computes the factor (k^2 * b1)^(k-1),
 :func:`bound_coefficient` the prefactor of lambda^(1/(d*wd)), and
 :meth:`BoundReport.bound_at` evaluates the bound.  When the width vanishes
-the determinant is a single monomial and the bound is a step at
-|lead| / (k^2 * b1)^(k-1).  The module also searches variable orderings and
-minors for the best certificate.
+the determinant is a single monomial, the bound is a step at
+|lead| / (k^2 * b1)^(k-1), and the decay exponent's lower bound
+:func:`ns_lower_bound` is ``math.inf``.  The module also searches variable
+orderings and minors for the best certificate.
 
 Every float here is rounded in the safe direction, so the bound stays an
 upper bound: C, the rescaled lambda, the coefficient and the bound round
@@ -42,18 +43,15 @@ from .poly import LaurentPoly, WidthProfile, _abs_down, _float_down, _float_up, 
 #: 8*sqrt(3)/sqrt(47) = sqrt(192/47), rounded up: 2.0211646105596457.
 SPECTRAL_CONSTANT = math.nextafter(8.0 * math.sqrt(3.0) / math.sqrt(47.0), math.inf)
 
-#: Marker for "the spectral density is a step; the decay exponent is not finite".
-INFINITE_TYPE = "infinite-type"
-
 MAX_EXHAUSTIVE_DIM = 8
 
 
-def ns_lower_bound(d: int, wd: int) -> float | str:
-    """Lower bound 1/(d*wd) for the decay exponent, or the step marker."""
+def ns_lower_bound(d: int, wd: int) -> float:
+    """Lower bound 1/(d*wd) for the decay exponent; ``math.inf`` for a step (wd = 0)."""
     if d < 1 or wd < 0:
         raise ValueError("need d >= 1 and wd >= 0")
     if wd == 0:
-        return INFINITE_TYPE
+        return math.inf
     return 1.0 / (d * wd)
 
 
@@ -83,31 +81,17 @@ def _root_up(x: float, n: int) -> float:
     return math.nextafter(math.nextafter(x**e, math.inf), math.inf)
 
 
-@dataclass(frozen=True)
-class BoundParameters:
-    """The constants entering the matrix bound."""
-
-    k: int
-    d: int
-    wd: int
-    lead_abs: float
-    b_l1: float
-
-    def __post_init__(self):
-        if self.k < 1 or self.d < 1 or self.wd < 0:
-            raise ValueError("need k >= 1, d >= 1, wd >= 0")
-        if self.lead_abs <= 0 or self.b_l1 < 0:
-            raise ValueError("need lead_abs > 0 and b_l1 >= 0")
-
-
-def bound_coefficient(params: BoundParameters) -> float:
+def bound_coefficient(k: int, d: int, wd: int, lead_abs: float, b_l1: float) -> float:
     """Prefactor so that the bound at lambda is coefficient * lambda^(1/(d*wd))."""
-    p = params
-    if p.wd < 1:
+    if k < 1 or d < 1 or wd < 0:
+        raise ValueError("need k >= 1, d >= 1, wd >= 0")
+    if lead_abs <= 0 or b_l1 < 0:
+        raise ValueError("need lead_abs > 0 and b_l1 >= 0")
+    if wd < 1:
         raise ValueError("no power-law coefficient in the step case")
-    n = p.d * p.wd
-    inner = _float_up(_norm_factor(p.k, p.b_l1) / Fraction(p.lead_abs))
-    return _float_up(Fraction(SPECTRAL_CONSTANT) * (p.k * n) * Fraction(_root_up(inner, n)))
+    n = d * wd
+    inner = _float_up(_norm_factor(k, b_l1) / Fraction(lead_abs))
+    return _float_up(Fraction(SPECTRAL_CONSTANT) * (k * n) * Fraction(_root_up(inner, n)))
 
 
 def _lead_abs_down(profile: WidthProfile) -> float:
@@ -150,11 +134,15 @@ def best_ordering(p: LaurentPoly, mode: str = "fixed") -> WidthProfile:
 class BoundReport:
     """Everything the analysis produced, kept for auditability.
 
-    For ``wd >= 1`` the bound is ``coefficient * lambda^exponent``; the raw
+    ``lead_abs`` is the largest float <= |lead|; k, d, wd and ||B||_1 are
+    ``minor.size``, ``dim``, ``profile.wd`` and ``minor.b_l1``.  For
+    ``wd >= 1`` the bound is ``coefficient * lambda^alpha_lower``; the raw
     formula value is kept even where it exceeds the trivial ceiling ``k``.
-    For ``wd == 0`` the determinant's density is a step at ``step_threshold``
-    and the matrix-level guarantee is a step at ``step_threshold_matrix``
-    (the threshold shrinks through the norm rescaling when k > 1).
+    For ``wd == 0`` the determinant's density is a step at ``lead_abs``,
+    the matrix-level guarantee is a step at ``step_threshold_matrix`` (the
+    threshold shrinks through the norm rescaling when k > 1), and
+    ``alpha_lower`` is ``math.inf``.  ``coefficient`` is None in the step
+    case and ``step_threshold_matrix`` None otherwise.
     """
 
     rows: int
@@ -162,17 +150,22 @@ class BoundReport:
     dim: int
     minor: MinorCertificate
     profile: WidthProfile
-    params: BoundParameters
-    is_step: bool
+    lead_abs: float
     coefficient: float | None
-    exponent: float | None
-    alpha_lower: float | str
-    step_threshold: float | None
     step_threshold_matrix: float | None
 
     @property
     def k(self) -> int:
         return self.minor.size
+
+    @property
+    def is_step(self) -> bool:
+        return self.profile.wd == 0
+
+    @property
+    def alpha_lower(self) -> float:
+        """Lower bound 1/(d*wd) for the decay exponent, ``math.inf`` for a step."""
+        return ns_lower_bound(self.dim, self.profile.wd)
 
     @property
     def f_zero(self) -> int:
@@ -188,41 +181,24 @@ class BoundReport:
             return 0.0 if lam < self.step_threshold_matrix else float(self.k)
         if lam == 0.0:
             return 0.0
-        root = _root_up(lam, self.params.d * self.params.wd)
+        root = _root_up(lam, self.dim * self.profile.wd)
         return math.nextafter(self.coefficient * root, math.inf)
 
 
 def _report_for(A: PolyMatrix, cert: MinorCertificate, profile: WidthProfile) -> BoundReport:
     lead_abs = _lead_abs_down(profile)
-    params = BoundParameters(
-        k=cert.size, d=A.dim, wd=profile.wd, lead_abs=lead_abs, b_l1=cert.b_l1
-    )
-    is_step = profile.wd == 0
-    return BoundReport(
-        rows=A.rows,
-        cols=A.cols,
-        dim=A.dim,
-        minor=cert,
-        profile=profile,
-        params=params,
-        is_step=is_step,
-        coefficient=None if is_step else bound_coefficient(params),
-        exponent=None if is_step else 1.0 / (A.dim * profile.wd),
-        alpha_lower=ns_lower_bound(A.dim, profile.wd),
-        step_threshold=lead_abs if is_step else None,
-        step_threshold_matrix=(
-            _float_down(Fraction(lead_abs) / _norm_factor(cert.size, cert.b_l1))
-            if is_step
-            else None
-        ),
-    )
+    if profile.wd == 0:
+        coefficient = None
+        threshold = _float_down(Fraction(lead_abs) / _norm_factor(cert.size, cert.b_l1))
+    else:
+        coefficient = bound_coefficient(cert.size, A.dim, profile.wd, lead_abs, cert.b_l1)
+        threshold = None
+    return BoundReport(A.rows, A.cols, A.dim, cert, profile, lead_abs, coefficient, threshold)
 
 
-def _report_quality(r: BoundReport) -> tuple:
-    """Sort key: larger is better, deterministic."""
-    if r.is_step:
-        return (1, r.step_threshold_matrix, 0.0)
-    return (0, r.alpha_lower, -r.coefficient)
+def _report_quality(r: BoundReport) -> tuple[float, float]:
+    """Sort key: larger is better, deterministic; a step's alpha is inf, so it wins."""
+    return (r.alpha_lower, r.step_threshold_matrix if r.is_step else -r.coefficient)
 
 
 def analyze(
@@ -237,7 +213,9 @@ def analyze(
     With ``minor="first"`` the lexicographically first maximal minor is
     used (see :func:`max_nonvanishing_minor`); with "best" every
     maximal-size minor is tried and the report with the best decay
-    guarantee (largest alpha lower bound, then smallest coefficient) wins.
+    guarantee wins: a step before a power law, the larger threshold between
+    steps, and between power laws the larger alpha lower bound, then the
+    smaller coefficient.
     ``minor_cap`` bounds the candidates at each size the "best" enumeration
     tries (see :func:`maximal_minors`), which raises MinorSearchCapExceeded
     beyond it; "first" enumerates nothing and ignores it.  The zero matrix
@@ -247,6 +225,8 @@ def analyze(
         raise ValueError(f"unknown ordering mode {ordering!r}")
     if minor not in ("first", "best"):
         raise ValueError(f"unknown minor mode {minor!r}")
+    if A.dim < 1:
+        raise ValueError("need a matrix over d >= 1 variables")
     if A.is_zero():
         raise ZeroMatrixError("cannot analyze the zero matrix")
     if minor == "first":

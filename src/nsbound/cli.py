@@ -75,7 +75,7 @@ def _lambda_grid(args: argparse.Namespace, report: BoundReport) -> list[float]:
     for flag, value in (("--lambda-min", args.lambda_min), ("--lambda-max", args.lambda_max)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, not {value}")
-    scale = report.params.lead_abs
+    scale = report.lead_abs
     lo = args.lambda_min if args.lambda_min is not None else 1e-4 * scale
     hi = args.lambda_max if args.lambda_max is not None else scale
     if hi <= 0 or hi < lo:
@@ -96,7 +96,6 @@ def _format_index_set(ix: tuple[int, ...]) -> str:
 
 
 def _print_report(report: BoundReport, args: argparse.Namespace) -> None:
-    p = report.params
     print(f"matrix: {report.rows}x{report.cols} over {report.dim} variable(s)")
     print(f"k = {report.k}")
     print(f"rows I = {_format_index_set(report.minor.row_set)}")
@@ -108,13 +107,13 @@ def _print_report(report: BoundReport, args: argparse.Namespace) -> None:
     )
     tower = ", ".join(f"p_{i} = {format_poly(q)}" for i, q in enumerate(report.profile.tower))
     print(f"width tower: {tower}")
-    print(f"widths = {report.profile.widths}, wd = {p.wd}")
-    print(f"lead = {format_poly(report.profile.tower[-1])}, |lead| = {p.lead_abs:.17g}")
-    print(f"||B||_1 = {p.b_l1:.17g}")
+    print(f"widths = {report.profile.widths}, wd = {report.profile.wd}")
+    print(f"lead = {format_poly(report.profile.tower[-1])}, |lead| = {report.lead_abs:.17g}")
+    print(f"||B||_1 = {report.minor.b_l1:.17g}")
     if report.is_step:
         print(
             f"det(B) is a monomial: its density is a step at |lead| = "
-            f"{report.step_threshold:.17g}"
+            f"{report.lead_abs:.17g}"
         )
         print(
             "matrix-level guarantee: F - F(0) = 0 for lambda < "
@@ -124,7 +123,7 @@ def _print_report(report: BoundReport, args: argparse.Namespace) -> None:
         print("alpha: infinite-type")
     else:
         print(
-            f"bound: F - F(0) <= {report.coefficient:.17g} * lambda^{report.exponent:g}"
+            f"bound: F - F(0) <= {report.coefficient:.17g} * lambda^{report.alpha_lower:g}"
         )
         print(f"alpha >= {report.alpha_lower:.17g}")
     print(f"f_zero = F(0) = {report.f_zero}")
@@ -215,12 +214,12 @@ def cmd_example(args: argparse.Namespace) -> int:
     checks.append(
         ("p_1", format_poly(report.profile.tower[1]), "2*z1")
     )
-    checks.append(("wd", report.params.wd, 2))
+    checks.append(("wd", report.profile.wd, 2))
     checks.append(("lead", format_poly(report.profile.tower[2]), "2"))
     checks.append(("||A||_1", A.l1_norm(), 18.0))
     checks.append(("||B||_1", report.minor.b_l1, 18.0))
     checks.append(("alpha lower bound", report.alpha_lower, 0.25))
-    checks.append(("exponent", report.exponent, 0.25))
+    checks.append(("exponent", report.alpha_lower, 0.25))
     checks.append(("f_zero", report.f_zero, 1))
     ok = True
     for name, got, want in checks:

@@ -280,6 +280,8 @@ class DensityCurve:
         lam = self.lambdas
         if len(lam) == 0:
             raise ValueError("empty lambda list")
+        if not len(lam) == len(self.counts) == len(self.estimates):
+            raise ValueError("lambdas, counts and estimates must have the same length")
         if any(b < a for a, b in zip(lam, lam[1:])):
             raise ValueError("lambdas must be ascending")
         if any(b < a for a, b in zip(self.counts, self.counts[1:])):

@@ -290,14 +290,7 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = LaurentPoly.const(self.dim, other)
         self._check_dim(other)
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            s = out.get(exp, ZERO) + c
-            if s:
-                out[exp] = s
-            elif exp in out:
-                del out[exp]
-        return LaurentPoly(self.dim, out)
+        return LaurentPoly(self.dim, [*self._terms.items(), *other._terms.items()])
 
     __radd__ = __add__
 
@@ -317,16 +310,14 @@ class LaurentPoly:
                 return LaurentPoly.zero(self.dim)
             return LaurentPoly(self.dim, {e: v * c for e, v in self._terms.items()})
         self._check_dim(other)
-        out: dict[Exponent, GaussianRational] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return LaurentPoly(self.dim, out)
+        return LaurentPoly(
+            self.dim,
+            (
+                (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                for e1, c1 in self._terms.items()
+                for e2, c2 in other._terms.items()
+            ),
+        )
 
     __rmul__ = __mul__
 

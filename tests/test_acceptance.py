@@ -52,7 +52,7 @@ def test_criterion_01_reference_example_exact(capsys):
     assert rep.k == 2
     assert format_poly(rep.minor.det) == "2*z1*z2^2 + z1^3*z2 - 16"
     assert rep.profile.tower[1] == parse_poly("2*z1")
-    assert rep.params.wd == 2
+    assert rep.profile.wd == 2
     assert rep.profile.lead == GaussianRational(2)
     assert parse_matrix(EXAMPLE_MATRIX_TEXT).l1_norm() == 18.0
     assert rep.minor.b_l1 == 18.0
@@ -338,7 +338,7 @@ def test_criterion_12_parser_round_trip_and_pipeline(capsys, tmp_path):
     A = parse_matrix(mat_file.read_text())
     rep = analyze(A)
     assert rep.k == 2
-    assert rep.params.wd == 2
+    assert rep.profile.wd == 2
     assert rep.profile.lead == GaussianRational(2)
     assert rep.minor.b_l1 == 18.0
     assert rep.alpha_lower == 0.25

@@ -14,9 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nsbound import (
-    INFINITE_TYPE,
     SPECTRAL_CONSTANT,
-    BoundParameters,
     GaussianRational,
     LaurentPoly,
     PolyMatrix,
@@ -41,13 +39,14 @@ from conftest import (
 from lemmas import rescale_lambda
 
 
-def _power_report(params: BoundParameters):
-    """The reference report with its bound replaced by the one for ``params``."""
+def _power_report(k: int, d: int, wd: int, lead_abs: float, b_l1: float):
+    """The reference report with its bound replaced by the one for these constants."""
+    rep = analyze(parse_matrix(EXAMPLE_MATRIX_TEXT))
     return dataclasses.replace(
-        analyze(parse_matrix(EXAMPLE_MATRIX_TEXT)),
-        params=params,
-        coefficient=bound_coefficient(params),
-        exponent=1.0 / (params.d * params.wd),
+        rep,
+        dim=d,
+        profile=dataclasses.replace(rep.profile, wd=wd),
+        coefficient=bound_coefficient(k, d, wd, lead_abs, b_l1),
     )
 
 
@@ -65,40 +64,53 @@ def test_cosine_chord_inequality():
 
 
 def test_matrix_bound_example_coefficient():
-    params = BoundParameters(k=2, d=2, wd=2, lead_abs=2.0, b_l1=18.0)
-    coeff = bound_coefficient(params)
+    params = dict(k=2, d=2, wd=2, lead_abs=2.0, b_l1=18.0)
+    coeff = bound_coefficient(**params)
     assert coeff == pytest.approx(192.0 * math.sqrt(2.0) / math.sqrt(47.0), rel=1e-12)
     lam = 0.37
-    assert _power_report(params).bound_at(lam) == pytest.approx(coeff * lam**0.25, rel=1e-12)
+    assert _power_report(**params).bound_at(lam) == pytest.approx(coeff * lam**0.25, rel=1e-12)
 
 
 def test_matrix_bound_zero_at_zero():
-    params = BoundParameters(k=3, d=2, wd=4, lead_abs=1.5, b_l1=7.0)
-    assert _power_report(params).bound_at(0.0) == 0.0
+    assert _power_report(k=3, d=2, wd=4, lead_abs=1.5, b_l1=7.0).bound_at(0.0) == 0.0
 
 
 def test_matrix_bound_trivial_prefactor():
-    params = BoundParameters(k=1, d=1, wd=1, lead_abs=1.0, b_l1=123.0)
-    assert _power_report(params).bound_at(1.0) == pytest.approx(SPECTRAL_CONSTANT, rel=1e-12)
+    report = _power_report(k=1, d=1, wd=1, lead_abs=1.0, b_l1=123.0)
+    assert report.bound_at(1.0) == pytest.approx(SPECTRAL_CONSTANT, rel=1e-12)
 
 
 def test_matrix_bound_monotone_in_lambda():
-    report = _power_report(BoundParameters(k=2, d=3, wd=2, lead_abs=0.7, b_l1=3.0))
+    report = _power_report(k=2, d=3, wd=2, lead_abs=0.7, b_l1=3.0)
     lams = np.linspace(0, 5, 200)
     vals = [report.bound_at(x) for x in lams]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_matrix_bound_rejects_step_case():
-    params = BoundParameters(k=1, d=1, wd=0, lead_abs=1.0, b_l1=1.0)
-    with pytest.raises(ValueError):
-        bound_coefficient(params)
+    with pytest.raises(ValueError, match="step case"):
+        bound_coefficient(k=1, d=1, wd=0, lead_abs=1.0, b_l1=1.0)
+
+
+@pytest.mark.parametrize(
+    "k, d, wd, lead_abs, b_l1, match",
+    [
+        (0, 1, 1, 1.0, 1.0, "k >= 1"),
+        (1, 0, 1, 1.0, 1.0, "d >= 1"),
+        (1, 1, -1, 1.0, 1.0, "wd >= 0"),
+        (1, 1, 1, 0.0, 1.0, "lead_abs > 0"),
+        (1, 1, 1, -2.0, 1.0, "lead_abs > 0"),
+        (1, 1, 1, 1.0, -0.5, "b_l1 >= 0"),
+    ],
+)
+def test_bound_coefficient_rejects_bad_constants(k, d, wd, lead_abs, b_l1, match):
+    with pytest.raises(ValueError, match=match):
+        bound_coefficient(k, d, wd, lead_abs, b_l1)
 
 
 def _scalar_bound(d: int, wd: int, lead_abs: float, lam: float) -> float:
     """The bound for k = 1, through the library's one formula."""
-    params = BoundParameters(k=1, d=d, wd=wd, lead_abs=lead_abs, b_l1=1.0)
-    return bound_coefficient(params) * lam ** (1.0 / (d * wd))
+    return bound_coefficient(1, d, wd, lead_abs, 1.0) * lam ** (1.0 / (d * wd))
 
 
 def test_scalar_bound_linear_case():
@@ -125,7 +137,7 @@ def test_scalar_bound_at_lead():
 def test_ns_lower_bound_values():
     assert ns_lower_bound(2, 2) == 0.25
     assert ns_lower_bound(1, 1) == 1.0
-    assert ns_lower_bound(3, 0) == INFINITE_TYPE
+    assert ns_lower_bound(3, 0) == math.inf
 
 
 def test_rescale_lambda_values():
@@ -158,10 +170,9 @@ positive = st.floats(1e-6, 1e6)
     st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1e6, allow_subnormal=False)),
 )
 def test_bound_rounds_up_against_decimal_evaluation(k, b1, d, wd, lead, lam):
-    params = BoundParameters(k=k, d=d, wd=wd, lead_abs=lead, b_l1=b1)
     coeff, bound = _decimal_bound(k, b1, d, wd, lead, lam)
-    got_coeff = Decimal(bound_coefficient(params))
-    got_bound = Decimal(_power_report(params).bound_at(lam))
+    got_coeff = Decimal(bound_coefficient(k, d, wd, lead, b1))
+    got_bound = Decimal(_power_report(k, d, wd, lead, b1).bound_at(lam))
     # 1e-50 covers the decimal evaluation's own rounding; the excess is tiny
     assert coeff * (1 - Decimal("1e-50")) <= got_coeff <= coeff * (1 + Decimal("1e-12"))
     assert bound * (1 - Decimal("1e-50")) <= got_bound <= bound * (1 + Decimal("1e-12"))
@@ -180,8 +191,7 @@ def test_step_threshold_rounds_down(k, coeffs):
     ]
     rep = analyze(parse_matrix("[[" + "], [".join(rows) + "]]"))
     assert rep.is_step and rep.k == k
-    p = rep.params
-    exact = Fraction(p.lead_abs) / (k ** (2 * k - 2) * Fraction(p.b_l1) ** (k - 1))
+    exact = Fraction(rep.lead_abs) / (k ** (2 * k - 2) * Fraction(rep.minor.b_l1) ** (k - 1))
     t = rep.step_threshold_matrix
     assert Fraction(t) <= exact < Fraction(math.nextafter(t, math.inf))
 
@@ -197,10 +207,9 @@ def test_matrix_bound_is_rescaled_scalar_bound():
         lead = rng.uniform(1e-3, 100)
         b1 = rng.uniform(1e-3, 50)
         lam = rng.uniform(0, 10)
-        params = BoundParameters(k=k, d=d, wd=wd, lead_abs=lead, b_l1=b1)
         e = 1.0 / (d * wd)
         expected = k * SPECTRAL_CONSTANT * d * wd * (rescale_lambda(k, b1, lam) / lead) ** e
-        assert bound_coefficient(params) * lam**e == pytest.approx(expected, rel=1e-12)
+        assert bound_coefficient(k, d, wd, lead, b1) * lam**e == pytest.approx(expected, rel=1e-12)
 
 
 def test_coefficient_scaling_covariance():
@@ -211,9 +220,9 @@ def test_coefficient_scaling_covariance():
     A2 = parse_matrix("[[3*z1^3*z2 + 6*z1*z2^2 - 48]]")
     r1 = analyze(A1)
     r2 = analyze(A2)
-    assert r1.exponent == r2.exponent
-    assert r1.params.wd == r2.params.wd
-    assert r2.params.lead_abs == pytest.approx(3 * r1.params.lead_abs, rel=1e-12)
+    assert r1.alpha_lower == r2.alpha_lower
+    assert r1.profile.wd == r2.profile.wd
+    assert r2.lead_abs == pytest.approx(3 * r1.lead_abs, rel=1e-12)
 
 
 # -- ordering search -----------------------------------------------------------
@@ -260,13 +269,12 @@ def test_best_ordering_dimension_cap():
 def test_analyze_example(example_matrix):
     rep = analyze(example_matrix)
     assert rep.k == 2
-    assert rep.params.wd == 2
-    assert rep.params.b_l1 == 18.0
-    assert rep.params.lead_abs == pytest.approx(2.0, rel=1e-12)
+    assert rep.profile.wd == 2
+    assert rep.minor.b_l1 == 18.0
+    assert rep.lead_abs == pytest.approx(2.0, rel=1e-12)
     assert rep.coefficient == pytest.approx(
         192 * math.sqrt(2) / math.sqrt(47), rel=1e-12
     )
-    assert rep.exponent == 0.25
     assert rep.alpha_lower == 0.25
     assert rep.f_zero == 1
     assert not rep.is_step
@@ -275,10 +283,11 @@ def test_analyze_example(example_matrix):
 def test_analyze_monomial_1x1_is_step():
     rep = analyze(parse_matrix("[[(0 - 3i)*z1^4]]"))
     assert rep.is_step
-    assert rep.alpha_lower == INFINITE_TYPE
-    assert rep.step_threshold == pytest.approx(3.0, rel=1e-12)
+    assert rep.alpha_lower == math.inf
+    assert rep.coefficient is None
+    assert rep.lead_abs == pytest.approx(3.0, rel=1e-12)
     # k = 1: the matrix-level threshold coincides with the scalar one
-    assert rep.step_threshold_matrix == rep.step_threshold
+    assert rep.step_threshold_matrix == rep.lead_abs
     assert rep.bound_at(2.9) == 0.0
     assert rep.bound_at(3.1) == 1.0
 
@@ -287,16 +296,16 @@ def test_analyze_identity_2x2_step():
     rep = analyze(parse_matrix("[[1, 0], [0, 1]]"))
     assert rep.k == 2
     assert rep.minor.det == LaurentPoly.const(1, 1)
-    assert rep.params.wd == 0
+    assert rep.profile.wd == 0
     assert rep.is_step
-    assert rep.step_threshold == pytest.approx(1.0, rel=1e-12)
+    assert rep.lead_abs == pytest.approx(1.0, rel=1e-12)
     # the guarantee for the full matrix goes through the norm rescaling
     assert rep.step_threshold_matrix == pytest.approx(0.25, rel=1e-12)
 
 
 def test_exact_lead_moduli_stay_exact(example_matrix):
     # sqrt(|lead|^2) moves down only when it lands above |lead|
-    assert analyze(example_matrix).params.lead_abs == 2.0
+    assert analyze(example_matrix).lead_abs == 2.0
     rep = analyze(parse_matrix("[[1, 0], [0, 1]]"))
     assert f"{rep.step_threshold_matrix:.17g}" == "0.25"
 
@@ -314,7 +323,7 @@ def test_lead_abs_is_the_largest_float_below_the_modulus(re, im):
     assume(re or im)
     lead = GaussianRational(re, im)
     rep = analyze(PolyMatrix([[LaurentPoly.monomial(1, (1,), lead)]]))
-    f = rep.params.lead_abs
+    f = rep.lead_abs
     assert Fraction(f) ** 2 <= lead.abs2() < Fraction(math.nextafter(f, math.inf)) ** 2
 
 
@@ -340,11 +349,43 @@ def test_analyze_best_minor_not_worse(example_matrix):
         assert best.coefficient <= first.coefficient
 
 
+@pytest.mark.parametrize(
+    "text, col, threshold",
+    [
+        # a step beats a power law, whichever comes first
+        ("[[z1 + 1, 2*z1]]", 1, 2.0),
+        ("[[2*z1, z1 + 1]]", 0, 2.0),
+        # between steps the larger matrix-level threshold wins
+        ("[[z1 + 1, 2*z1, 3*z1^-1]]", 2, 3.0),
+        ("[[z1 + 1, 3*z1, 2*z1^-1]]", 1, 3.0),
+    ],
+)
+def test_analyze_best_minor_prefers_steps_then_larger_thresholds(text, col, threshold):
+    best = analyze(parse_matrix(text), minor="best")
+    assert best.is_step and best.minor.col_set == (col,)
+    assert best.alpha_lower == math.inf
+    assert best.step_threshold_matrix == best.lead_abs == threshold
+
+
+def test_analyze_best_minor_larger_threshold_over_larger_lead():
+    # k = 2: the rescaling by (k^2 * ||B||_1)^(k-1) ranks the steps, not |lead|
+    A = parse_matrix("[[1, 0, 3], [0, 1, 2]]")
+    identity, other = (analyze(A.submatrix((0, 1), cols)) for cols in ((0, 1), (0, 2)))
+    assert (identity.lead_abs, identity.step_threshold_matrix) == (1.0, 0.25)
+    assert other.lead_abs == 2.0 and other.step_threshold_matrix < 0.25  # 2 / (4 * 3)
+    assert analyze(A, minor="best").minor.col_set == (0, 1)
+
+
+def test_analyze_rejects_matrices_over_no_variables():
+    with pytest.raises(ValueError, match="d >= 1"):
+        analyze(PolyMatrix([[LaurentPoly.const(0, 3)]]))
+
+
 def test_analyze_exhaustive_ordering_not_worse():
     A = parse_matrix("[[z1^5*z2 + z1^4, 0], [0, 1]]")
     fixed = analyze(A, ordering="fixed")
     ex = analyze(A, ordering="exhaustive")
-    assert ex.params.wd <= fixed.params.wd
+    assert ex.profile.wd <= fixed.profile.wd
 
 
 def test_analyze_best_minor_computes_each_minor_once(example_matrix, monkeypatch):

@@ -38,7 +38,7 @@ def test_analyze_example(capsys, example_file):
     assert code == 0
     report = nsbound.analyze(nsbound.parse_matrix(EXAMPLE_MATRIX_TEXT))
     assert (
-        f"bound: F - F(0) <= {report.coefficient:.17g} * lambda^{report.exponent:g}"
+        f"bound: F - F(0) <= {report.coefficient:.17g} * lambda^{report.alpha_lower:g}"
         in out.splitlines()
     )
     assert "k = 2" in out
@@ -56,6 +56,74 @@ def test_analyze_step_case(capsys, tmp_path):
     assert code == 0
     assert "step" in out
     assert "infinite-type" in out
+
+
+GOLDEN_ANALYZE_REFERENCE = """\
+matrix: 2x3 over 2 variable(s)
+k = 2
+rows I = {1, 2}
+cols J = {1, 2}
+det(B) = 2*z1*z2^2 + z1^3*z2 - 16
+ordering = (z1, z2) [fixed, minor mode first]
+width tower: p_0 = 2*z1*z2^2 + z1^3*z2 - 16, p_1 = 2*z1, p_2 = 2
+widths = (2, 0), wd = 2
+lead = 2, |lead| = 2
+||B||_1 = 18
+bound: F - F(0) <= 39.606575856337685 * lambda^0.25
+alpha >= 0.25
+f_zero = F(0) = 1
+"""
+
+GOLDEN_ANALYZE_IDENTITY = """\
+matrix: 2x2 over 1 variable(s)
+k = 2
+rows I = {1, 2}
+cols J = {1, 2}
+det(B) = 1
+ordering = (z1) [fixed, minor mode first]
+width tower: p_0 = 1, p_1 = 1
+widths = (0,), wd = 0
+lead = 1, |lead| = 1
+||B||_1 = 1
+det(B) is a monomial: its density is a step at |lead| = 1
+matrix-level guarantee: F - F(0) = 0 for lambda < 0.25 (threshold |lead| / (k^2*||B||_1)^(k-1))
+alpha: infinite-type
+f_zero = F(0) = 0
+"""
+
+GOLDEN_EXAMPLE = """\
+k: 2  (expected 2)  ok
+det(B): 2*z1*z2^2 + z1^3*z2 - 16  (expected 2*z1*z2^2 + z1^3*z2 - 16)  ok
+p_1: 2*z1  (expected 2*z1)  ok
+wd: 2  (expected 2)  ok
+lead: 2  (expected 2)  ok
+||A||_1: 18.0  (expected 18.0)  ok
+||B||_1: 18.0  (expected 18.0)  ok
+alpha lower bound: 0.25  (expected 0.25)  ok
+exponent: 0.25  (expected 0.25)  ok
+f_zero: 1  (expected 1)  ok
+coefficient: 39.606575856337685 (coefficient^2*47/(192^2*2) = 1.0000000000000009)  ok
+all exact checks passed
+"""
+
+
+@pytest.mark.parametrize(
+    "text, argv, expected",
+    [
+        (EXAMPLE_MATRIX_TEXT, ["analyze"], GOLDEN_ANALYZE_REFERENCE),
+        ("[[1, 0], [0, 1]]", ["analyze"], GOLDEN_ANALYZE_IDENTITY),
+        (None, ["example"], GOLDEN_EXAMPLE),
+    ],
+    ids=["analyze-reference", "analyze-identity", "example"],
+)
+def test_report_text_is_pinned(capsys, tmp_path, text, argv, expected):
+    # the whole stdout, byte for byte: every number and every line of the report
+    if text is not None:
+        f = tmp_path / "in.mat"
+        f.write_text(text + "\n")
+        argv = [*argv, str(f)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")
 
 
 def test_parse_error_exit_2(capsys, tmp_path):

@@ -306,6 +306,16 @@ def test_density_curve_rejects_decreasing_counts():
         DensityCurve((1.0, 2.0), (3, 2), (0.75, 0.5), 0)
 
 
+@pytest.mark.parametrize(
+    "counts, estimates",
+    [((1,), (0.25, 0.5)), ((1, 2), (0.25,)), ((1, 2, 3), (0.25, 0.5, 0.75))],
+)
+def test_density_curve_rejects_length_mismatch(counts, estimates):
+    # alpha_fit and default_fit_window zip the three, and would drop points
+    with pytest.raises(ValueError, match="same length"):
+        DensityCurve((1.0, 2.0), counts, estimates, 0)
+
+
 def test_poly_density_workers_bit_identical():
     p = parse_poly("z1^3 - 2*z1 + 1")
     g = TorusGrid.midpoint(1, 200000)
