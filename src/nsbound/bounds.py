@@ -117,17 +117,8 @@ def best_ordering(p: LaurentPoly, mode: str = "fixed") -> WidthProfile:
         raise ValueError(
             f"exhaustive ordering search is limited to {MAX_EXHAUSTIVE_DIM} variables"
         )
-    best = None
-    for order in permutations(range(p.dim)):
-        prof = width_profile(p, order)
-        if best is None:
-            best = prof
-            continue
-        if prof.wd < best.wd:
-            best = prof
-        elif prof.wd == best.wd and prof.lead.abs2() > best.lead.abs2():
-            best = prof
-    return best
+    profiles = (width_profile(p, order) for order in permutations(range(p.dim)))
+    return min(profiles, key=lambda prof: (prof.wd, -prof.lead.abs2()))
 
 
 @dataclass(frozen=True)
@@ -215,7 +206,7 @@ def analyze(
     maximal-size minor is tried and the report with the best decay
     guarantee wins: a step before a power law, the larger threshold between
     steps, and between power laws the larger alpha lower bound, then the
-    smaller coefficient.
+    smaller coefficient; a full tie keeps the first candidate.
     ``minor_cap`` bounds the candidates at each size the "best" enumeration
     tries (see :func:`maximal_minors`), which raises MinorSearchCapExceeded
     beyond it; "first" enumerates nothing and ignores it.  The zero matrix
@@ -233,9 +224,5 @@ def analyze(
         certs = [max_nonvanishing_minor(A)]
     else:
         certs = maximal_minors(A, minor_cap)
-    best = None
-    for cert in certs:
-        report = _report_for(A, cert, best_ordering(cert.det, ordering))
-        if best is None or _report_quality(report) > _report_quality(best):
-            best = report
-    return best
+    reports = (_report_for(A, cert, best_ordering(cert.det, ordering)) for cert in certs)
+    return max(reports, key=_report_quality)

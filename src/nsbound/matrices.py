@@ -10,11 +10,12 @@ scaled by the lcm of its coefficient denominators; ``LaurentPoly`` appears
 only at the edges.  A determinant is one sweep over its rows
 (:func:`_laplace_levels`), and enumerating every minor of one size
 (``--minor best``) is one sweep whose row sets share their prefixes.  The
-rank profile behind ``--minor first`` is a greedy basis built with the
-same step (:func:`_greedy_basis`).  The sweep forms 2^n - n - 1 minors for
-an n x n determinant, exponential in n but with no quotients whose term
-counts outgrow the minors.  Cofactor expansion is kept as an independent
-oracle.
+first maximal minor behind ``--minor first`` comes from one greedy pass
+built with the same step (:func:`_greedy_basis`): its kept vectors are one
+index set and the first key of its last level the other, and one
+determinant certifies it.  The sweep forms 2^n - n - 1 minors for an n x n
+determinant, exponential in n but with no quotients whose term counts
+outgrow the minors.  Cofactor expansion is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -317,44 +318,34 @@ def iter_nonvanishing_minors(
             yield MinorCertificate(I, J, size, det, A.submatrix(I, J).l1_norm())
 
 
-def _greedy_basis(vectors: Sequence[Sequence[_KPoly]]) -> tuple[int, ...]:
-    """The lexicographically first basis among ``vectors``, by index.
+def _greedy_basis(A: PolyMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Row and column sets of the lexicographically first maximal minor of A.
 
-    Each vector is kept when it is independent of those kept before it:
-    the level of the kept vectors' maximal minors, extended along it
-    (:func:`_next_level`), is non-empty.  Each candidate forms at most
-    C(len(vector), t) minors, t the size of the extended level.
-    """
-    basis: list[int] = []
-    level: dict[tuple[int, ...], _KPoly] = {}
-    for i, v in enumerate(vectors):
-        extended = _next_level(v, level, len(basis) + 1)
-        if extended:
-            basis.append(i)
-            level = extended
-            if len(basis) == len(v):
-                break
-    return tuple(basis)
-
-
-def _rank_profile(A: PolyMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Greedy row basis I of A and the column rank profile J of A[I, :].
-
-    One greedy pass (:func:`_greedy_basis`) runs over the vectors of the
-    long side, then one over the vectors of the short side restricted to
-    the basis just found, so at most (rows + cols) * 2^min(rows, cols)
-    minors are formed.  Both are lexicographically first: rows of A
-    restricted to a column basis have the same dependencies as the rows of
-    A, and columns restricted to a row basis the same as the columns, so the
-    order of the two passes does not change I or J.
+    One greedy pass over the vectors of the long side of the row-scaled
+    kernel (:func:`_scaled_kernel`) keeps each vector whose level, the kept
+    vectors' maximal minors extended along it (:func:`_next_level`), is
+    non-empty, forming at most (rows + cols) * 2^min(rows, cols) minors.
+    The kept vectors are the lexicographically first basis of the long side.
+    The last level keys the non-zero maximal minors of the kept vectors by
+    coordinate set in lexicographic order, and a set's minor is non-zero
+    exactly when it is a basis of the short side restricted to the kept
+    vectors, so its first key is the first such basis.  Restricting to a
+    basis of the other side keeps every dependency, so the two sets are the
+    first row basis and the first column basis of A.
     """
     _, rows = _scaled_kernel(A)
-    cols = [list(c) for c in zip(*rows)]
     tall = A.rows >= A.cols
-    long_side, short_side = (rows, cols) if tall else (cols, rows)
-    first = _greedy_basis(long_side)
-    second = _greedy_basis([[v[i] for i in first] for v in short_side])
-    return (first, second) if tall else (second, first)
+    kept: list[int] = []
+    level: dict[tuple[int, ...], _KPoly] = {}
+    for i, v in enumerate(rows if tall else list(zip(*rows))):
+        extended = _next_level(v, level, len(kept) + 1)
+        if extended:
+            kept.append(i)
+            level = extended
+            if len(kept) == len(v):
+                break
+    first = next(iter(level))
+    return (tuple(kept), first) if tall else (first, tuple(kept))
 
 
 def max_nonvanishing_minor(A: PolyMatrix) -> MinorCertificate:
@@ -362,33 +353,24 @@ def max_nonvanishing_minor(A: PolyMatrix) -> MinorCertificate:
 
     This is the minor that trying sizes in descending order, and index sets
     in lexicographic order within a size (rows outer, columns inner), would
-    find first.  The leading min(rows, cols) minor is tried first, so a
-    full-rank input whose leading minor is non-zero costs one determinant.
-    Otherwise one rank-profile pass (:func:`_rank_profile`) finds I, the
-    lexicographically first set of rank(A) independent rows, and J, the
-    lexicographically first set of independent columns of A[I, :].  One
-    determinant of A[I, J] then gives the certificate.  The zero matrix is
-    rejected.
+    find first: I, the lexicographically first set of rank(A) independent
+    rows, and J, the lexicographically first set of independent columns of
+    A[I, :].  One greedy pass (:func:`_greedy_basis`) finds both, and one
+    determinant of A[I, J] certifies them.  The zero matrix is rejected.
     """
     if A.is_zero():
         raise ZeroMatrixError("the zero matrix has no non-vanishing minor")
-    n = min(A.rows, A.cols)
-    rows = cols = tuple(range(n))
+    rows, cols = _greedy_basis(A)
     sub = A.submatrix(rows, cols)
-    det = determinant(sub)
-    if det.is_zero():
-        rows, cols = _rank_profile(A)
-        sub = A.submatrix(rows, cols)
-        det = determinant(sub)
-    return MinorCertificate(rows, cols, len(rows), det, sub.l1_norm())
+    return MinorCertificate(rows, cols, len(rows), determinant(sub), sub.l1_norm())
 
 
 def maximal_minors(A: PolyMatrix, cap: int = DEFAULT_MINOR_CAP) -> list[MinorCertificate]:
     """Every non-vanishing minor of maximal size, in enumeration order.
 
     The maximal size is min(rows, cols) unless all of those minors vanish;
-    then it is rank(A), from one rank-profile pass (:func:`_rank_profile`),
-    and no size in between is enumerated.  ``cap`` bounds the candidates at
+    then it is rank(A), from one greedy pass (:func:`_greedy_basis`), and
+    no size in between is enumerated.  ``cap`` bounds the candidates at
     each size enumerated (see :func:`iter_nonvanishing_minors`).  The zero
     matrix is rejected.
     """
@@ -396,6 +378,6 @@ def maximal_minors(A: PolyMatrix, cap: int = DEFAULT_MINOR_CAP) -> list[MinorCer
         raise ZeroMatrixError("the zero matrix has no non-vanishing minor")
     certs = list(iter_nonvanishing_minors(A, min(A.rows, A.cols), cap))
     if not certs:
-        rank = len(_rank_profile(A)[0])
+        rank = len(_greedy_basis(A)[0])
         certs = list(iter_nonvanishing_minors(A, rank, cap))
     return certs

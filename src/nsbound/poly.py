@@ -16,6 +16,7 @@ iteration order deterministic.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -203,7 +204,7 @@ class LaurentPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         cleaned: dict[Exponent, GaussianRational] = {}
         for exp, coeff in items:
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(map(operator.index, exp))
             if len(exp) != dim:
                 raise DimensionMismatch(
                     f"exponent {exp} has length {len(exp)}, expected {dim}"

@@ -263,6 +263,21 @@ def test_best_ordering_dimension_cap():
         best_ordering(p, "exhaustive")
 
 
+@pytest.mark.parametrize(
+    "text, order",
+    [
+        # all six orders tie on wd and |lead|: the first permutation wins
+        ("z1*z2*z3 + 1", (0, 1, 2)),
+        # the later order has the smaller wd (1 against 2)
+        ("z1 + z2^2 + 3*z1*z2", (1, 0)),
+        # equal wd; the later order has the larger |lead| (3 against 1)
+        ("3*z1^2 + z2^2", (1, 0)),
+    ],
+)
+def test_best_ordering_tie_rules(text, order):
+    assert best_ordering(parse_poly(text), "exhaustive").order == order
+
+
 # -- analyze -----------------------------------------------------------------
 
 
@@ -376,6 +391,23 @@ def test_analyze_best_minor_larger_threshold_over_larger_lead():
     assert analyze(A, minor="best").minor.col_set == (0, 1)
 
 
+def test_analyze_best_minor_ties_keep_the_first_candidate():
+    # the three 2x2 minors are (z1 + 1)^2 up to sign: equal wd, |lead| and
+    # ||B||_1, so every key ties and the first row set wins
+    A = parse_matrix("[[z1 + 1, 0], [0, z1 + 1], [z1 + 1, z1 + 1]]")
+    reports = [analyze(A.submatrix(rows, (0, 1))) for rows in ((0, 1), (0, 2), (1, 2))]
+    assert len({(r.alpha_lower, r.coefficient) for r in reports}) == 1
+    assert analyze(A, minor="best").minor.row_set == (0, 1)
+
+
+def test_analyze_best_minor_takes_a_strictly_better_later_candidate(example_matrix):
+    # columns (0, 1) and (0, 2) tie at alpha 1/4; the last candidate, (1, 2),
+    # has det -(z1 + 1)*z2 and alpha 1/2, so taking the first cannot pass
+    first, best = analyze(example_matrix), analyze(example_matrix, minor="best")
+    assert first.minor.col_set == (0, 1) and best.minor.col_set == (1, 2)
+    assert best.alpha_lower == 0.5 > first.alpha_lower
+
+
 def test_analyze_rejects_matrices_over_no_variables():
     with pytest.raises(ValueError, match="d >= 1"):
         analyze(PolyMatrix([[LaurentPoly.const(0, 3)]]))
@@ -405,16 +437,16 @@ def test_analyze_best_minor_computes_each_minor_once(example_matrix, monkeypatch
 
 
 @pytest.mark.parametrize(
-    "A, calls_at_most, k",
+    "A, k",
     [
-        (parse_matrix(EXAMPLE_MATRIX_TEXT), 1, 2),
-        (matrix_product(parse_matrix(RANK3_LEFT), parse_matrix(RANK3_RIGHT)), 2, 3),
+        (parse_matrix(EXAMPLE_MATRIX_TEXT), 2),
+        (matrix_product(parse_matrix(RANK3_LEFT), parse_matrix(RANK3_RIGHT)), 3),
     ],
     ids=["reference", "rank3-5x6"],
 )
-def test_analyze_first_minor_determinant_calls(A, calls_at_most, k, monkeypatch):
-    # one determinant for a non-vanishing leading minor; otherwise one more
-    # for the certificate of the rank-profile pass, never an enumeration
+def test_analyze_first_minor_determinant_calls(A, k, monkeypatch):
+    # one determinant, the certificate of the greedy pass, whether or not
+    # the leading square minor vanishes; never an enumeration
     calls = []
     real = matrices.determinant
 
@@ -424,12 +456,12 @@ def test_analyze_first_minor_determinant_calls(A, calls_at_most, k, monkeypatch)
 
     monkeypatch.setattr(matrices, "determinant", counting)
     report = analyze(A, minor="first")
-    assert 1 <= len(calls) <= calls_at_most
+    assert len(calls) == 1
     assert report.k == k
 
 
 def test_analyze_best_minor_skips_the_vanishing_sizes(monkeypatch):
-    # every 5x5 minor vanishes, so the rank comes from one rank-profile pass
+    # every 5x5 minor vanishes, so the rank comes from one greedy pass
     # and the 4x4 minors are never enumerated
     A = matrix_product(parse_matrix(RANK3_LEFT), parse_matrix(RANK3_RIGHT))
     sizes = []

@@ -100,7 +100,6 @@ lead: 2  (expected 2)  ok
 ||A||_1: 18.0  (expected 18.0)  ok
 ||B||_1: 18.0  (expected 18.0)  ok
 alpha lower bound: 0.25  (expected 0.25)  ok
-exponent: 0.25  (expected 0.25)  ok
 f_zero: 1  (expected 1)  ok
 coefficient: 39.606575856337685 (coefficient^2*47/(192^2*2) = 1.0000000000000009)  ok
 all exact checks passed
@@ -345,6 +344,30 @@ def test_cost_guard_exit_5(capsys, example_file):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["density", "verify"])
+def test_lambda_count_beyond_the_cost_guard_exit_5(capsys, example_file, command, monkeypatch):
+    # 10^12 lambdas would need 8 TB per array; the guard stops them before
+    # any lambda array is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("lambda array built")
+
+    monkeypatch.setattr(np, "geomspace", refuse)
+    monkeypatch.setattr(np, "linspace", refuse)
+    for spacing in ([], ["--linear"]):
+        code, out, err = run(
+            capsys, command, example_file, "--grid", "10", "--points", "1000000000000", *spacing
+        )
+        assert (code, out) == (5, "")
+        assert err == "error: --points 1000000000000 is beyond the cap of 100000000\n"
+    monkeypatch.undo()
+    code, out, err = run(capsys, command, example_file, "--grid", "8", "--points", "65",
+                         "--max-points", "64")
+    assert (code, out, err) == (5, "", "error: --points 65 is beyond the cap of 64\n")
+    code, _, err = run(capsys, "density", example_file, "--grid", "8", "--points", "64",
+                       "--max-points", "64")
+    assert (code, err) == (0, "")
+
+
 def test_density_csv_contract(capsys, tmp_path):
     f = tmp_path / "p.poly"
     f.write_text("z1 - 1\n")
@@ -486,6 +509,11 @@ def test_example_command(capsys):
     assert "all exact checks passed" in out
     assert "2*z1" in out
     assert "18" in out
+    # each invariant is checked once: alpha's lower bound is not repeated
+    # under a second name
+    names = [line.split(":")[0] for line in out.splitlines()[:-1]]
+    assert len(names) == len(set(names)) == 10
+    assert "exponent" not in names
 
 
 # the exit codes that README and the cli module docstring list

@@ -329,7 +329,7 @@ def test_max_minor_zero_matrix_rejected():
 @settings(max_examples=100, deadline=None)
 @given(low_rank_matrices())
 def test_max_minor_is_first_enumerated_property(A):
-    # the rank-profile pass returns the certificate the enumeration over
+    # the greedy pass returns the certificate the enumeration over
     # descending sizes meets first: the same row_set, col_set, size, det
     # and b_l1 (MinorCertificate equality compares every field)
     if A.is_zero():
@@ -357,7 +357,7 @@ def _wide_rank_profile_input() -> PolyMatrix:
 
 @pytest.mark.parametrize("shape", ["wide", "tall", "rank3-5x6"])
 def test_rank_profile_forms_at_most_rows_plus_cols_times_2_to_the_min(shape, monkeypatch):
-    # the greedy passes run over the long side with levels keyed by subsets
+    # the greedy pass runs over the long side with levels keyed by subsets
     # of the short side, so the 3x40 and 40x3 cases never enumerate the
     # C(40, 3) = 9880 triples of the long side
     wide = _wide_rank_profile_input()

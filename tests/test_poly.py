@@ -106,6 +106,19 @@ def test_dimension_mismatch_raises():
 # -- star --------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("exponent", [1.5, np.float64(2.7), 2.0])
+def test_non_integral_exponent_rejected(exponent):
+    # a float exponent is an error, not truncated to an int
+    with pytest.raises(TypeError):
+        LaurentPoly(1, {(exponent,): 1})
+
+
+def test_numpy_integer_exponent_accepted():
+    p = LaurentPoly(2, {(np.int64(3), np.int32(-1)): 1})
+    assert p == parse_poly("z1^3*z2^-1")
+    assert all(type(e) is int for exp in p.terms for e in exp)
+
+
 def test_star_by_definition():
     p = parse_poly("z1 - i")
     assert p.star() == parse_poly("z1^-1 + i")
