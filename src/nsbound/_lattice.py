@@ -2,13 +2,35 @@
 
 Only lattice grids import this module (``TorusGrid.lattice`` and
 ``TorusGrid.angles``), so a midpoint run never compiles or loads it.
+Their checks and fields (``lattice_fields``) and their angles
+(``lattice_angles``) live here too.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
+
+from ._pcg64 import uniform_floats
+
+
+def lattice_fields(dim: int, total: int, seed: int) -> dict:
+    """The checked ``TorusGrid`` fields of ``TorusGrid.lattice(dim, total, seed)``."""
+    seed = operator.index(seed)
+    if dim < 1 or total < 1:
+        raise ValueError("need dim >= 1 and total >= 1")
+    if total >= 1 << 61:
+        raise ValueError(f"a lattice needs fewer than 2^61 points, not {total}")
+    if seed < 0:
+        raise ValueError(f"a lattice shift seed must be at least 0, not {seed}")
+    return {
+        "dim": dim,
+        "total": total,
+        "generator": korobov_generator(dim, total),
+        "shift": uniform_floats(seed, dim),
+    }
 
 
 def korobov_generator(dim: int, total: int) -> tuple[int, ...]:
@@ -32,4 +54,19 @@ def mul_mod(idx: np.ndarray, g: int, m: int, out: np.ndarray) -> np.ndarray:
     for shift in range((g.bit_length() - 1) // b * b, -1, -b):
         acc = (acc * (1 << b) + idx * (g >> shift & (1 << b) - 1)) % m
     out[...] = acc
+    return out
+
+
+def lattice_angles(idx: np.ndarray, g: int, m: int, shift: float, out: np.ndarray) -> np.ndarray:
+    """2 pi ((idx * g mod m) / m + shift mod 1) into the float column ``out``.
+
+    The residue is formed exactly in an int64 view of ``out``'s own memory.
+    """
+    digits = out.view(np.int64)
+    mul_mod(idx, g, m, out=digits)
+    np.copyto(out, digits, casting="unsafe")
+    out /= m
+    out += shift
+    np.mod(out, 1.0, out=out)
+    out *= 2.0 * math.pi
     return out

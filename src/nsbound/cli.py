@@ -271,7 +271,8 @@ def _add_density_flags(sp: argparse.ArgumentParser) -> None:
                     help="worker threads for grid evaluation (default 1)")
     sp.add_argument("--out", default=None, metavar="FILE", help="write CSV here")
     sp.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS,
-                    help=f"grid size cost guard (default {DEFAULT_MAX_POINTS})")
+                    help="cost guard: cap on the grid points and on --points"
+                    f" (default {DEFAULT_MAX_POINTS})")
 
 
 def build_parser() -> argparse.ArgumentParser:

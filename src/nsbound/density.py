@@ -28,20 +28,23 @@ complex exp per coordinate per point; counts do not depend on which ran.
 A chunk builds one table of the integer powers of z that the entries use,
 with conjugates for negative exponents; every entry is evaluated from that
 shared table (``LaurentPoly.eval_block``), and no exp is taken per term.
-The gram on the smaller side is summed entry by entry from those values,
-and each chunk's samples are counted against the thresholds by binning,
-without a sort.  Each worker thread allocates one workspace on its first
-chunk and writes every later chunk into it (``_chunk_counter``), so memory
-does not grow with the grid (about 4.4 MiB per worker for a 4x4 matrix
-over three variables) and no chunk faults fresh pages in: a complex array
-of 8192 points is exactly glibc's 128 KiB mmap threshold, so arrays
-allocated afresh per chunk would be mapped and unmapped every chunk.
+The gram on the smaller side is summed entry by entry from those values.
+A 1x1 or 2x2 gram's eigenvalues are taken in closed form
+(``hermitian_eigenvalues``) and counted against the thresholds by binning,
+without a sort.  A larger gram is never diagonalized: its eigenvalues at
+or below each threshold are counted by inertia, from the pivot signs of
+its Householder tridiagonal (``_inertia``), into the same bins.
+Each worker thread allocates one workspace on its first chunk and writes
+every later chunk into it (``_chunk_counter``), so memory does not grow
+with the grid (about 4.4 MiB per worker for a 4x4 matrix over three
+variables) and no chunk faults fresh pages in: a complex array of 8192
+points is exactly glibc's 128 KiB mmap threshold, so arrays allocated
+afresh per chunk would be mapped and unmapped every chunk.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -94,23 +97,9 @@ class TorusGrid:
         The shift is computed bit for bit by ``_pcg64``, which never
         imports ``numpy.random``; ``seed`` is an integer >= 0.
         """
-        seed = operator.index(seed)
-        if dim < 1 or total < 1:
-            raise ValueError("need dim >= 1 and total >= 1")
-        if total >= 1 << 61:
-            raise ValueError(f"a lattice needs fewer than 2^61 points, not {total}")
-        if seed < 0:
-            raise ValueError(f"a lattice shift seed must be at least 0, not {seed}")
-        from ._lattice import korobov_generator  # only lattice runs load it
-        from ._pcg64 import uniform_floats
+        from ._lattice import lattice_fields  # only lattice runs load it
 
-        return TorusGrid(
-            dim=dim,
-            scheme="lattice-shift",
-            total=total,
-            generator=korobov_generator(dim, total),
-            shift=uniform_floats(seed, dim),
-        )
+        return TorusGrid(scheme="lattice-shift", **lattice_fields(dim, total, seed))
 
     def epsilon_quad(self) -> float:
         """Declared quadrature tolerance 4 * d / N, N = M^(1/d) on a lattice of M points."""
@@ -139,22 +128,17 @@ class TorusGrid:
         n = self.points_per_dim
         for j in reversed(range(self.dim)):
             col = out[:, j]
-            digits = col.view(np.int64)
             if self.scheme == "midpoint":
+                digits = col.view(np.int64)
                 np.floor_divide(idx, n**j, out=digits)
                 np.remainder(digits, n, out=digits)
                 np.copyto(col, digits, casting="unsafe")
                 col += 0.5
                 col *= 2.0 * math.pi / n
             else:
-                from ._lattice import mul_mod  # only lattice runs load it
+                from ._lattice import lattice_angles  # only lattice runs load it
 
-                mul_mod(idx, self.generator[j], self.total, out=digits)
-                np.copyto(col, digits, casting="unsafe")
-                col /= self.total
-                col += self.shift[j]
-                np.mod(col, 1.0, out=col)
-                col *= 2.0 * math.pi
+                lattice_angles(idx, self.generator[j], self.total, self.shift[j], out=col)
         return out
 
 
@@ -190,7 +174,9 @@ def hermitian_eigenvalues(H: np.ndarray, out: np.ndarray | None = None) -> np.nd
     the closed form mid -+ hypot((a - c)/2, |b|): per call it is an order
     of magnitude faster than LAPACK at that size and as accurate near
     zero; it is written into ``out``, a float (npoints, 2) C-contiguous
-    array, if given.  Every other size goes to ``np.linalg.eigvalsh``.
+    array, if given.  Every other size goes to ``np.linalg.eigvalsh``;
+    ``matrix_density`` calls this only for 1x1 and 2x2 grams and counts
+    larger ones by inertia without their eigenvalues (``_inertia``).
     Each result depends only on its own matrix, so chunking cannot change it.
     """
     if H.shape[-1] == 1:
@@ -226,8 +212,8 @@ def _gram(
     once its diagonal entry is summed.  A A* (wide) or A* A (tall) has the
     same non-zero spectrum either way.  Each of the k(k+1)/2 distinct
     entries is summed directly over the long side, and both triangles are
-    written (``eigvalsh`` reads the lower one, the 2x2 closed form the
-    upper).  The stack is a view of ``out``, a complex (k, k, npoints)
+    written (the 2x2 closed form reads the upper one, the count by
+    inertia both).  The stack is a view of ``out``, a complex (k, k, npoints)
     array, so every entry is written contiguously; ``scratch``, a complex
     array of npoints entries, holds the products.  Overflowing products
     become inf or nan quietly; the caller rejects non-finite stacks.
@@ -317,7 +303,12 @@ def _count_at_most(samples: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     (and NaN, which sorts last).
     """
     slot = np.searchsorted(thresholds, samples.reshape(-1), side="left")
-    return np.cumsum(np.bincount(slot, minlength=len(thresholds) + 1)[:-1])
+    return _count_slots(slot, len(thresholds))
+
+
+def _count_slots(slot: np.ndarray, nthresholds: int) -> np.ndarray:
+    """Number of samples at or below each threshold, from each sample's slot."""
+    return np.cumsum(np.bincount(slot.reshape(-1), minlength=nthresholds + 1)[:-1])
 
 
 def matrix_density(
@@ -381,7 +372,8 @@ def _chunk_counter(
       first row is the gram's scratch row;
     * the entry values, one row each, the first holding the digits of a
       gather; once the values are summed into the gram they hold the
-      finiteness mask and the 2x2 eigenvalues;
+      finiteness mask and then the 2x2 eigenvalues, or, together with
+      the z rows, the intermediates of the count by inertia for k >= 3;
     * the power table, two rows it leaves free being the evaluation's
       scratch rows; then the gram stack reuses its rows.
     """
@@ -418,6 +410,10 @@ def _chunk_counter(
         flags = local.rows[dim : dim + nvals].reshape(-1).view(np.bool_)
         if not np.isfinite(stack, out=flags[: stack.size].reshape(stack.shape)).all():
             raise OverflowError("a gram matrix entry overflows a float")
+        if k >= 3:  # the z and value rows, k^2 + 1 or more, are its workspace
+            from ._inertia import inertia_counts  # only k >= 3 grams load it
+
+            return inertia_counts(stack, thresholds, local.rows[: dim + nvals])
         eig = values[0].view(np.float64).reshape(n, 2) if k == 2 else None
         return _count_at_most(hermitian_eigenvalues(gram, out=eig), thresholds)
 

@@ -29,6 +29,7 @@ from nsbound import (
     parse_poly,
 )
 from nsbound import density
+from nsbound._inertia import inertia_counts
 from nsbound.density import (
     InsufficientDataError,
     default_fit_window,
@@ -429,6 +430,22 @@ def test_matrix_density_matches_plain_numpy_recount(shape, grid):
     assert want[-1] - want[0] > grid.total  # the lambdas see the spectrum
 
 
+def test_matrix_density_counts_grams_whose_squares_overflow():
+    # gram entries near 1e161 are floats, but the sums of their squares that
+    # the tridiagonal reduction forms are not unless each point is rescaled
+    b3, b5, b7 = ("3" + "0" * 80), ("5" + "0" * 80), ("7" + "0" * 80)
+    A = parse_matrix(
+        f"[[{b3}*z1, {b3}, 2*z2], [{b3}*z2, {b7}*z1^-1 + 1, {b5}],"
+        f" [1, {b7}*z1*z2, {b3}*z2^-1 - {b5}]]"
+    )
+    grid = TorusGrid.midpoint(2, 40)
+    lams = np.geomspace(1e78, 1e83, 24).tolist()
+    curve = matrix_density(A, 3, lams, grid)
+    want = _recount(A, lams, grid)
+    assert np.abs(np.array(curve.counts) - want).max() <= 2
+    assert want[0] == 0 and want[-1] == 3 * grid.total
+
+
 # -- chunking and memory ---------------------------------------------------------------
 #
 # Every per-point step (evaluation, gram, eigenvalues) and every count is
@@ -535,6 +552,79 @@ def test_count_at_most_matches_sort_and_searchsorted(thresholds, samples):
     f = np.array(samples, dtype=np.float64)
     want = np.searchsorted(np.sort(f), t, side="right")
     assert np.array_equal(density._count_at_most(f, t), want)
+
+
+def _inertia_counts(H: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Counts of the k >= 3 kernel for a (n, k, k) stack, laid out as a chunk lays it out."""
+    n, k = H.shape[:2]
+    stack = H.transpose(1, 2, 0).copy()  # the kernel consumes it
+    rows = np.empty((k * k + 1, n), dtype=np.complex128)
+    return inertia_counts(stack, thresholds, rows)
+
+
+INERTIA_KINDS = ("random", "rank-deficient", "sparse", "tridiagonal", "diagonal", "identity")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(3, 6),
+    kind=st.sampled_from(INERTIA_KINDS),
+    npoints=st.integers(1, 24),
+    nthresholds=st.integers(1, 1000),
+    scale=st.sampled_from([0, 900, -900]),
+    with_zero=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_inertia_count_matches_eigvalsh(k, kind, npoints, nthresholds, scale, with_zero, seed):
+    rng = np.random.default_rng(seed)
+    exact = kind in ("diagonal", "identity")
+    if exact:
+        # eigenvalues known exactly, with ties, zeros and thresholds equal to them
+        if kind == "diagonal":
+            eig = rng.integers(0, 4, size=(npoints, k)) * rng.uniform(0.1, 10)
+        else:
+            eig = np.repeat(rng.integers(0, 3, size=(npoints, 1)) * rng.uniform(0.1, 10), k, 1)
+        H = np.zeros((npoints, k, k), dtype=np.complex128)
+        H[:, range(k), range(k)] = eig
+    else:
+        B = rng.normal(size=(npoints, k, k)) + 1j * rng.normal(size=(npoints, k, k))
+        if kind == "rank-deficient":
+            B[:, :, rng.integers(1, k) :] = 0
+        elif kind == "sparse":  # exact zero gram entries, some at the top of a column
+            B *= rng.random(B.shape) < 0.5
+        elif kind == "tridiagonal":  # B lower bidiagonal, so B B* is tridiagonal
+            B = np.tril(np.triu(B, -1))
+        H = B @ B.conj().transpose(0, 2, 1)
+        eig = np.linalg.eigvalsh(H)
+    top = 1.25 * max(eig.max(), 1.0)
+    thresholds = rng.uniform(0, top, size=nthresholds)
+    if exact:
+        picks = rng.integers(0, nthresholds, size=min(nthresholds, 2 * k))
+        thresholds[picks] = rng.choice(eig.reshape(-1), size=len(picks))
+    if with_zero:
+        thresholds[0] = 0.0
+    thresholds.sort()
+    H *= 2.0**scale
+    eig = eig * 2.0**scale
+    thresholds *= 2.0**scale
+    got = _inertia_counts(H, thresholds)
+
+    def count(samples):
+        return np.searchsorted(np.sort(samples.reshape(-1)), thresholds, side="right")
+
+    if exact:
+        assert np.array_equal(got, count(eig))
+    else:
+        # the count is exact for a matrix a few ulps away, eigvalsh's values are as close
+        slack = 64 * k * np.finfo(np.float64).eps * np.trace(H, axis1=1, axis2=2).real
+        assert np.all(count(eig + slack[:, None]) <= got)
+        assert np.all(got <= count(eig - slack[:, None]))
+
+
+def test_inertia_count_of_a_zero_gram_at_threshold_zero():
+    assert _inertia_counts(np.zeros((5, 4, 4), np.complex128), np.array([0.0, 1.0])).tolist() == [
+        20, 20,
+    ]
 
 
 # A 4x4 matrix over 3 variables with 1-3 terms per entry, like the
