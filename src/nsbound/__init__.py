@@ -31,7 +31,6 @@ from .poly import (
     GaussianRational,
     LaurentPoly,
     WidthProfile,
-    lead_lex,
     width_profile,
 )
 
@@ -55,7 +54,6 @@ __all__ = [
     "format_matrix",
     "format_poly",
     "iter_nonvanishing_minors",
-    "lead_lex",
     "matrix_density",
     "max_nonvanishing_minor",
     "minor",

@@ -28,7 +28,8 @@ complex exp per coordinate per point; counts do not depend on which ran.
 A chunk builds one table of the integer powers of z that the entries use,
 with conjugates for negative exponents; every entry is evaluated from that
 shared table (``LaurentPoly.eval_block``), and no exp is taken per term.
-The gram on the smaller side is summed entry by entry from those values.
+The gram A A* is summed entry by entry from those values; a tall matrix is
+transposed once per run, so the gram is always formed on the wide side.
 A 1x1 or 2x2 gram's eigenvalues are taken in closed form
 (``hermitian_eigenvalues``) and counted against the thresholds by binning,
 without a sort.  A larger gram is never diagonalized: its eigenvalues at
@@ -53,14 +54,14 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .matrices import PolyMatrix
+from .matrices import PolyMatrix, ZeroMatrixError
 from .poly import (
     GaussianRational,
     LaurentPoly,
     _float_down,
     _power_rows,
     _power_table,
-    lead_lex,
+    width_profile,
 )
 
 CHUNK = 1 << 13  # points per chunk, sized so that a chunk's arrays stay in cache
@@ -106,9 +107,9 @@ class TorusGrid:
         n = self.points_per_dim if self.scheme == "midpoint" else self.total ** (1.0 / self.dim)
         return 4.0 * self.dim / n
 
-    def block_ranges(self, chunk: int = CHUNK) -> Iterator[tuple[int, int]]:
-        """Consecutive [start, stop) ranges of ``chunk`` points covering the grid."""
-        return ((s, min(s + chunk, self.total)) for s in range(0, self.total, chunk))
+    def block_ranges(self) -> Iterator[tuple[int, int]]:
+        """Consecutive [start, stop) ranges of ``CHUNK`` points covering the grid."""
+        return ((s, min(s + CHUNK, self.total)) for s in range(0, self.total, CHUNK))
 
     def angles(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
         """Angle rows for flat point indices [start, stop).
@@ -148,7 +149,7 @@ def _sum_chunks(grid: TorusGrid, fn: Callable[[int, int], np.ndarray], workers: 
     Ranges are produced one at a time, and at most 2 * workers chunks are
     in flight, so memory does not grow with the grid.
     """
-    ranges = grid.block_ranges(CHUNK)
+    ranges = grid.block_ranges()
     if workers <= 1:
         return sum(fn(a, b) for a, b in ranges)
     # Imported here: a single-worker run never loads the executor machinery.
@@ -202,28 +203,21 @@ def hermitian_eigenvalues(H: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return out
 
 
-def _gram(
-    values: np.ndarray, rows: int, cols: int, out: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
-    """Gram stack (npoints, k, k) on the smaller side, k = min(rows, cols).
+def _gram(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Gram stack A A* (npoints, k, k) of a wide block A, k = len(out).
 
-    ``values[i * cols + j]`` holds entry (i, j) over the block.  The values
-    are consumed: each row (wide) or column (tall) is conjugated in place
-    once its diagonal entry is summed.  A A* (wide) or A* A (tall) has the
-    same non-zero spectrum either way.  Each of the k(k+1)/2 distinct
-    entries is summed directly over the long side, and both triangles are
-    written (the 2x2 closed form reads the upper one, the count by
-    inertia both).  The stack is a view of ``out``, a complex (k, k, npoints)
-    array, so every entry is written contiguously; ``scratch``, a complex
-    array of npoints entries, holds the products.  Overflowing products
-    become inf or nan quietly; the caller rejects non-finite stacks.
+    ``values`` holds A's entries over the block, row by row.  The values
+    are consumed: each row is conjugated in place once its diagonal entry
+    is summed.  Each of the k(k+1)/2 distinct entries is summed directly
+    along the rows, and both triangles are written (the 2x2 closed form
+    reads the upper one, the count by inertia both).  The stack is a view
+    of ``out``, a complex (k, k, npoints) array, so every entry is written
+    contiguously; ``scratch``, a complex array of npoints entries, holds
+    the products.  Overflowing products become inf or nan quietly; the
+    caller rejects non-finite stacks.
     """
-    wide = rows <= cols
-    if wide:
-        vecs = [values[i * cols : (i + 1) * cols] for i in range(rows)]
-    else:
-        vecs = [values[j::cols] for j in range(cols)]
-    k, npoints = len(vecs), values.shape[1]
+    k, npoints = len(out), values.shape[1]
+    vecs = values.reshape(k, -1, npoints)  # a view; vecs[i] is row i of A
     diag, square = scratch.view(np.float64)[:npoints], scratch.view(np.float64)[npoints:]
     with np.errstate(over="ignore", invalid="ignore"):
         for j, y in enumerate(vecs):
@@ -235,13 +229,11 @@ def _gram(
             if j + 1 < k:
                 np.conj(y, out=y)
             for i in range(j + 1, k):
-                # s = sum x_i conj(x_j) is (A A*)_ij, or (A* A)_ji when tall
-                at, mirror = ((i, j), (j, i)) if wide else ((j, i), (i, j))
-                s = out[at]
+                s = out[i, j]  # sum x_i conj(x_j), (A A*)_ij
                 np.multiply(vecs[i][0], y[0], out=s)
                 for x, yc in zip(vecs[i][1:], y[1:]):
                     s += np.multiply(x, yc, out=scratch)
-                np.conj(s, out=out[mirror])
+                np.conj(s, out=out[j, i])
     return out.transpose(2, 0, 1)
 
 
@@ -322,15 +314,18 @@ def matrix_density(
 
     The count is taken on the larger of the two gram sides, so it starts at
     max(rows, cols) - rank almost everywhere; only the smaller gram is
-    diagonalized and the |rows - cols| exact zero eigenvalues are added as
-    a constant.  ``k`` (the maximal non-vanishing minor size) fixes the
-    analytic value f_zero = max(rows, cols) - k.
+    formed, A A* of A or of its transpose when A is tall, and the
+    |rows - cols| exact zero eigenvalues are added as a constant.  ``k``
+    (the maximal non-vanishing minor size) fixes the analytic value
+    f_zero = max(rows, cols) - k; a zero matrix larger than 1x1 has no
+    such k and raises ``ZeroMatrixError``.
 
     A 1x1 matrix [[p]] is the fraction of the torus where |p| <= lambda.
     A zero p raises ``ZeroPolynomialError``.  A one-term p is the exact
     step at |lead|, with no quadrature.  Any other p is divided by its
-    exact leading coefficient and the thresholds absorb the scale exactly,
-    so p and c*p agree count for count at corresponding lambdas.
+    exact leading coefficient, the lead of its width tower, and the
+    thresholds absorb the scale exactly, so p and c*p agree count for
+    count at corresponding lambdas.
     """
     if grid.dim != A.dim:
         raise ValueError(f"grid dimension {grid.dim} != matrix dimension {A.dim}")
@@ -342,13 +337,17 @@ def matrix_density(
     entries, scale2 = A.entries, Fraction(1)
     if A.rows == A.cols == 1:
         p = A[0, 0]
-        lead = lead_lex(p)
+        lead = width_profile(p).lead
         scale2 = lead.abs2()
         if p.is_monomial():
             # |p| is constant |lead| on the torus: the density is an exact step.
             counts = tuple(grid.total if Fraction(x) ** 2 >= scale2 else 0 for x in lam)
             return DensityCurve(lam, counts, tuple(c / grid.total for c in counts), 0)
         entries = [[p * (GaussianRational(1) / lead)]]
+    elif A.is_zero():
+        raise ZeroMatrixError("the zero matrix has no non-vanishing minor")
+    elif A.rows > A.cols:
+        entries = tuple(zip(*entries))
     thresholds = _squared_thresholds(lam, scale2)
     totals = _sum_chunks(grid, _chunk_counter(entries, thresholds, grid), workers)
     counts = tuple(int(c) + extra_zeros * grid.total for c in totals)
@@ -359,7 +358,7 @@ def matrix_density(
 def _chunk_counter(
     entries: Sequence[Sequence[LaurentPoly]], thresholds: np.ndarray, grid: TorusGrid
 ) -> Callable[[int, int], np.ndarray]:
-    """count_chunk(start, stop): gram eigenvalues of ``entries`` <= each threshold.
+    """count_chunk(start, stop): gram eigenvalues of wide ``entries`` <= each threshold.
 
     Each worker thread allocates one workspace on its first chunk, sized
     from ``CHUNK`` and these entries, and every later chunk reuses it, so
@@ -377,8 +376,7 @@ def _chunk_counter(
     * the power table, two rows it leaves free being the evaluation's
       scratch rows; then the gram stack reuses its rows.
     """
-    rows, cols = len(entries), len(entries[0])
-    k = min(rows, cols)
+    k = len(entries)
     polys = [p for row in entries for p in row]
     size = min(CHUNK, grid.total)
     dim, nvals = grid.dim, len(polys)
@@ -406,7 +404,7 @@ def _chunk_counter(
         for p, v in zip(polys, values):
             p.eval_block(z.T, powers, out=v, scratch=free[:2])
         stack = local.rows[dim + nvals : dim + nvals + k * k].reshape(k, k, size)[..., :n]
-        gram = _gram(values, rows, cols, stack, z[0])
+        gram = _gram(values, stack, z[0])
         flags = local.rows[dim : dim + nvals].reshape(-1).view(np.bool_)
         if not np.isfinite(stack, out=flags[: stack.size].reshape(stack.shape)).all():
             raise OverflowError("a gram matrix entry overflows a float")

@@ -105,10 +105,9 @@ class PolyMatrix:
 _KPoly = dict[tuple[int, ...], tuple]
 
 
-def _scaled(x: Fraction, scale: int):
-    """scale * x, as an int when scale clears the denominator of x."""
-    q, r = divmod(scale, x.denominator)
-    return x * scale if r else x.numerator * q
+def _scaled(x: Fraction, scale: int) -> int:
+    """scale * x, for a ``scale`` that the denominator of x divides."""
+    return x.numerator * (scale // x.denominator)
 
 
 def _to_kernel(p: LaurentPoly, scale: int) -> _KPoly:

@@ -37,10 +37,6 @@ class SourceSpan:
     line: int
     column: int
 
-    def __post_init__(self):
-        if self.start > self.end:
-            raise ValueError("span start exceeds end")
-
 
 class ParseError(ValueError):
     """A syntax or semantic error in polynomial/matrix text.

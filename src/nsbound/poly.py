@@ -7,10 +7,9 @@ determinants and leading coefficients fully reliable; floating point only
 enters when a polynomial is evaluated on the torus or when a coefficient
 modulus is reported as a float.
 
-Terms are kept sorted so that the last entry is the term whose exponent is
-maximal in the lexicographic order that compares the *last* coordinate
-first.  This makes the leading coefficient a constant-time lookup and makes
-iteration order deterministic.
+Terms are kept sorted in the lexicographic order that compares the *last*
+coordinate first, so that printing is canonical and evaluation adds the
+terms in one fixed order.
 """
 
 from __future__ import annotations
@@ -569,15 +568,3 @@ def width_profile(p: LaurentPoly, order: Iterable[int] | None = None) -> WidthPr
     assert lead, "top layer of a non-zero polynomial is non-zero"
     wd = max(widths) if widths else 0
     return WidthProfile(order, tuple(tower), tuple(widths), wd, lead)
-
-
-def lead_lex(p: LaurentPoly) -> GaussianRational:
-    """Coefficient of the exponent that is lexicographically maximal.
-
-    The comparison looks at the last coordinate first, so this agrees with
-    the constant reached by the width tower under the identity ordering.
-    """
-    if p.is_zero():
-        raise ZeroPolynomialError("the zero polynomial has no leading coefficient")
-    last_exp = next(reversed(p.terms))
-    return p.terms[last_exp]

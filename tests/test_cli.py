@@ -218,9 +218,33 @@ print(code, *sorted(sys.modules))
 """
 
 
-@pytest.mark.parametrize("command", ["density", "verify"])
-def test_lattice_runs_never_import_numpy_random(tmp_path, example_file, command):
-    argv = [command, example_file, "--lattice", "1000", "--seed", "3", "--out", f"{tmp_path}/x.csv"]
+_OPTIONAL = {"nsbound._lattice", "nsbound._pcg64", "nsbound._inertia"}
+
+
+@pytest.mark.parametrize(
+    "command, text, flags, loaded",
+    [
+        pytest.param(
+            "verify", EXAMPLE_MATRIX_TEXT, ["--grid", "50", "--workers", "1"], set(),
+            id="midpoint",
+        ),
+        pytest.param(
+            "density", EXAMPLE_MATRIX_TEXT, ["--lattice", "1000", "--seed", "3"],
+            {"nsbound._lattice", "nsbound._pcg64"}, id="lattice",
+        ),
+        pytest.param(
+            "verify", "[[z1 - z2, 2, z2^-1], [z1*z2, z2 - 3, 1], [z2, z1^2, z1]]",
+            ["--grid", "20"], {"nsbound._inertia"}, id="3x3",
+        ),
+    ],
+)
+def test_runs_load_only_the_modules_they_use(tmp_path, command, text, flags, loaded):
+    # The lattice, its shift and the count by inertia for k >= 3 live in
+    # modules of their own, so a run that needs none of them compiles none.
+    # No run imports numpy.random, and a single worker needs no executor.
+    f = tmp_path / "in.mat"
+    f.write_text(text + "\n")
+    argv = [command, str(f), *flags, "--out", f"{tmp_path}/x.csv"]
     env = {**os.environ, "PYTHONPATH": str(Path(nsbound.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", MODULES_SCRIPT, *argv],
@@ -229,20 +253,9 @@ def test_lattice_runs_never_import_numpy_random(tmp_path, example_file, command)
     code, *modules = proc.stdout.splitlines()[-1].split()
     assert code == "0"
     assert "nsbound.density" in modules
+    assert _OPTIONAL.intersection(modules) == loaded
+    assert not [m for m in modules if m.split(".")[0] == "concurrent"]
     assert not [m for m in modules if m == "numpy.random" or m.startswith("numpy.random.")]
-
-
-def test_single_worker_verify_never_imports_concurrent_futures(tmp_path, example_file):
-    argv = ["verify", example_file, "--grid", "50", "--workers", "1", "--out", f"{tmp_path}/x.csv"]
-    env = {**os.environ, "PYTHONPATH": str(Path(nsbound.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", MODULES_SCRIPT, *argv],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
-    )
-    code, *modules = proc.stdout.splitlines()[-1].split()
-    assert code == "0"
-    assert "nsbound.density" in modules
-    assert not [m for m in modules if m.startswith("concurrent.")]
 
 
 @pytest.mark.parametrize(

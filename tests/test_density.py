@@ -35,6 +35,8 @@ from nsbound.density import (
     default_fit_window,
     hermitian_eigenvalues,
 )
+from nsbound.matrices import ZeroMatrixError
+from nsbound.poly import ZeroPolynomialError
 
 from conftest import EXAMPLE_MATRIX_TEXT, arc_measure, random_poly, star_transpose
 from lemmas import det_domination_violations, product_violations
@@ -294,6 +296,19 @@ def test_poly_density_errors():
         matrix_density(PolyMatrix([[LaurentPoly.zero(1)]]), 1, [1.0], g)
 
 
+def test_zero_matrix_density_errors():
+    # F is the constant max(rows, cols) on a zero matrix, which has no
+    # non-vanishing minor; a zero 1x1 is a zero polynomial
+    g = TorusGrid.midpoint(2, 10)
+    lams = [0.0, 0.5, 1.0]
+    zero = LaurentPoly.zero(2)
+    with pytest.raises(ZeroPolynomialError):
+        matrix_density(PolyMatrix([[zero]]), 1, lams, g)
+    for rows, cols in [(2, 2), (2, 3), (3, 1)]:
+        with pytest.raises(ZeroMatrixError):
+            matrix_density(PolyMatrix([[zero] * cols] * rows), 1, lams, g)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_lambdas_rejected(bad):
     g = TorusGrid.midpoint(1, 16)
@@ -373,6 +388,26 @@ def test_matrix_density_wide_vs_tall_agree(example_matrix):
     tall = matrix_density(star_transpose(example_matrix), 2, lams, g)
     assert wide.f_zero == tall.f_zero == 1
     assert wide.counts == tall.counts
+
+
+@pytest.mark.parametrize(
+    "grid", [TorusGrid.midpoint(2, 60), TorusGrid.lattice(2, 5003, seed=7)],
+    ids=["midpoint", "lattice"],
+)
+@pytest.mark.parametrize("rows, cols", [(4, 1), (4, 2), (5, 3), (6, 4)])
+def test_matrix_density_transpose_agrees(rows, cols, grid):
+    # A A* of the transpose is the entrywise conjugate of A* A, so a tall
+    # matrix and its plain transpose count alike at every threshold
+    rng = random.Random(rows * 10 + cols)
+    tall = PolyMatrix(
+        [[random_poly(rng, 2, max_terms=3) for _ in range(cols)] for _ in range(rows)]
+    )
+    wide = PolyMatrix(list(zip(*tall.entries)))
+    lams = np.geomspace(0.05, 50, 12).tolist()
+    a = matrix_density(tall, cols, lams, grid)
+    b = matrix_density(wide, cols, lams, grid)
+    assert a.counts == b.counts
+    assert len(set(a.counts)) > 2
 
 
 @pytest.mark.parametrize(

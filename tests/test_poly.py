@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from nsbound import (
     GaussianRational,
     LaurentPoly,
-    lead_lex,
     parse_poly,
     width_profile,
 )
@@ -31,6 +30,12 @@ from nsbound.poly import (
 )
 
 from conftest import eval_at, random_poly
+
+
+def lead_lex(p: LaurentPoly) -> GaussianRational:
+    """Coefficient of the last sorted term, whose exponent is maximal when
+    the last coordinate is compared first."""
+    return p.terms[next(reversed(p.terms))]
 
 # -- strategies -------------------------------------------------------------
 
@@ -526,11 +531,12 @@ def test_width_tower_monotone(p):
 
 
 def test_lead_lex_examples():
-    assert lead_lex(parse_poly("z1^3*z2 + 2*z1*z2^2 - 16")) == GaussianRational(2)
-    assert lead_lex(LaurentPoly.const(2, Fraction(7, 3))) == GaussianRational(
-        Fraction(7, 3)
-    )
-    assert lead_lex(parse_poly("z1^5 - 7*z1^-3")) == GaussianRational(1)
+    for p, lead in [
+        (parse_poly("z1^3*z2 + 2*z1*z2^2 - 16"), GaussianRational(2)),
+        (LaurentPoly.const(2, Fraction(7, 3)), GaussianRational(Fraction(7, 3))),
+        (parse_poly("z1^5 - 7*z1^-3"), GaussianRational(1)),
+    ]:
+        assert width_profile(p).lead == lead_lex(p) == lead
 
 
 def test_lead_equivalence_thousand_random():
