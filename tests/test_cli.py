@@ -221,27 +221,12 @@ print(code, *sorted(sys.modules))
 _OPTIONAL = {"nsbound._lattice", "nsbound._pcg64", "nsbound._inertia"}
 
 
-@pytest.mark.parametrize(
-    "command, text, flags, loaded",
-    [
-        pytest.param(
-            "verify", EXAMPLE_MATRIX_TEXT, ["--grid", "50", "--workers", "1"], set(),
-            id="midpoint",
-        ),
-        pytest.param(
-            "density", EXAMPLE_MATRIX_TEXT, ["--lattice", "1000", "--seed", "3"],
-            {"nsbound._lattice", "nsbound._pcg64"}, id="lattice",
-        ),
-        pytest.param(
-            "verify", "[[z1 - z2, 2, z2^-1], [z1*z2, z2 - 3, 1], [z2, z1^2, z1]]",
-            ["--grid", "20"], {"nsbound._inertia"}, id="3x3",
-        ),
-    ],
-)
-def test_runs_load_only_the_modules_they_use(tmp_path, command, text, flags, loaded):
-    # The lattice, its shift and the count by inertia for k >= 3 live in
-    # modules of their own, so a run that needs none of them compiles none.
-    # No run imports numpy.random, and a single worker needs no executor.
+def _loaded_modules(tmp_path, command, text, flags):
+    """Runs the command in a fresh interpreter and returns the modules it imported.
+
+    Also checks what every run shares: exit 0, no numpy.random and, as no
+    run here asks for more than one worker, no executor.
+    """
     f = tmp_path / "in.mat"
     f.write_text(text + "\n")
     argv = [command, str(f), *flags, "--out", f"{tmp_path}/x.csv"]
@@ -253,9 +238,38 @@ def test_runs_load_only_the_modules_they_use(tmp_path, command, text, flags, loa
     code, *modules = proc.stdout.splitlines()[-1].split()
     assert code == "0"
     assert "nsbound.density" in modules
-    assert _OPTIONAL.intersection(modules) == loaded
     assert not [m for m in modules if m.split(".")[0] == "concurrent"]
     assert not [m for m in modules if m == "numpy.random" or m.startswith("numpy.random.")]
+    return set(modules)
+
+
+@pytest.mark.parametrize(
+    "command, text, flags, loaded",
+    [
+        pytest.param(
+            "verify", EXAMPLE_MATRIX_TEXT, ["--grid", "50", "--workers", "1"], set(),
+            id="midpoint",
+        ),
+        pytest.param(
+            "verify", "[[z1 - z2, 2, z2^-1], [z1*z2, z2 - 3, 1], [z2, z1^2, z1]]",
+            ["--grid", "20"], {"nsbound._inertia"}, id="3x3",
+        ),
+    ],
+)
+def test_runs_load_only_the_modules_they_use(tmp_path, command, text, flags, loaded):
+    # The lattice, its shift and the count by inertia for k >= 3 live in
+    # modules of their own, so a run that needs none of them compiles none.
+    modules = _loaded_modules(tmp_path, command, text, flags)
+    assert _OPTIONAL & modules == loaded
+
+
+@pytest.mark.parametrize("command", ["density", "verify"])
+def test_lattice_runs_never_import_numpy_random(tmp_path, command):
+    # The shift is drawn by nsbound._pcg64, so a lattice run loads it and the
+    # lattice module, but never numpy.random.
+    flags = ["--lattice", "1000", "--seed", "3"]
+    modules = _loaded_modules(tmp_path, command, EXAMPLE_MATRIX_TEXT, flags)
+    assert _OPTIONAL & modules == {"nsbound._lattice", "nsbound._pcg64"}
 
 
 @pytest.mark.parametrize(
