@@ -30,6 +30,10 @@ with conjugates for negative exponents; every entry is evaluated from that
 shared table (``LaurentPoly.eval_block``), and no exp is taken per term.
 The gram A A* is summed entry by entry from those values; a tall matrix is
 transposed once per run, so the gram is always formed on the wide side.
+A monomial or zero entry c*z^e has |c*z^e|^2 = |c|^2 everywhere on the
+torus, so each row's sum of these |c|^2 is formed in exact arithmetic once
+per run; its gram diagonal entry starts from that constant, rounded down
+to a float, and squares only the row's other entries.
 A 1x1 or 2x2 gram's eigenvalues are taken in closed form
 (``hermitian_eigenvalues``) and counted against the thresholds by binning,
 without a sort.  A larger gram is never diagonalized: its eigenvalues at
@@ -58,6 +62,7 @@ from .matrices import PolyMatrix, ZeroMatrixError
 from .poly import (
     GaussianRational,
     LaurentPoly,
+    _constant_abs2,
     _float_down,
     _power_rows,
     _power_table,
@@ -130,9 +135,11 @@ class TorusGrid:
         for j in reversed(range(self.dim)):
             col = out[:, j]
             if self.scheme == "midpoint":
-                digits = col.view(np.int64)
-                np.floor_divide(idx, n**j, out=digits)
-                np.remainder(digits, n, out=digits)
+                digits = col.view(np.int64)  # column 0's digits overwrite idx itself
+                if j:
+                    np.floor_divide(idx, n**j, out=digits)
+                if j + 1 < self.dim:  # idx < n^dim keeps the last quotient below n
+                    np.remainder(digits, n, out=digits)
                 np.copyto(col, digits, casting="unsafe")
                 col += 0.5
                 col *= 2.0 * math.pi / n
@@ -203,26 +210,32 @@ def hermitian_eigenvalues(H: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return out
 
 
-def _gram(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _gram(
+    values: np.ndarray, out: np.ndarray, scratch: np.ndarray, diagonal: list
+) -> np.ndarray:
     """Gram stack A A* (npoints, k, k) of a wide block A, k = len(out).
 
     ``values`` holds A's entries over the block, row by row.  The values
     are consumed: each row is conjugated in place once its diagonal entry
-    is summed.  Each of the k(k+1)/2 distinct entries is summed directly
-    along the rows, and both triangles are written (the 2x2 closed form
-    reads the upper one, the count by inertia both).  The stack is a view
-    of ``out``, a complex (k, k, npoints) array, so every entry is written
-    contiguously; ``scratch``, a complex array of npoints entries, holds
-    the products.  Overflowing products become inf or nan quietly; the
-    caller rejects non-finite stacks.
+    is summed.  ``diagonal[j]`` is ``poly._constant_abs2`` of row j:
+    diagonal entry j starts from its constant, the exact |c|^2 of the
+    row's monomial and zero entries, and adds the squared moduli of the
+    entries at its indices only.  Each of the k(k-1)/2 off-diagonal
+    entries is summed directly along the rows, over every entry, and both
+    triangles are written (the 2x2 closed form reads the upper one, the
+    count by inertia both).  The stack is a view of ``out``, a complex
+    (k, k, npoints) array, so every entry is written contiguously;
+    ``scratch``, a complex array of npoints entries, holds the products.
+    Overflowing products become inf or nan quietly; the caller rejects
+    non-finite stacks.
     """
     k, npoints = len(out), values.shape[1]
     vecs = values.reshape(k, -1, npoints)  # a view; vecs[i] is row i of A
     diag, square = scratch.view(np.float64)[:npoints], scratch.view(np.float64)[npoints:]
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, y in enumerate(vecs):
-            diag.fill(0)
-            for v in y:
+        for j, (y, (constant, general)) in enumerate(zip(vecs, diagonal)):
+            diag.fill(constant)
+            for v in map(y.__getitem__, general):
                 diag += np.multiply(v.real, v.real, out=square)
                 diag += np.multiply(v.imag, v.imag, out=square)
             out[j, j] = diag
@@ -290,16 +303,25 @@ def _count_at_most(samples: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Number of samples <= each of the ascending thresholds, without a sort.
 
     Each sample falls into the slot of the first threshold it does not
-    exceed, so a running sum of the slot sizes counts it at that threshold
-    and every later one; the last slot holds the samples above them all
-    (and NaN, which sorts last).
+    exceed (``_count_slots``); the last slot holds the samples above them
+    all (and NaN, which sorts last).  The slots are found ``CHUNK``
+    samples at a time: one slot array for a whole chunk of 2x2 grams
+    would take 128 KiB, glibc's mmap threshold.
     """
-    slot = np.searchsorted(thresholds, samples.reshape(-1), side="left")
-    return _count_slots(slot, len(thresholds))
+    flat, counts = samples.reshape(-1), np.zeros(len(thresholds), dtype=np.int64)
+    for start in range(0, len(flat), CHUNK):
+        counts += _count_slots(
+            np.searchsorted(thresholds, flat[start : start + CHUNK]), len(thresholds)
+        )
+    return counts
 
 
 def _count_slots(slot: np.ndarray, nthresholds: int) -> np.ndarray:
-    """Number of samples at or below each threshold, from each sample's slot."""
+    """Number of samples at or below each threshold, from each sample's slot.
+
+    A running sum of the slot sizes counts each sample at its slot's
+    threshold and every later one.
+    """
     return np.cumsum(np.bincount(slot.reshape(-1), minlength=nthresholds + 1)[:-1])
 
 
@@ -360,10 +382,12 @@ def _chunk_counter(
 ) -> Callable[[int, int], np.ndarray]:
     """count_chunk(start, stop): gram eigenvalues of wide ``entries`` <= each threshold.
 
-    Each worker thread allocates one workspace on its first chunk, sized
-    from ``CHUNK`` and these entries, and every later chunk reuses it, so
-    no chunk pays the allocator for fresh pages.  Its complex rows of
-    CHUNK points hold, in turn:
+    The gram diagonal's constants, the exact |c|^2 of the monomial and
+    zero entries (``poly._constant_abs2``), are formed once per run, so a
+    chunk squares only the other entries.  Each worker thread allocates one
+    workspace on its first chunk, sized from ``CHUNK`` and these entries,
+    and every later chunk reuses it, so no chunk pays the allocator for
+    fresh pages.  Its complex rows of CHUNK points hold, in turn:
 
     * z, one row per coordinate, with the angles written into its
       imaginary parts and then the points, gathered from the table of
@@ -382,6 +406,7 @@ def _chunk_counter(
     dim, nvals = grid.dim, len(polys)
     pool = max(_power_rows(polys), k * k)
     roots = _midpoint_roots(grid)
+    diagonal = [_constant_abs2(row) for row in entries]
     local = threading.local()
 
     def count_chunk(start: int, stop: int) -> np.ndarray:
@@ -404,7 +429,7 @@ def _chunk_counter(
         for p, v in zip(polys, values):
             p.eval_block(z.T, powers, out=v, scratch=free[:2])
         stack = local.rows[dim + nvals : dim + nvals + k * k].reshape(k, k, size)[..., :n]
-        gram = _gram(values, stack, z[0])
+        gram = _gram(values, stack, z[0], diagonal)
         flags = local.rows[dim : dim + nvals].reshape(-1).view(np.bool_)
         if not np.isfinite(stack, out=flags[: stack.size].reshape(stack.shape)).all():
             raise OverflowError("a gram matrix entry overflows a float")

@@ -18,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -373,7 +373,9 @@ class LaurentPoly:
         values are the same either way.  ``out`` receives the values, and
         ``scratch``, two rows, holds each term's products in turn, never in
         place (see ``_unit_powers``); all are complex arrays of npoints
-        entries, allocated if missing.
+        entries, allocated if missing.  The first term is written into
+        ``out`` directly and the others are added to it, so the values are
+        the sum started from zero up to the sign of a zero.
         """
         z = np.asarray(z, dtype=np.complex128)
         if z.shape[1] != self.dim:
@@ -386,18 +388,27 @@ class LaurentPoly:
             out = np.empty(z.shape[0], dtype=np.complex128)
         if scratch is None:
             scratch = np.empty((2, z.shape[0]), dtype=np.complex128)
-        out.fill(0)
+        if not self._terms:
+            out.fill(0)
         with np.errstate(over="ignore", invalid="ignore"):
-            for exp, c in self._terms.items():
+            for i, (exp, c) in enumerate(self._terms.items()):
                 factors = [pw[e] for pw, e in zip(powers, exp) if e]
                 if not factors:
-                    out += complex(c)
+                    if i:
+                        out += complex(c)
+                    else:
+                        out.fill(complex(c))
                     continue
-                term, spare = scratch
+                # the products alternate between two rows; the first term
+                # starts in the row that makes its last product land in out
+                term, spare = scratch if i else (out, scratch[0])
+                if len(factors) % 2 == 0:
+                    term, spare = spare, term
                 np.multiply(complex(c), factors[0], out=term)
                 for f in factors[1:]:
                     term, spare = np.multiply(term, f, out=spare), term
-                out += term
+                if i:
+                    out += term
         return out
 
 
@@ -448,6 +459,18 @@ def _power_rows(polys: list[LaurentPoly]) -> int:
         total += len(mags - {1}) + (max(mags, default=0).bit_length() > 16)
         total += sum(1 for m in mags if -m in exponents and (m in exponents or m == 1))
     return total
+
+
+def _constant_abs2(polys: Sequence[LaurentPoly]) -> tuple[float, list[int]]:
+    """(s, rest): s sums |p|^2 over the ``polys`` of at most one term, rest indexes the others.
+
+    A zero or a term c z^e has |c z^e|^2 = |c|^2 at every point of the
+    torus, so s is formed exactly and rounded down as ``_float_down``
+    rounds, to inf beyond the float range; the moduli of the polynomials
+    at ``rest`` vary.
+    """
+    s = sum(c.abs2() for p in polys if len(p._terms) < 2 for c in p._terms.values())
+    return _float_down(s), [i for i, p in enumerate(polys) if len(p._terms) > 1]
 
 
 def _unit_powers(

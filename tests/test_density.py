@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nsbound import (
@@ -36,9 +36,15 @@ from nsbound.density import (
     hermitian_eigenvalues,
 )
 from nsbound.matrices import ZeroMatrixError
-from nsbound.poly import ZeroPolynomialError
+from nsbound.poly import ZeroPolynomialError, _constant_abs2
 
-from conftest import EXAMPLE_MATRIX_TEXT, arc_measure, random_poly, star_transpose
+from conftest import (
+    EXAMPLE_MATRIX_TEXT,
+    arc_measure,
+    random_gaussian,
+    random_poly,
+    star_transpose,
+)
 from lemmas import det_domination_violations, product_violations
 
 
@@ -481,6 +487,59 @@ def test_matrix_density_counts_grams_whose_squares_overflow():
     assert want[0] == 0 and want[-1] == 3 * grid.total
 
 
+def test_gram_diagonal_constants_of_the_reference_matrix(example_matrix):
+    # row 0 (z1^3, -1, 1) has three unit moduli; row 1 squares only
+    # 2*z1*z2^2 - 16, since z2 and z1*z2 add 1 each
+    assert [_constant_abs2(row) for row in example_matrix.entries] == [(3.0, []), (2.0, [0])]
+    # an exact sum beyond the float range is inf, which the chunk rejects
+    assert _constant_abs2(parse_matrix("[[1" + "0" * 200 + "*z1, z1 - 1, 3]]").entries[0]) == (
+        math.inf, [1],
+    )
+    # |c|^2 = 1/10 lies between two floats and is rounded down, as thresholds are
+    c = GaussianRational(Fraction(1, 10), Fraction(3, 10))
+    assert _constant_abs2([LaurentPoly.monomial(1, [1], c)]) == (math.nextafter(0.1, 0), [])
+
+
+ENTRY_KINDS = ("zero", "constant", "monomial", "general")
+
+
+@st.composite
+def mixed_matrices(draw):
+    """Matrices whose entries are zero, constants, monomials or general
+    polynomials, wide or tall with 1 to 4 rows on the wide side."""
+    dim, k = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    cols = draw(st.integers(k, k + 2))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    def entry(kind: str) -> LaurentPoly:
+        if kind == "general":
+            return random_poly(rng, dim, max_terms=3, exp_range=3)
+        c = random_gaussian(rng) if kind != "zero" else 0
+        exp = [rng.randint(-3, 3) if kind == "monomial" else 0 for _ in range(dim)]
+        return LaurentPoly.monomial(dim, exp, c)
+
+    kinds = st.lists(st.sampled_from(ENTRY_KINDS), min_size=cols, max_size=cols)
+    rows = [[entry(kind) for kind in draw(kinds)] for _ in range(k)]
+    A = PolyMatrix(list(zip(*rows)) if draw(st.booleans(), label="tall") else rows)
+    assume(not A.is_zero())
+    return A
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_matrices(), st.booleans(), st.integers(0, 2**16))
+def test_matrix_density_of_mixed_entries_matches_plain_numpy_recount(A, lattice, seed):
+    # the gram diagonal's exact constants of zero, constant and monomial
+    # entries count as the float sum of all squared moduli does
+    if lattice:
+        grid = TorusGrid.lattice(A.dim, 401, seed=seed)
+    else:
+        grid = TorusGrid.midpoint(A.dim, 400 if A.dim == 1 else 20)
+    lams = np.geomspace(0.0517, 61.3, 16).tolist()
+    curve = matrix_density(A, min(A.rows, A.cols), lams, grid)
+    want = _recount(A, lams, grid)
+    assert np.abs(np.array(curve.counts) - want).max() <= 2
+
+
 # -- chunking and memory ---------------------------------------------------------------
 #
 # Every per-point step (evaluation, gram, eigenvalues) and every count is
@@ -553,6 +612,32 @@ def test_chunk_points_are_the_exp_of_the_angles_bit_for_bit(dim, n, data):
     assert roots is None or len(roots) == n <= density.CHUNK
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.one_of(st.integers(1, 40), st.integers(1, density.CHUNK), st.integers(1, 10**6)),
+    st.data(),
+)
+def test_midpoint_angles_are_the_digit_formula_bit_for_bit(dim, n, data):
+    # coordinate j of point idx is (idx // n^j % n + 1/2) * (2 pi / n), with
+    # the digit made a float, then 0.5 added, then the step multiplied
+    grid = TorusGrid.midpoint(dim, n)
+    if data.draw(st.booleans(), label="last chunk"):
+        start, stop = (grid.total - 1) // density.CHUNK * density.CHUNK, grid.total
+    else:
+        start = data.draw(st.integers(0, grid.total - 1), label="start")
+        stop = data.draw(st.integers(start + 1, min(start + density.CHUNK, grid.total)))
+    idx = np.arange(start, stop, dtype=np.int64)
+    want = np.empty((stop - start, dim))
+    for j in range(dim):
+        want[:, j] = idx // n**j % n
+        want[:, j] += 0.5
+        want[:, j] *= 2.0 * math.pi / n
+    assert grid.angles(start, stop).tobytes() == want.tobytes()
+    garbage = np.full((stop - start, dim), np.nan)
+    assert grid.angles(start, stop, out=garbage).tobytes() == want.tobytes()
+
+
 def test_lattice_grids_have_no_roots_table():
     assert density._midpoint_roots(TorusGrid.lattice(2, 1000, seed=1)) is None
 
@@ -587,6 +672,23 @@ def test_count_at_most_matches_sort_and_searchsorted(thresholds, samples):
     f = np.array(samples, dtype=np.float64)
     want = np.searchsorted(np.sort(f), t, side="right")
     assert np.array_equal(density._count_at_most(f, t), want)
+
+
+def test_a_2x2_chunk_allocates_no_slot_array_at_the_mmap_threshold(example_matrix):
+    # a full chunk of 2x2 grams has 2 * CHUNK eigenvalues, whose int64 slots
+    # in one array would take 128 KiB, glibc's mmap threshold, every chunk
+    grid = TorusGrid.midpoint(2, 1500)
+    lams = np.geomspace(2e-4, 60, 64).tolist()
+    thresholds = density._squared_thresholds(lams, Fraction(1))
+    count = density._chunk_counter(example_matrix.entries, thresholds, grid)
+    count(0, density.CHUNK)  # allocates the workspace
+    tracemalloc.start()
+    try:
+        count(density.CHUNK, 2 * density.CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 << 10
 
 
 def _inertia_counts(H: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -730,10 +832,11 @@ def _arcsine_density(mu: float) -> float:
     return 2 / math.pi * math.asin(min(mu / 2, 1.0))
 
 
-def _assert_midpoint_error(p: LaurentPoly, exact, arcs: int, n_points: int):
+def _assert_midpoint_error(p: LaurentPoly | PolyMatrix, exact, arcs: int, n_points: int):
+    A = p if isinstance(p, PolyMatrix) else PolyMatrix([[p]])
     grid = TorusGrid.midpoint(1, n_points)
     lams = np.geomspace(1e-3, 2.5, 50).tolist()
-    curve = matrix_density(PolyMatrix([[p]]), 1, lams, grid)
+    curve = matrix_density(A, min(A.rows, A.cols), lams, grid)
     for lam, est in zip(lams, curve.estimates):
         assert abs(est - exact(lam)) <= arcs / n_points + 1e-12, lam
 
@@ -755,6 +858,14 @@ def test_z_power_minus_one_within_arc_count_on_coarse_rules(n, n_points):
     # the bound is nearly attained: the worst error over these rules is 0.997 n / N
     p = LaurentPoly(1, {(n,): 1, (0,): -1})
     _assert_midpoint_error(p, _arcsine_density, n, n_points)
+
+
+@pytest.mark.parametrize("n_points", [50, 101, 1000, 30_011])
+def test_monomial_beside_an_arc_within_one_arc(n_points):
+    # the gram of [[z1, 0], [0, z1 - 1]] is diag(1, |z - 1|^2): a step at 1
+    # from the exact constant diagonal entry, plus the arcsine law
+    A = parse_matrix("[[z1, 0], [0, z1 - 1]]")
+    _assert_midpoint_error(A, lambda lam: (lam >= 1) + _arcsine_density(lam), 1, n_points)
 
 
 def _power_of_z_minus_one(r: int) -> LaurentPoly:

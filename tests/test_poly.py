@@ -406,6 +406,49 @@ def test_powers_written_into_reused_buffers_are_bit_identical(polys, seed, n):
         assert _same_bits(got, p.eval_block(z))
 
 
+def _zero_started_sum(p: LaurentPoly, table, npoints: int) -> np.ndarray:
+    """Sum of c z^e from zeros in term order, each term's products left to right."""
+    total = np.zeros(npoints, dtype=np.complex128)
+    for exp, c in p.terms.items():
+        factors = [pw[e] for pw, e in zip(table, exp) if e]
+        if not factors:
+            total += complex(c)
+            continue
+        term = np.multiply(complex(c), factors[0])
+        for f in factors[1:]:
+            term = np.multiply(term, f)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize(
+    "text, first",
+    [
+        ("0", None),
+        ("3 - 2i", (0, 0, 0)),
+        ("(2 - 1i)*z1^3*z2^-2", (3, -2, 0)),
+        ("z1^-1*z2^-1 + 3", (-1, -1, 0)),  # two factors, then the constant
+        ("1 - z1 + 2*z1*z2^3*z3", (0, 0, 0)),  # the constant first
+        ("z1^-2 + (1/3 + 1i) - 2*z1*z2^2*z3 + z2", (-2, 0, 0)),  # the constant inside
+    ],
+)
+def test_eval_block_equals_the_zero_started_sum(text, first):
+    # the first term is written into out, not added to zeros: the values
+    # agree with == (so -0 equals +0) and no garbage left in out survives
+    p = parse_poly(text).lift(3)
+    assert next(iter(p.terms), None) == first
+    theta = np.random.default_rng(7).random((37, 3)) * (2 * math.pi)
+    theta[:3] = [[0.0, 0.0, 0.0], [math.pi, 0.0, math.pi], [0.0, math.pi / 2, 0.0]]
+    z = np.exp(1j * theta)
+    table = _power_table(z, [p])
+    want = _zero_started_sum(p, table, 37)
+    assert np.all(p.eval_block(z, table) == want)
+    out = np.full(37, complex(math.nan, math.inf))
+    scratch = np.full((2, 37), complex(math.inf, math.nan))
+    assert p.eval_block(z, table, out=out, scratch=scratch) is out
+    assert np.all(out == want)
+
+
 def test_eval_block_one_point_matches_longer_blocks():
     # numpy rounds an in-place complex product of one point without FMA, so
     # a term formed in place would give a one-point block other last bits
