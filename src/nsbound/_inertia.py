@@ -45,7 +45,7 @@ def inertia_counts(stack: np.ndarray, thresholds: np.ndarray, rows: np.ndarray) 
     so no array of n points is created.
 
     Each eigenvalue's slot, the number of thresholds below it, is found
-    and binned as ``density._count_at_most`` bins its samples' slots;
+    and binned by ``density._count_slots``, as in ``_count_at_most``;
     nothing is diagonalized.  Each point's matrix is scaled by the power
     of two of its largest diagonal entry, which bounds every entry of a
     PSD matrix, and its thresholds by the same power, so no sum of squares

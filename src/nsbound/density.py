@@ -25,26 +25,22 @@ the counts are bit-identical for any chunk size and worker count.  A
 midpoint chunk with n <= 8192 points per axis gathers its points
 z = exp(i*angles) from a table of the n roots; other grids take one
 complex exp per coordinate per point; counts do not depend on which ran.
-A chunk builds one table of the integer powers of z that the entries use,
-with conjugates for negative exponents; every entry is evaluated from that
-shared table (``LaurentPoly.eval_block``), and no exp is taken per term.
-The gram A A* is summed entry by entry from those values; a tall matrix is
-transposed once per run, so the gram is always formed on the wide side.
-A monomial or zero entry c*z^e has |c*z^e|^2 = |c|^2 everywhere on the
-torus, so each row's sum of these |c|^2 is formed in exact arithmetic once
-per run; its gram diagonal entry starts from that constant, rounded down
-to a float, and squares only the row's other entries.
+Every entry is evaluated from one shared table of the integer powers of z
+that the entries use (``LaurentPoly.eval_block``).
+The gram A A* is summed from those values on the wide side (a tall matrix
+is transposed once per run); each diagonal entry starts from the exact
+|c|^2 of its row's monomial and zero entries, formed once per run, and
+squares only the row's other entries.
 A 1x1 or 2x2 gram's eigenvalues are taken in closed form
-(``hermitian_eigenvalues``) and counted against the thresholds by binning,
-without a sort.  A larger gram is never diagonalized: its eigenvalues at
-or below each threshold are counted by inertia, from the pivot signs of
-its Householder tridiagonal (``_inertia``), into the same bins.
-Each worker thread allocates one workspace on its first chunk and writes
-every later chunk into it (``_chunk_counter``), so memory does not grow
-with the grid (about 4.4 MiB per worker for a 4x4 matrix over three
-variables) and no chunk faults fresh pages in: a complex array of 8192
-points is exactly glibc's 128 KiB mmap threshold, so arrays allocated
-afresh per chunk would be mapped and unmapped every chunk.
+(``hermitian_eigenvalues``), one contiguous row per eigenvalue, and each
+row is counted against the thresholds by binning, without a sort, unless
+it lies wholly above the last one.  A larger gram is never diagonalized:
+its eigenvalues at or below each threshold are counted by inertia
+(``_inertia``) into the same bins.  Each worker thread writes every chunk
+into one workspace that it allocates on its first chunk
+(``_chunk_counter``), so memory does not grow with the grid and no chunk
+faults fresh pages in: a complex array of 8192 points is exactly glibc's
+128 KiB mmap threshold.
 """
 
 from __future__ import annotations
@@ -175,39 +171,41 @@ def _sum_chunks(grid: TorusGrid, fn: Callable[[int, int], np.ndarray], workers: 
 # -- Hermitian eigenvalues ---------------------------------------------------
 
 
-def hermitian_eigenvalues(H: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def hermitian_eigenvalues(H: np.ndarray, out: np.ndarray | None = None, diagonal=False):
     """Eigenvalues of a stack of Hermitian matrices, ascending per matrix.
 
     1x1 matrices are their own eigenvalue, a view of H.  2x2 matrices use
-    the closed form mid -+ hypot((a - c)/2, |b|): per call it is an order
-    of magnitude faster than LAPACK at that size and as accurate near
-    zero; it is written into ``out``, a float (npoints, 2) C-contiguous
-    array, if given.  Every other size goes to ``np.linalg.eigvalsh``;
-    ``matrix_density`` calls this only for 1x1 and 2x2 grams and counts
-    larger ones by inertia without their eigenvalues (``_inertia``).
-    Each result depends only on its own matrix, so chunking cannot change it.
+    the closed form mid -+ |(a - c)/2 + i|b||, each modulus one vectorised
+    complex abs, ten times faster than LAPACK and as accurate near zero.
+    Rows 0 and 1 of ``out``, a C-contiguous float (3, npoints) array whose
+    row 2 is scratch, receive the lower and upper eigenvalues; the result
+    is an (npoints, 2) view of them.  ``diagonal`` asserts that
+    every b is zero: the eigenvalues are then a and c, exactly.  Other
+    sizes go to ``np.linalg.eigvalsh``.  Each result depends only on its
+    own matrix, so chunking cannot change it.
     """
     if H.shape[-1] == 1:
         return H[..., 0].real
     if H.shape[-1] != 2:
         return np.linalg.eigvalsh(H)
-    if out is None:
-        out = np.empty(H.shape[:-1], dtype=np.float64)
-    # Each row (lo, hi) of out, read as one complex number, first holds
-    # mid + i*rad; times (1 + i) it becomes (mid - rad) + i*(mid + rad),
-    # the products by 1 being exact, so each part is rounded once, as in
-    # mid - rad and mid + rad.
-    w = out.view(np.complex128)[..., 0]
-    a = H[..., 0, 0].real
-    c = H[..., 1, 1].real
-    np.abs(H[..., 0, 1], out=w.real)
-    np.subtract(a, c, out=w.imag)
-    w.imag *= 0.5
-    np.hypot(w.imag, w.real, out=w.imag)
-    np.add(a, c, out=w.real)
-    w.real *= 0.5
-    w *= 1 + 1j
-    return out
+    out = np.empty((3, *H.shape[:-2])) if out is None else out
+    lo, hi, rad = out[0, ...], out[1, ...], out[2, ...]  # views even of one matrix
+    a, c = H[..., 0, 0].real, H[..., 1, 1].real
+    if diagonal:
+        np.minimum(a, c, out=lo)
+        np.maximum(a, c, out=hi)
+    else:
+        # rows 0 and 1 hold w = (a - c)/2 + i|b|, whose modulus lands in row 2
+        w = out[:2].reshape(-1).view(np.complex128).reshape(rad.shape)
+        np.abs(H[..., 0, 1], out=w.imag)
+        np.subtract(a, c, out=w.real)
+        w.real *= 0.5
+        np.abs(w, out=rad)
+        np.add(a, c, out=lo)
+        lo *= 0.5  # mid; mid + rad and mid - rad are each rounded once
+        np.add(lo, rad, out=hi)
+        lo -= rad
+    return np.moveaxis(out[:2], 0, -1)
 
 
 def _gram(
@@ -222,10 +220,11 @@ def _gram(
     row's monomial and zero entries, and adds the squared moduli of the
     entries at its indices only.  Each of the k(k-1)/2 off-diagonal
     entries is summed directly along the rows, over every entry, and both
-    triangles are written (the 2x2 closed form reads the upper one, the
-    count by inertia both).  The stack is a view of ``out``, a complex
-    (k, k, npoints) array, so every entry is written contiguously;
-    ``scratch``, a complex array of npoints entries, holds the products.
+    triangles are written (the 2x2 closed form reads the upper one unless
+    it vanishes as a polynomial, the count by inertia both).  The stack is
+    a view of ``out``, a complex (k, k, npoints) array, so every entry is
+    written contiguously; ``scratch``, a complex array of npoints entries,
+    holds the products.
     Overflowing products become inf or nan quietly; the caller rejects
     non-finite stacks.
     """
@@ -302,17 +301,17 @@ def _squared_thresholds(lambdas: Iterable[float], scale2: Fraction) -> np.ndarra
 def _count_at_most(samples: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Number of samples <= each of the ascending thresholds, without a sort.
 
-    Each sample falls into the slot of the first threshold it does not
-    exceed (``_count_slots``); the last slot holds the samples above them
-    all (and NaN, which sorts last).  The slots are found ``CHUNK``
-    samples at a time: one slot array for a whole chunk of 2x2 grams
-    would take 128 KiB, glibc's mmap threshold.
+    ``samples`` is a block of rows, counted row by row.  Each sample falls
+    into the slot of the first threshold it does not exceed
+    (``_count_slots``).  The last slot, of the samples above them all (and
+    NaN), is dropped, so a row whose least sample is above the last
+    threshold is skipped.  A chunk's rows hold at most ``CHUNK`` samples,
+    so no slot array reaches glibc's 128 KiB mmap threshold.
     """
-    flat, counts = samples.reshape(-1), np.zeros(len(thresholds), dtype=np.int64)
-    for start in range(0, len(flat), CHUNK):
-        counts += _count_slots(
-            np.searchsorted(thresholds, flat[start : start + CHUNK]), len(thresholds)
-        )
+    counts = np.zeros(len(thresholds), dtype=np.int64)
+    for row in samples:
+        if not row.min(initial=np.inf) > thresholds[-1]:
+            counts += _count_slots(np.searchsorted(thresholds, row), len(thresholds))
     return counts
 
 
@@ -382,9 +381,9 @@ def _chunk_counter(
 ) -> Callable[[int, int], np.ndarray]:
     """count_chunk(start, stop): gram eigenvalues of wide ``entries`` <= each threshold.
 
-    The gram diagonal's constants, the exact |c|^2 of the monomial and
-    zero entries (``poly._constant_abs2``), are formed once per run, so a
-    chunk squares only the other entries.  Each worker thread allocates one
+    Once per run, the gram diagonal's constants (``poly._constant_abs2``)
+    are formed and a 2x2 gram whose off-diagonal vanishes as a polynomial
+    is marked diagonal (``uncoupled``).  Each worker thread allocates one
     workspace on its first chunk, sized from ``CHUNK`` and these entries,
     and every later chunk reuses it, so no chunk pays the allocator for
     fresh pages.  Its complex rows of CHUNK points hold, in turn:
@@ -395,7 +394,7 @@ def _chunk_counter(
       first row is the gram's scratch row;
     * the entry values, one row each, the first holding the digits of a
       gather; once the values are summed into the gram they hold the
-      finiteness mask and then the 2x2 eigenvalues, or, together with
+      finiteness mask and then the 2x2 eigenvalue rows, or, together with
       the z rows, the intermediates of the count by inertia for k >= 3;
     * the power table, two rows it leaves free being the evaluation's
       scratch rows; then the gram stack reuses its rows.
@@ -407,6 +406,7 @@ def _chunk_counter(
     pool = max(_power_rows(polys), k * k)
     roots = _midpoint_roots(grid)
     diagonal = [_constant_abs2(row) for row in entries]
+    uncoupled = k == 2 and not sum(x * y.star() for x, y in zip(*entries))
     local = threading.local()
 
     def count_chunk(start: int, stop: int) -> np.ndarray:
@@ -437,8 +437,8 @@ def _chunk_counter(
             from ._inertia import inertia_counts  # only k >= 3 grams load it
 
             return inertia_counts(stack, thresholds, local.rows[: dim + nvals])
-        eig = values[0].view(np.float64).reshape(n, 2) if k == 2 else None
-        return _count_at_most(hermitian_eigenvalues(gram, out=eig), thresholds)
+        eig = local.rows[dim : dim + 2].reshape(-1).view(np.float64)[: 3 * n].reshape(3, n)
+        return _count_at_most(hermitian_eigenvalues(gram, eig, uncoupled).T, thresholds)
 
     return count_chunk
 

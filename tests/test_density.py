@@ -190,6 +190,36 @@ def test_eigen_diagonal_input_sorted():
     assert eig[0].tolist() == [1.0, 2.0, 3.0]
 
 
+_SCALES = st.sampled_from([2.0**-500, 1.0, 2.0**500])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(0.5, 2.0),
+    c=st.floats(0.5, 2.0),
+    ea=_SCALES,
+    ec=_SCALES,
+    r=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    phase=st.floats(0.0, 2 * math.pi),
+    garbage=st.floats(allow_nan=True, allow_infinity=True),
+)
+def test_eigen_2x2_rows_in_a_callers_out_match_eigvalsh(a, c, ea, ec, r, phase, garbage):
+    # a PSD gram [[a, b], [b*, c]] with |b| = r sqrt(ac): rank 1 at r = 1,
+    # diagonal at r = 0, and entries 2^+-500 apart when the scales differ
+    a, c = a * ea, c * ec
+    H = np.array([[[a, 0], [0, c]]], dtype=np.complex128)
+    H[0, 0, 1] = r * math.sqrt(a) * math.sqrt(c) * complex(math.cos(phase), math.sin(phase))
+    H[0, 1, 0] = H[0, 0, 1].conjugate()
+    out = np.full((3, 1), garbage)
+    eig = hermitian_eigenvalues(H, out=out)
+    assert np.shares_memory(eig, out) and eig.tolist() == [out[0].tolist() + out[1].tolist()]
+    ref = np.linalg.eigvalsh(H)
+    assert np.all(np.abs(eig - ref) <= 1e-10 * ref[:, 1:])
+    assert hermitian_eigenvalues(H[0]).tolist() == eig[0].tolist()  # one matrix, no stack
+    if r == 0:  # a diagonal gram's eigenvalues are its entries, exactly
+        assert hermitian_eigenvalues(H, out=out, diagonal=True).tolist() == [sorted([a, c])]
+
+
 def test_eigen_example_corner_gram():
     # B(1,1) = [[1, -1], [-14, 1]] of the reference matrix has gram
     # [[2, -15], [-15, 197]]; its quadratic's roots are the oracle
@@ -487,6 +517,35 @@ def test_matrix_density_counts_grams_whose_squares_overflow():
     assert want[0] == 0 and want[-1] == 3 * grid.total
 
 
+@pytest.mark.parametrize("lattice", [False, True])
+def test_diagonal_gram_beside_its_constant_eigenvalue(lattice):
+    # the gram of [[z1, 0], [0, z1*z2 - 1]] is diag(1, |z1 z2 - 1|^2), and
+    # |z1 z2 - 1| has the law of |z - 1|: F(1) = 1 + 1/3
+    A = parse_matrix("[[z1, 0], [0, z1*z2 - 1]]")
+    grid = TorusGrid.lattice(2, 50021) if lattice else TorusGrid.midpoint(2, 301)
+    curve = matrix_density(A, 2, [1.0], grid)
+    assert abs(curve.estimates[0] - 4 / 3) <= grid.epsilon_quad()
+
+
+def test_an_off_diagonal_that_cancels_as_a_polynomial_is_exactly_zero():
+    # z1 z2 conj(z2) - z1 is zero as a polynomial, not in floats, and the
+    # diagonal is exactly (2, 2): the eigenvalues are 2 at every point
+    A = parse_matrix("[[z1*z2, z1], [z2, -1]]")
+    lams = [math.nextafter(math.sqrt(2), 0), math.sqrt(2)]  # thresholds just below 2, and 2
+    for grid in (TorusGrid.midpoint(2, 301), TorusGrid.lattice(2, 50021)):
+        assert matrix_density(A, 2, lams, grid).counts == (0, 2 * grid.total)
+
+
+@pytest.mark.parametrize("text", [EXAMPLE_MATRIX_TEXT, "[[z1, 0], [0, z1*z2 - 1]]"])
+def test_2x2_grams_never_call_hypot(monkeypatch, text):
+    def hypot(*args, **kwargs):
+        raise AssertionError("np.hypot called")
+
+    monkeypatch.setattr(np, "hypot", hypot)
+    curve = matrix_density(parse_matrix(text), 2, [0.5, 1.0, 2.0], TorusGrid.midpoint(2, 200))
+    assert curve.counts[-1] > 0
+
+
 def test_gram_diagonal_constants_of_the_reference_matrix(example_matrix):
     # row 0 (z1^3, -1, 1) has three unit moduli; row 1 squares only
     # 2*z1*z2^2 - 16, since z2 and z1*z2 add 1 each
@@ -659,19 +718,40 @@ def test_table_and_exp_paths_count_alike(monkeypatch, dim, n):
     assert runs[0][0] < runs[0][-1]
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=12).map(sorted),
-    st.lists(
-        st.one_of(st.floats(0, 100), st.just(math.inf), st.just(math.nan)), max_size=60
-    ),
-)
-def test_count_at_most_matches_sort_and_searchsorted(thresholds, samples):
+@st.composite
+def _count_blocks(draw):
+    """Ascending thresholds, some repeated, and a block of rows of samples.
+
+    Samples coincide with thresholds, include +-inf and NaN, and some rows
+    are lifted wholly above the last threshold (a NaN stays NaN).
+    """
+    t = draw(st.lists(st.floats(0, 100), min_size=1, max_size=12))
+    t = sorted(t + draw(st.lists(st.sampled_from(t), max_size=4)))
+    sample = st.one_of(
+        st.floats(-100, 200), st.sampled_from(t), st.sampled_from([math.inf, -math.inf, math.nan])
+    )
+    width = draw(st.integers(0, 10))
+    rows = draw(st.lists(st.lists(sample, min_size=width, max_size=width), max_size=8))
+    lifted = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    rows = [[t[-1] + abs(x) + 1 if up else x for x in r] for r, up in zip(rows, lifted)]
+    return np.array(t), np.array(rows, dtype=np.float64).reshape(len(rows), width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_count_blocks())
+def test_count_at_most_matches_sort_and_searchsorted(block):
     # thresholds may repeat and coincide with samples; NaN is never counted
-    t = np.array(thresholds)
-    f = np.array(samples, dtype=np.float64)
-    want = np.searchsorted(np.sort(f), t, side="right")
+    t, f = block
+    want = np.searchsorted(np.sort(f.reshape(-1)), t, side="right")
     assert np.array_equal(density._count_at_most(f, t), want)
+
+
+def test_count_at_most_skips_rows_above_the_last_threshold():
+    t = np.array([1.0, 4.0])
+    f = np.array([[0.5, 4.0, 9.0], [4.5, 198.0, math.inf], [math.nan, 5.0, 6.0]])
+    with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
+        assert density._count_at_most(f, t).tolist() == [1, 2]
+    assert search.call_count == 2  # the middle row is never searched
 
 
 def test_a_2x2_chunk_allocates_no_slot_array_at_the_mmap_threshold(example_matrix):
@@ -866,6 +946,15 @@ def test_monomial_beside_an_arc_within_one_arc(n_points):
     # from the exact constant diagonal entry, plus the arcsine law
     A = parse_matrix("[[z1, 0], [0, z1 - 1]]")
     _assert_midpoint_error(A, lambda lam: (lam >= 1) + _arcsine_density(lam), 1, n_points)
+
+
+@pytest.mark.parametrize("n_points", [50, 101, 1000, 30_011])
+def test_monomial_beside_an_arc_at_its_constant_eigenvalue(n_points):
+    # at lambda = 1 the threshold is the constant eigenvalue 1 itself, which
+    # the diagonal gram returns exactly: F(1) = 1 + 1/3 within one arc
+    A = parse_matrix("[[z1, 0], [0, z1 - 1]]")
+    curve = matrix_density(A, 2, [1.0], TorusGrid.midpoint(1, n_points))
+    assert abs(curve.estimates[0] - 4 / 3) <= 1 / n_points + 1e-12
 
 
 def _power_of_z_minus_one(r: int) -> LaurentPoly:
