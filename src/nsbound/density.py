@@ -23,21 +23,15 @@ fixed size at which one chunk's arrays stay in cache.  Every step works
 point by point or matrix by matrix and every count is an exact integer, so
 the counts are bit-identical for any chunk size and worker count.  A
 midpoint chunk with n <= 8192 points per axis gathers its points
-z = exp(i*angles) from a table of the n roots; other grids take one
-complex exp per coordinate per point; counts do not depend on which ran.
-Every entry is evaluated from one shared table of the integer powers of z
-that the entries use (``LaurentPoly.eval_block``).
-The gram A A* is summed from those values on the wide side (a tall matrix
-is transposed once per run); each diagonal entry starts from the exact
-|c|^2 of its row's monomial and zero entries, formed once per run, and
-squares only the row's other entries.
-A 1x1 or 2x2 gram's eigenvalues are taken in closed form
-(``hermitian_eigenvalues``), one contiguous row per eigenvalue, and each
-row is counted against the thresholds by binning, without a sort, unless
-it lies wholly above the last one.  A larger gram is never diagonalized:
-its eigenvalues at or below each threshold are counted by inertia
-(``_inertia``) into the same bins.  Each worker thread writes every chunk
-into one workspace that it allocates on its first chunk
+z = exp(i*angles) from a table of the n roots, whose angles take the same
+float steps (``_midpoint_angles``); other grids take one complex exp per
+coordinate per point.  The entries are evaluated from one table of the
+integer powers of z (``LaurentPoly.eval_block``) and summed into the gram
+A A* on the wide side (``_gram``).  A 1x1 or 2x2 gram's eigenvalues are
+taken in closed form (``hermitian_eigenvalues``) and binned against the
+thresholds; a larger gram's are counted by inertia (``_inertia``).  Each
+worker thread writes every chunk into one workspace that it allocates on
+its first chunk, with as many power rows as the table draws on one point
 (``_chunk_counter``), so memory does not grow with the grid and no chunk
 faults fresh pages in: a complex array of 8192 points is exactly glibc's
 128 KiB mmap threshold.
@@ -60,8 +54,8 @@ from .poly import (
     LaurentPoly,
     _constant_abs2,
     _float_down,
-    _power_rows,
     _power_table,
+    _rows_drawn,
     width_profile,
 )
 
@@ -77,11 +71,15 @@ class TorusGrid:
     """A deterministic quadrature rule for the d-torus with equal weights."""
 
     dim: int
-    scheme: str  # "midpoint" | "lattice-shift"
     total: int
     points_per_dim: int | None = None
     generator: tuple[int, ...] | None = None
     shift: tuple[float, ...] | None = None
+
+    @property
+    def scheme(self) -> str:
+        """"midpoint", or "lattice-shift" for a grid with a ``generator``."""
+        return "midpoint" if self.generator is None else "lattice-shift"
 
     @staticmethod
     def midpoint(dim: int, n: int) -> TorusGrid:
@@ -90,7 +88,7 @@ class TorusGrid:
             raise ValueError("need dim >= 1 and n >= 1")
         if n**dim >= 1 << 61:
             raise ValueError(f"a midpoint grid needs fewer than 2^61 points, not {n}^{dim}")
-        return TorusGrid(dim=dim, scheme="midpoint", total=n**dim, points_per_dim=n)
+        return TorusGrid(dim=dim, total=n**dim, points_per_dim=n)
 
     @staticmethod
     def lattice(dim: int, total: int, seed: int = 0) -> TorusGrid:
@@ -101,11 +99,11 @@ class TorusGrid:
         """
         from ._lattice import lattice_fields  # only lattice runs load it
 
-        return TorusGrid(scheme="lattice-shift", **lattice_fields(dim, total, seed))
+        return TorusGrid(**lattice_fields(dim, total, seed))
 
     def epsilon_quad(self) -> float:
         """Declared quadrature tolerance 4 * d / N, N = M^(1/d) on a lattice of M points."""
-        n = self.points_per_dim if self.scheme == "midpoint" else self.total ** (1.0 / self.dim)
+        n = self.points_per_dim or self.total ** (1.0 / self.dim)
         return 4.0 * self.dim / n
 
     def block_ranges(self) -> Iterator[tuple[int, int]]:
@@ -137,8 +135,7 @@ class TorusGrid:
                 if j + 1 < self.dim:  # idx < n^dim keeps the last quotient below n
                     np.remainder(digits, n, out=digits)
                 np.copyto(col, digits, casting="unsafe")
-                col += 0.5
-                col *= 2.0 * math.pi / n
+                _midpoint_angles(col, n)
             else:
                 from ._lattice import lattice_angles  # only lattice runs load it
 
@@ -382,11 +379,12 @@ def _chunk_counter(
     """count_chunk(start, stop): gram eigenvalues of wide ``entries`` <= each threshold.
 
     Once per run, the gram diagonal's constants (``poly._constant_abs2``)
-    are formed and a 2x2 gram whose off-diagonal vanishes as a polynomial
-    is marked diagonal (``uncoupled``).  Each worker thread allocates one
-    workspace on its first chunk, sized from ``CHUNK`` and these entries,
-    and every later chunk reuses it, so no chunk pays the allocator for
-    fresh pages.  Its complex rows of CHUNK points hold, in turn:
+    are formed, a 2x2 gram whose off-diagonal vanishes as a polynomial is
+    marked diagonal (``uncoupled``), and the rows of the power table are
+    counted on one point (``poly._rows_drawn``).  Each worker thread
+    allocates one workspace on its first chunk, sized from ``CHUNK``, the
+    entries and that count, and every later chunk reuses it, so no chunk
+    pays for fresh pages.  Its complex rows of CHUNK points hold, in turn:
 
     * z, one row per coordinate, with the angles written into its
       imaginary parts and then the points, gathered from the table of
@@ -396,14 +394,13 @@ def _chunk_counter(
       gather; once the values are summed into the gram they hold the
       finiteness mask and then the 2x2 eigenvalue rows, or, together with
       the z rows, the intermediates of the count by inertia for k >= 3;
-    * the power table, two rows it leaves free being the evaluation's
-      scratch rows; then the gram stack reuses its rows.
+    * the power table, at least k^2 rows, two it leaves free being the
+      evaluation's scratch rows; then the gram stack reuses its rows.
     """
     k = len(entries)
     polys = [p for row in entries for p in row]
-    size = min(CHUNK, grid.total)
-    dim, nvals = grid.dim, len(polys)
-    pool = max(_power_rows(polys), k * k)
+    size, dim, nvals = min(CHUNK, grid.total), grid.dim, len(polys)
+    pool = max(_rows_drawn(polys), k * k)
     roots = _midpoint_roots(grid)
     diagonal = [_constant_abs2(row) for row in entries]
     uncoupled = k == 2 and not sum(x * y.star() for x, y in zip(*entries))
@@ -424,11 +421,10 @@ def _chunk_counter(
             for row in z:
                 np.multiply(row.imag, len(roots) / (2.0 * math.pi), out=digits, casting="unsafe")
                 np.take(roots, digits, out=row, mode="clip")  # "raise" would copy the row
-        free: list[np.ndarray] = []
-        powers = _power_table(z.T, polys, out=table, free=free)
+        powers, scratch = _power_table(z.T, polys, iter(table))
         for p, v in zip(polys, values):
-            p.eval_block(z.T, powers, out=v, scratch=free[:2])
-        stack = local.rows[dim + nvals : dim + nvals + k * k].reshape(k, k, size)[..., :n]
+            p.eval_block(z.T, powers, out=v, scratch=scratch)
+        stack = table[: k * k].reshape(k, k, n)  # a view: only the row axis is split
         gram = _gram(values, stack, z[0], diagonal)
         flags = local.rows[dim : dim + nvals].reshape(-1).view(np.bool_)
         if not np.isfinite(stack, out=flags[: stack.size].reshape(stack.shape)).all():
@@ -446,16 +442,20 @@ def _chunk_counter(
 def _midpoint_roots(grid: TorusGrid) -> np.ndarray | None:
     """exp(i*theta) at the n angles of each midpoint axis; None on a lattice or past ``CHUNK``.
 
-    The angles take the float steps of ``TorusGrid.angles``, so each entry
-    is bitwise the exp a chunk would take.
+    The angles come from ``_midpoint_angles``, as in ``TorusGrid.angles``,
+    so each entry is bitwise the exp a chunk would take.
     """
     n = grid.points_per_dim
     if grid.scheme != "midpoint" or n > CHUNK:
         return None
-    theta = np.arange(n, dtype=np.float64)
-    theta += 0.5
-    theta *= 2.0 * math.pi / n
-    return np.exp(1j * theta)
+    return np.exp(1j * _midpoint_angles(np.arange(n, dtype=np.float64), n))
+
+
+def _midpoint_angles(digits, n):
+    """(digits + 1/2) * (2 pi / n) in place, the float steps of every midpoint angle."""
+    digits += 0.5
+    digits *= 2.0 * math.pi / n
+    return digits
 
 
 # -- decay exponent fit -----------------------------------------------------

@@ -218,17 +218,20 @@ def minor(A: PolyMatrix, rows: Iterable[int], cols: Iterable[int]) -> LaurentPol
 
 @dataclass(frozen=True)
 class MinorCertificate:
-    """A maximal non-vanishing minor: index sets, size, exact determinant.
+    """A maximal non-vanishing minor: index sets, exact determinant.
 
-    ``row_set`` and ``col_set`` are 0-based.  ``b_l1`` is the L1 norm of
-    the selected square submatrix.
+    ``row_set`` and ``col_set`` are 0-based, and ``size`` is read from
+    them.  ``b_l1`` is the L1 norm of the selected square submatrix.
     """
 
     row_set: tuple[int, ...]
     col_set: tuple[int, ...]
-    size: int
     det: LaurentPoly
     b_l1: float
+
+    @property
+    def size(self) -> int:
+        return len(self.row_set)
 
 
 def _size_guard(m: int, n: int, k: int, cap: int) -> None:
@@ -314,7 +317,7 @@ def iter_nonvanishing_minors(
         scale = math.prod(scales[i] for i in I)
         for J, M in minors.items():
             det = _from_kernel(A.dim, M, scale)
-            yield MinorCertificate(I, J, size, det, A.submatrix(I, J).l1_norm())
+            yield MinorCertificate(I, J, det, A.submatrix(I, J).l1_norm())
 
 
 def _greedy_basis(A: PolyMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -361,7 +364,7 @@ def max_nonvanishing_minor(A: PolyMatrix) -> MinorCertificate:
         raise ZeroMatrixError("the zero matrix has no non-vanishing minor")
     rows, cols = _greedy_basis(A)
     sub = A.submatrix(rows, cols)
-    return MinorCertificate(rows, cols, len(rows), determinant(sub), sub.l1_norm())
+    return MinorCertificate(rows, cols, determinant(sub), sub.l1_norm())
 
 
 def maximal_minors(A: PolyMatrix, cap: int = DEFAULT_MINOR_CAP) -> list[MinorCertificate]:

@@ -10,6 +10,11 @@ modulus is reported as a float.
 Terms are kept sorted in the lexicographic order that compares the *last*
 coordinate first, so that printing is canonical and evaluation adds the
 terms in one fixed order.
+
+A power table draws its rows from a source the caller gives, and which
+rows it draws depends only on the exponents, so one run on one point
+counts them (``_rows_drawn``).  A width tower reads ``wd`` and its
+leading constant from the tower and widths it stores.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -122,7 +128,6 @@ def _coerce_gaussian(x) -> GaussianRational:
     raise TypeError(f"cannot interpret {type(x).__name__} as GaussianRational")
 
 
-ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 
 
@@ -368,12 +373,12 @@ class LaurentPoly:
 
         ``powers`` is a table from ``_power_table`` over polynomials that
         include this one, shared by several evaluations on the same ``z``;
-        without it the table of this polynomial alone is built.  A power
-        does not depend on which other exponents its table holds, so the
-        values are the same either way.  ``out`` receives the values, and
-        ``scratch``, two rows, holds each term's products in turn, never in
-        place (see ``_unit_powers``); all are complex arrays of npoints
-        entries, allocated if missing.  The first term is written into
+        without it the table of this polynomial alone is built in fresh
+        rows.  A power does not depend on which other exponents its table
+        holds, so the values are the same either way.  ``out`` receives
+        the values, and ``scratch``, two rows, holds each term's products
+        in turn, never in place (see ``_unit_powers``); all are complex
+        arrays of npoints entries, allocated if missing.  The first term is written into
         ``out`` directly and the others are added to it, so the values are
         the sum started from zero up to the sign of a zero.
         """
@@ -383,7 +388,7 @@ class LaurentPoly:
                 f"point rows have length {z.shape[1]}, expected {self.dim}"
             )
         if powers is None:
-            powers = _power_table(z, [self])
+            powers = _power_table(z, [self])[0]
         if out is None:
             out = np.empty(z.shape[0], dtype=np.complex128)
         if scratch is None:
@@ -413,52 +418,34 @@ class LaurentPoly:
 
 
 def _power_table(
-    z: np.ndarray,
-    polys: list[LaurentPoly],
-    out: np.ndarray | None = None,
-    free: list[np.ndarray] | None = None,
-) -> list[dict[int, np.ndarray]]:
-    """Per coordinate j, z[:, j]**e for every non-zero e that any of ``polys`` uses.
+    z: np.ndarray, polys: list[LaurentPoly], rows: Iterator[np.ndarray] | None = None
+) -> tuple[list[dict[int, np.ndarray]], list[np.ndarray]]:
+    """(table, scratch): per coordinate j, z[:, j]**e for every non-zero e that ``polys`` use.
 
-    The powers and the running products are written into the rows of
-    ``out``, a complex (rows, npoints) array with at least
-    ``_power_rows(polys)`` rows; without it, fresh rows are allocated.
-    The rows of ``out`` that no power occupies, at least two, are left in
-    ``free``, a list, if given.
+    The powers and the running products are written into complex rows of
+    npoints entries drawn from ``rows`` one at a time, as they are needed,
+    or into fresh rows without it.  ``scratch`` is two drawn rows that no
+    power occupies, the scratch rows of ``eval_block``.  Which rows are
+    drawn, and how many, depends only on the exponents, never on z or its
+    length, so a run on one point counts the rows that any block draws.
     """
-    if out is None:
-        out = np.empty((_power_rows(polys), z.shape[0]), dtype=np.complex128)
-    rows = iter(out)
-    free = [] if free is None else free
-    free += [next(rows), next(rows)]
+    if rows is None:
+        rows = (np.empty(len(z), dtype=np.complex128) for _ in count())
+    free = [next(rows), next(rows)]
     table = [
-        _unit_powers(z[:, j], exponents, rows, free)
-        for j, exponents in enumerate(_table_exponents(polys))
+        _unit_powers(z[:, j], {exp[j] for p in polys for exp in p.terms}, rows, free)
+        for j in range(z.shape[1])
     ]
     if len(free) < 2:  # the last square, once freed, leaves at least one
         free.append(next(rows))
-    return table
+    return table, free[:2]
 
 
-def _table_exponents(polys: list[LaurentPoly]) -> list[set[int]]:
-    """Per coordinate, the exponents that any of ``polys`` uses."""
-    return [{exp[j] for p in polys for exp in p.terms} for j in range(polys[0].dim)]
-
-
-def _power_rows(polys: list[LaurentPoly]) -> int:
-    """Rows of ``out`` that ``_power_table`` takes over ``polys``, at most.
-
-    Two for the running products; then, per coordinate, one per distinct
-    |e| > 1 (z**1 is the column of z), one per conjugate that cannot
-    overwrite its power (that power is wanted too, or is z), and one for
-    the moduli of the rescaled squares once |e| reaches 2^16.
-    """
-    total = 2
-    for exponents in _table_exponents(polys):
-        mags = {abs(e) for e in exponents if e}
-        total += len(mags - {1}) + (max(mags, default=0).bit_length() > 16)
-        total += sum(1 for m in mags if -m in exponents and (m in exponents or m == 1))
-    return total
+def _rows_drawn(polys: list[LaurentPoly]) -> int:
+    """Rows that ``_power_table`` draws over ``polys``, counted by a run on one point."""
+    drawn = count()
+    _power_table(np.ones((1, polys[0].dim), complex), polys, (np.empty(1, complex) for _ in drawn))
+    return next(drawn)
 
 
 def _constant_abs2(polys: Sequence[LaurentPoly]) -> tuple[float, list[int]]:
@@ -543,16 +530,24 @@ class WidthProfile:
     ``order`` is the 0-based variable ordering used; variables are
     eliminated starting from the *last* entry of ``order``.  ``tower`` is
     [p_0, ..., p_d] with strictly decreasing ambient dimension (p_d is a
-    constant), ``widths`` records the exponent spread eliminated at each
-    step, ``wd`` is their maximum and ``lead`` is the constant at the
-    bottom of the tower (always non-zero).
+    constant) and ``widths`` records the exponent spread eliminated at
+    each step.  The two numbers the bound rests on are read from these,
+    not stored: ``wd`` and ``lead``.
     """
 
     order: tuple[int, ...]
     tower: tuple[LaurentPoly, ...]
     widths: tuple[int, ...]
-    wd: int
-    lead: GaussianRational
+
+    @property
+    def wd(self) -> int:
+        """The largest of the widths, 0 for a constant."""
+        return max(self.widths, default=0)
+
+    @property
+    def lead(self) -> GaussianRational:
+        """The constant at the bottom of the tower, never zero."""
+        return next(iter(self.tower[-1].terms.values()))
 
 
 def width_profile(p: LaurentPoly, order: Iterable[int] | None = None) -> WidthProfile:
@@ -587,7 +582,5 @@ def width_profile(p: LaurentPoly, order: Iterable[int] | None = None) -> WidthPr
             {e[:pos] + e[pos + 1 :]: c for e, c in q.terms.items() if e[pos] == top},
         )
         tower.append(q)
-    lead = next(iter(q.terms.values())) if q.terms else ZERO
-    assert lead, "top layer of a non-zero polynomial is non-zero"
-    wd = max(widths) if widths else 0
-    return WidthProfile(order, tuple(tower), tuple(widths), wd, lead)
+    assert q.terms, "top layer of a non-zero polynomial is non-zero"
+    return WidthProfile(order, tuple(tower), tuple(widths))

@@ -24,6 +24,7 @@ from nsbound import (
     ns_lower_bound,
     parse_matrix,
     parse_poly,
+    width_profile,
 )
 from nsbound import matrices
 from nsbound.matrices import ZeroMatrixError
@@ -40,12 +41,17 @@ from lemmas import rescale_lambda
 
 
 def _power_report(k: int, d: int, wd: int, lead_abs: float, b_l1: float):
-    """The reference report with its bound replaced by the one for these constants."""
+    """The reference report with its bound replaced by the one for these constants.
+
+    Its profile is that of lead_abs * z1^wd + 1 in d variables, wd >= 1: the
+    widths (0, ..., 0, wd) give wd, and the lead is lead_abs.
+    """
+    p = LaurentPoly(d, {(wd,) + (0,) * (d - 1): Fraction(lead_abs), (0,) * d: 1})
     rep = analyze(parse_matrix(EXAMPLE_MATRIX_TEXT))
     return dataclasses.replace(
         rep,
         dim=d,
-        profile=dataclasses.replace(rep.profile, wd=wd),
+        profile=width_profile(p),
         coefficient=bound_coefficient(k, d, wd, lead_abs, b_l1),
     )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 import random
@@ -635,15 +636,23 @@ def _chunk_points(grid: TorusGrid, start: int, stop: int) -> np.ndarray:
     """The unit points z, (stop - start, dim), that a chunk evaluates its entries at."""
     seen = []
 
-    def spy(z, polys, **kwargs):
+    def spy(z, polys, rows):
         seen.append(z.copy())
-        return real(z, polys, **kwargs)
+        return real(z, polys, rows)
 
     real = density._power_table
     p = LaurentPoly(grid.dim, {(1,) * grid.dim: 1, (0,) * grid.dim: -1})
     with mock.patch.object(density, "_power_table", spy):
         density._chunk_counter([[p]], np.array([1.0]), grid)(start, stop)
     return seen[0]
+
+
+def test_reference_workspace_keeps_twelve_rows():
+    # 2 coordinates + 6 entries + max(4 power rows, k^2 = 4)
+    A = parse_matrix(EXAMPLE_MATRIX_TEXT)
+    count_chunk = density._chunk_counter(A.entries, np.array([1.0]), TorusGrid.midpoint(2, 50))
+    count_chunk(0, 100)
+    assert inspect.getclosurevars(count_chunk).nonlocals["local"].rows.shape == (12, 2500)
 
 
 @settings(max_examples=60, deadline=None)

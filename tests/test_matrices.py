@@ -330,8 +330,8 @@ def test_max_minor_zero_matrix_rejected():
 @given(low_rank_matrices())
 def test_max_minor_is_first_enumerated_property(A):
     # the greedy pass returns the certificate the enumeration over
-    # descending sizes meets first: the same row_set, col_set, size, det
-    # and b_l1 (MinorCertificate equality compares every field)
+    # descending sizes meets first: the same row_set, col_set, det and
+    # b_l1 (MinorCertificate equality compares every field)
     if A.is_zero():
         with pytest.raises(ZeroMatrixError):
             max_nonvanishing_minor(A)
@@ -396,7 +396,7 @@ def _minors_by_determinant(A, size):
             sub = A.submatrix(I, J)
             det = determinant_cofactor(sub)
             if not det.is_zero():
-                yield MinorCertificate(I, J, size, det, sub.l1_norm())
+                yield MinorCertificate(I, J, det, sub.l1_norm())
 
 
 @st.composite
@@ -413,7 +413,7 @@ def rectangular_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(rectangular_matrices(), low_rank_matrices()))
 def test_sweep_matches_determinant_enumeration_property(A):
-    # certificate for certificate (row_set, col_set, size, det, b_l1) and in
+    # certificate for certificate (row_set, col_set, det, b_l1) and in
     # the same order, at every size
     for size in range(1, min(A.rows, A.cols) + 1):
         want = list(_minors_by_determinant(A, size))

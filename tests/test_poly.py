@@ -7,7 +7,7 @@ import random
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import permutations
+from itertools import count, permutations
 
 import numpy as np
 import pytest
@@ -25,8 +25,8 @@ from nsbound.poly import (
     ZeroPolynomialError,
     _abs_down,
     _abs_up,
-    _power_rows,
     _power_table,
+    _rows_drawn,
 )
 
 from conftest import eval_at, random_poly
@@ -350,11 +350,37 @@ def shared_table_polys(draw):
 def test_eval_block_with_a_shared_table_is_bit_identical(polys, seed):
     theta = np.random.default_rng(seed).random((50, polys[0].dim)) * (2 * math.pi)
     z = np.exp(1j * theta)
-    table = _power_table(z, polys)
+    table = _power_table(z, polys)[0]
     for p in polys:
         alone = p.eval_block(z)
         assert np.array_equal(p.eval_block(z, table), alone)
-        assert np.array_equal(p.eval_block(z, _power_table(z, polys[::-1])), alone)
+        assert np.array_equal(p.eval_block(z, _power_table(z, polys[::-1])[0]), alone)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_table_polys(), st.integers(0, 2**32 - 1))
+@example([parse_poly("z1^70000*z2^-3 - 2*z2^-70001 + 1"), parse_poly("z1^-5 + z2^65537")], 0)
+def test_power_table_draws_as_many_rows_for_one_point_as_for_forty(polys, seed):
+    # the quadrature sizes its workspace by a run on one point
+    theta = np.random.default_rng(seed).random((40, polys[0].dim)) * (2 * math.pi)
+    drawn = count()
+    _power_table(np.exp(1j * theta), polys, (np.empty(40, complex) for _ in drawn))
+    assert _rows_drawn(polys) == next(drawn)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_table_polys(), st.integers(0, 2**32 - 1))
+def test_a_workspace_of_the_drawn_rows_suffices_and_one_row_fewer_fails(polys, seed):
+    theta = np.random.default_rng(seed).random((40, polys[0].dim)) * (2 * math.pi)
+    z = np.exp(1j * theta)
+    need = _rows_drawn(polys)
+    workspace = np.empty((need, 40), dtype=np.complex128)
+    table, scratch = _power_table(z, polys, iter(workspace))
+    assert len(scratch) == 2
+    for p in polys:
+        assert np.array_equal(p.eval_block(z, table, scratch=scratch), p.eval_block(z))
+    with pytest.raises(StopIteration):
+        _power_table(z, polys, iter(workspace[1:]))
 
 
 def _fresh_powers(z, exponents):
@@ -391,12 +417,12 @@ def test_powers_written_into_reused_buffers_are_bit_identical(polys, seed, n):
     dim = polys[0].dim
     theta = np.random.default_rng(seed).random((40, dim)) * (2 * math.pi)
     zbuf = np.empty((dim, 40), dtype=np.complex128)
-    rows = np.full((_power_rows(polys), 40), np.nan, dtype=np.complex128)
+    rows = np.full((_rows_drawn(polys), 40), np.nan, dtype=np.complex128)
     work = np.full((3, 40), np.nan, dtype=np.complex128)
     for size in (40, n):
         zbuf[:, :size] = np.exp(1j * theta[:size]).T
         z = zbuf[:, :size].T
-        table = _power_table(z, polys, out=rows[:, :size])
+        table = _power_table(z, polys, iter(rows[:, :size]))[0]
     for j, powers in enumerate(table):
         want = _fresh_powers(z[:, j], {e[j] for p in polys for e in p.terms})
         assert powers.keys() == want.keys()
@@ -440,7 +466,7 @@ def test_eval_block_equals_the_zero_started_sum(text, first):
     theta = np.random.default_rng(7).random((37, 3)) * (2 * math.pi)
     theta[:3] = [[0.0, 0.0, 0.0], [math.pi, 0.0, math.pi], [0.0, math.pi / 2, 0.0]]
     z = np.exp(1j * theta)
-    table = _power_table(z, [p])
+    table = _power_table(z, [p])[0]
     want = _zero_started_sum(p, table, 37)
     assert np.all(p.eval_block(z, table) == want)
     out = np.full(37, complex(math.nan, math.inf))
