@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 
 from .matrices import (
@@ -56,9 +57,7 @@ def ns_lower_bound(d: int, wd: int) -> float:
 
 
 def _norm_factor(k: int, b_l1: float) -> Fraction:
-    """(k^2 * b_l1)^(k-1) exactly, written k^(2k-2) * b_l1^(k-1)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    """(k^2 * b_l1)^(k-1) exactly, written k^(2k-2) * b_l1^(k-1), for k >= 1."""
     return k ** (2 * k - 2) * Fraction(b_l1) ** (k - 1)
 
 
@@ -94,14 +93,6 @@ def bound_coefficient(k: int, d: int, wd: int, lead_abs: float, b_l1: float) -> 
     return _float_up(Fraction(SPECTRAL_CONSTANT) * (k * n) * Fraction(_root_up(inner, n)))
 
 
-def _lead_abs_down(profile: WidthProfile) -> float:
-    """The largest float <= |lead| (it sits in a denominator)."""
-    f = _abs_down(profile.lead)
-    if f == 0.0:
-        raise OverflowError("leading coefficient modulus underflows to zero")
-    return f
-
-
 def best_ordering(p: LaurentPoly, mode: str = "fixed") -> WidthProfile:
     """Width profile under the identity ordering, or the best over all d!.
 
@@ -125,29 +116,52 @@ def best_ordering(p: LaurentPoly, mode: str = "fixed") -> WidthProfile:
 class BoundReport:
     """Everything the analysis produced, kept for auditability.
 
-    ``lead_abs`` is the largest float <= |lead|; k, d, wd and ||B||_1 are
-    ``minor.size``, ``dim``, ``profile.wd`` and ``minor.b_l1``.  For
-    ``wd >= 1`` the bound is ``coefficient * lambda^alpha_lower``; the raw
-    formula value is kept even where it exceeds the trivial ceiling ``k``.
-    For ``wd == 0`` the determinant's density is a step at ``lead_abs``,
-    the matrix-level guarantee is a step at ``step_threshold_matrix`` (the
-    threshold shrinks through the norm rescaling when k > 1), and
-    ``alpha_lower`` is ``math.inf``.  ``coefficient`` is None in the step
-    case and ``step_threshold_matrix`` None otherwise.
+    Only ``rows``, ``cols``, ``minor`` and ``profile`` are stored; the rest
+    is derived, ``lead_abs``, ``coefficient`` and ``step_threshold_matrix``
+    once, on first read.  ``lead_abs`` is the largest float <= |lead|; k,
+    d, wd and ||B||_1 are ``minor.size``, ``dim`` (that of det B),
+    ``profile.wd`` and ``minor.b_l1``.  For ``wd >= 1`` the bound is
+    ``coefficient * lambda^alpha_lower``; the raw formula value is kept
+    even where it exceeds the trivial ceiling ``k``.  For ``wd == 0`` the
+    determinant's density is a step at ``lead_abs``, the matrix-level
+    guarantee is a step at ``step_threshold_matrix`` (the threshold
+    shrinks through the norm rescaling when k > 1), and ``alpha_lower`` is
+    ``math.inf``.  ``coefficient`` is None in the step case and
+    ``step_threshold_matrix`` None otherwise.
     """
 
     rows: int
     cols: int
-    dim: int
     minor: MinorCertificate
     profile: WidthProfile
-    lead_abs: float
-    coefficient: float | None
-    step_threshold_matrix: float | None
 
     @property
     def k(self) -> int:
         return self.minor.size
+
+    @property
+    def dim(self) -> int:
+        return self.profile.tower[0].dim
+
+    @cached_property
+    def lead_abs(self) -> float:
+        """The largest float <= |lead| (it sits in a denominator)."""
+        f = _abs_down(self.profile.lead)
+        if f == 0.0:
+            raise OverflowError("leading coefficient modulus underflows to zero")
+        return f
+
+    @cached_property
+    def coefficient(self) -> float | None:
+        if self.is_step:
+            return None
+        return bound_coefficient(self.k, self.dim, self.profile.wd, self.lead_abs, self.minor.b_l1)
+
+    @cached_property
+    def step_threshold_matrix(self) -> float | None:
+        if not self.is_step:
+            return None
+        return _float_down(Fraction(self.lead_abs) / _norm_factor(self.k, self.minor.b_l1))
 
     @property
     def is_step(self) -> bool:
@@ -174,17 +188,6 @@ class BoundReport:
             return 0.0
         root = _root_up(lam, self.dim * self.profile.wd)
         return math.nextafter(self.coefficient * root, math.inf)
-
-
-def _report_for(A: PolyMatrix, cert: MinorCertificate, profile: WidthProfile) -> BoundReport:
-    lead_abs = _lead_abs_down(profile)
-    if profile.wd == 0:
-        coefficient = None
-        threshold = _float_down(Fraction(lead_abs) / _norm_factor(cert.size, cert.b_l1))
-    else:
-        coefficient = bound_coefficient(cert.size, A.dim, profile.wd, lead_abs, cert.b_l1)
-        threshold = None
-    return BoundReport(A.rows, A.cols, A.dim, cert, profile, lead_abs, coefficient, threshold)
 
 
 def _report_quality(r: BoundReport) -> tuple[float, float]:
@@ -224,5 +227,6 @@ def analyze(
         certs = [max_nonvanishing_minor(A)]
     else:
         certs = maximal_minors(A, minor_cap)
-    reports = (_report_for(A, cert, best_ordering(cert.det, ordering)) for cert in certs)
+    reports = (BoundReport(A.rows, A.cols, c, best_ordering(c.det, ordering)) for c in certs)
+    # max keys every candidate, even a lone one: a |lead| that underflows raises here
     return max(reports, key=_report_quality)

@@ -13,6 +13,7 @@ with one ``error:`` line.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -275,7 +276,9 @@ def _add_density_flags(sp: argparse.ArgumentParser) -> None:
                     f" (default {DEFAULT_MAX_POINTS})")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: a parser per ``main`` call is cyclic garbage."""
     ap = argparse.ArgumentParser(
         prog="nsbound",
         description="Width invariants, spectral density bounds and torus "

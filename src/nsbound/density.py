@@ -44,6 +44,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -254,25 +255,26 @@ class DensityCurve:
     """Quadrature estimates of a spectral density on a lambda grid.
 
     ``counts[i]`` is the exact integer number of (point, eigenvalue) hits
-    at or below ``lambdas[i]``; ``estimates[i]`` divides it by the grid's point count.
-    ``f_zero`` is the analytic value at 0 (never estimated).
+    at or below ``lambdas[i]`` among ``points`` grid points, and ``f_zero``
+    the analytic value at 0 (never estimated).  These four are stored;
+    ``estimates[i]`` is derived, ``counts[i] / points``.
     """
 
     lambdas: tuple[float, ...]
     counts: tuple[int, ...]
-    estimates: tuple[float, ...]
+    points: int
     f_zero: int
 
     def __post_init__(self):
-        lam = self.lambdas
-        if len(lam) == 0:
-            raise ValueError("empty lambda list")
-        if not len(lam) == len(self.counts) == len(self.estimates):
-            raise ValueError("lambdas, counts and estimates must have the same length")
-        if any(b < a for a, b in zip(lam, lam[1:])):
-            raise ValueError("lambdas must be ascending")
+        _check_lambdas(self.lambdas)
+        if len(self.lambdas) != len(self.counts):
+            raise ValueError("lambdas and counts must have the same length")
         if any(b < a for a, b in zip(self.counts, self.counts[1:])):
             raise ValueError("counts must be non-decreasing")
+
+    @cached_property
+    def estimates(self) -> tuple[float, ...]:
+        return tuple(c / self.points for c in self.counts)
 
 
 def _check_lambdas(lambdas: Sequence[float]) -> tuple[float, ...]:
@@ -360,7 +362,7 @@ def matrix_density(
         if p.is_monomial():
             # |p| is constant |lead| on the torus: the density is an exact step.
             counts = tuple(grid.total if Fraction(x) ** 2 >= scale2 else 0 for x in lam)
-            return DensityCurve(lam, counts, tuple(c / grid.total for c in counts), 0)
+            return DensityCurve(lam, counts, grid.total, 0)
         entries = [[p * (GaussianRational(1) / lead)]]
     elif A.is_zero():
         raise ZeroMatrixError("the zero matrix has no non-vanishing minor")
@@ -369,8 +371,7 @@ def matrix_density(
     thresholds = _squared_thresholds(lam, scale2)
     totals = _sum_chunks(grid, _chunk_counter(entries, thresholds, grid), workers)
     counts = tuple(int(c) + extra_zeros * grid.total for c in totals)
-    estimates = tuple(c / grid.total for c in counts)
-    return DensityCurve(lam, counts, estimates, max(A.rows, A.cols) - k)
+    return DensityCurve(lam, counts, grid.total, max(A.rows, A.cols) - k)
 
 
 def _chunk_counter(
@@ -461,6 +462,12 @@ def _midpoint_angles(digits, n):
 # -- decay exponent fit -----------------------------------------------------
 
 
+def _usable_points(curve: DensityCurve) -> list[tuple[float, float]]:
+    """(lambda, estimate) pairs with lambda > 0 and the estimate above f_zero."""
+    pairs = zip(curve.lambdas, curve.estimates)
+    return [(lam, est) for lam, est in pairs if est > curve.f_zero and lam > 0]
+
+
 def alpha_fit(
     curve: DensityCurve, window: tuple[float, float]
 ) -> tuple[float, float]:
@@ -472,8 +479,8 @@ def alpha_fit(
     """
     lo, hi = window
     xs, ys = [], []
-    for lam, est in zip(curve.lambdas, curve.estimates):
-        if lo <= lam <= hi and est > curve.f_zero and lam > 0:
+    for lam, est in _usable_points(curve):
+        if lo <= lam <= hi:
             xs.append(math.log(lam))
             ys.append(math.log(est - curve.f_zero))
     if len(xs) < 5:
@@ -499,11 +506,7 @@ def alpha_fit(
 
 def default_fit_window(curve: DensityCurve) -> tuple[float, float]:
     """Lowest two decades of lambda that contain >= 5 usable points."""
-    usable = [
-        lam
-        for lam, est in zip(curve.lambdas, curve.estimates)
-        if est > curve.f_zero and lam > 0
-    ]
+    usable = [lam for lam, _ in _usable_points(curve)]
     if len(usable) < 5:
         raise InsufficientDataError(
             f"only {len(usable)} points rise above f_zero = {curve.f_zero};"

@@ -41,19 +41,19 @@ from lemmas import rescale_lambda
 
 
 def _power_report(k: int, d: int, wd: int, lead_abs: float, b_l1: float):
-    """The reference report with its bound replaced by the one for these constants.
+    """The reference report with the minor and profile that give these constants.
 
-    Its profile is that of lead_abs * z1^wd + 1 in d variables, wd >= 1: the
-    widths (0, ..., 0, wd) give wd, and the lead is lead_abs.
+    Its minor has k rows and ||B||_1 = b_l1, and its profile is that of
+    lead_abs * z1^wd + 1 in d variables, wd >= 1: the widths
+    (0, ..., 0, wd) give wd, the lead is lead_abs, and d is read from it.
     """
     p = LaurentPoly(d, {(wd,) + (0,) * (d - 1): Fraction(lead_abs), (0,) * d: 1})
     rep = analyze(parse_matrix(EXAMPLE_MATRIX_TEXT))
-    return dataclasses.replace(
-        rep,
-        dim=d,
-        profile=width_profile(p),
-        coefficient=bound_coefficient(k, d, wd, lead_abs, b_l1),
-    )
+    rows = tuple(range(k))
+    minor = dataclasses.replace(rep.minor, row_set=rows, col_set=rows, b_l1=b_l1)
+    report = dataclasses.replace(rep, minor=minor, profile=width_profile(p))
+    assert (report.k, report.dim, report.profile.wd, report.lead_abs) == (k, d, wd, lead_abs)
+    return report
 
 
 def test_constant_squared_relation():
@@ -353,6 +353,14 @@ def test_step_bound_at_closed_threshold():
     rep = analyze(parse_matrix("[[1, 0], [0, 1]]"))
     assert rep.bound_at(rep.step_threshold_matrix) == rep.k
     assert rep.bound_at(math.nextafter(rep.step_threshold_matrix, 0)) == 0
+
+
+@pytest.mark.parametrize("mode", ["first", "best"])
+def test_analyze_raises_when_the_lead_modulus_underflows(mode):
+    # |lead| = 10^-400 rounds down to 0.0, which the bound cannot divide by
+    p = parse_poly("1/1" + "0" * 400 + " * z1 + 1")
+    with pytest.raises(OverflowError, match="underflows"):
+        analyze(PolyMatrix([[p]]), minor=mode)
 
 
 def test_analyze_zero_matrix_rejected():

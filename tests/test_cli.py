@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import gc
 import os
 import subprocess
 import sys
@@ -91,6 +93,22 @@ alpha: infinite-type
 f_zero = F(0) = 0
 """
 
+GOLDEN_ANALYZE_BEST_EXHAUSTIVE = """\
+matrix: 2x3 over 2 variable(s)
+k = 2
+rows I = {1, 2}
+cols J = {2, 3}
+det(B) = -z1*z2 - z2
+ordering = (z1, z2) [exhaustive, minor mode best]
+width tower: p_0 = -z1*z2 - z2, p_1 = -z1 - 1, p_2 = -1
+widths = (0, 1), wd = 1
+lead = -1, |lead| = 1
+||B||_1 = 1
+bound: F - F(0) <= 16.169316884477176 * lambda^0.5
+alpha >= 0.5
+f_zero = F(0) = 1
+"""
+
 GOLDEN_EXAMPLE = """\
 k: 2  (expected 2)  ok
 det(B): 2*z1*z2^2 + z1^3*z2 - 16  (expected 2*z1*z2^2 + z1^3*z2 - 16)  ok
@@ -112,8 +130,13 @@ all exact checks passed
         (EXAMPLE_MATRIX_TEXT, ["analyze"], GOLDEN_ANALYZE_REFERENCE),
         ("[[1, 0], [0, 1]]", ["analyze"], GOLDEN_ANALYZE_IDENTITY),
         (None, ["example"], GOLDEN_EXAMPLE),
+        (
+            EXAMPLE_MATRIX_TEXT,
+            ["analyze", "--minor", "best", "--ordering", "exhaustive"],
+            GOLDEN_ANALYZE_BEST_EXHAUSTIVE,
+        ),
     ],
-    ids=["analyze-reference", "analyze-identity", "example"],
+    ids=["analyze-reference", "analyze-identity", "example", "analyze-best-exhaustive"],
 )
 def test_report_text_is_pinned(capsys, tmp_path, text, argv, expected):
     # the whole stdout, byte for byte: every number and every line of the report
@@ -123,6 +146,23 @@ def test_report_text_is_pinned(capsys, tmp_path, text, argv, expected):
         argv = [*argv, str(f)]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (0, expected, "")
+
+
+def test_main_builds_its_parser_once(capsys):
+    # a parser per call would be cyclic garbage, which survives while gc is off
+    def parsers():
+        return sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects())
+
+    assert main(["example"]) == 0
+    gc.disable()
+    try:
+        before = parsers()
+        assert main(["example"]) == 0
+        after = parsers()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert after == before
 
 
 def test_parse_error_exit_2(capsys, tmp_path):

@@ -356,17 +356,17 @@ def test_non_finite_lambdas_rejected(bad):
 
 def test_density_curve_rejects_decreasing_counts():
     with pytest.raises(ValueError, match="non-decreasing"):
-        DensityCurve((1.0, 2.0), (3, 2), (0.75, 0.5), 0)
+        DensityCurve((1.0, 2.0), (3, 2), 4, 0)
 
 
 @pytest.mark.parametrize(
-    "counts, estimates",
-    [((1,), (0.25, 0.5)), ((1, 2), (0.25,)), ((1, 2, 3), (0.25, 0.5, 0.75))],
+    "lambdas, counts",
+    [((1.0, 2.0), (1,)), ((1.0,), (1, 2)), ((1.0, 2.0), (1, 2, 3))],
 )
-def test_density_curve_rejects_length_mismatch(counts, estimates):
-    # alpha_fit and default_fit_window zip the three, and would drop points
+def test_density_curve_rejects_length_mismatch(lambdas, counts):
+    # alpha_fit and default_fit_window zip lambdas with the estimates, and would drop points
     with pytest.raises(ValueError, match="same length"):
-        DensityCurve((1.0, 2.0), counts, estimates, 0)
+        DensityCurve(lambdas, counts, 4, 0)
 
 
 def test_poly_density_workers_bit_identical():
