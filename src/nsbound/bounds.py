@@ -209,7 +209,9 @@ def analyze(
     maximal-size minor is tried and the report with the best decay
     guarantee wins: a step before a power law, the larger threshold between
     steps, and between power laws the larger alpha lower bound, then the
-    smaller coefficient; a full tie keeps the first candidate.
+    smaller coefficient; a full tie keeps the first candidate.  A candidate
+    whose |lead| underflows to 0.0 is dropped; ``OverflowError`` is raised
+    only when every candidate is.
     ``minor_cap`` bounds the candidates at each size the "best" enumeration
     tries (see :func:`maximal_minors`), which raises MinorSearchCapExceeded
     beyond it; "first" enumerates nothing and ignores it.  The zero matrix
@@ -227,6 +229,8 @@ def analyze(
         certs = [max_nonvanishing_minor(A)]
     else:
         certs = maximal_minors(A, minor_cap)
-    reports = (BoundReport(A.rows, A.cols, c, best_ordering(c.det, ordering)) for c in certs)
-    # max keys every candidate, even a lone one: a |lead| that underflows raises here
-    return max(reports, key=_report_quality)
+    reports = [BoundReport(A.rows, A.cols, c, best_ordering(c.det, ordering)) for c in certs]
+    # a candidate whose |lead| underflows has no bound and drops out; when none
+    # is left, max keys the first, whose lead_abs raises the OverflowError
+    bounded = [r for r in reports if _abs_down(r.profile.lead) > 0.0]
+    return max(bounded or reports, key=_report_quality)

@@ -154,7 +154,7 @@ def _density_run(
     report = analyze(A, args.ordering, args.minor, args.minor_cap)
     grid = _grid_for(args, A.dim)
     lambdas = _lambda_grid(args, report)
-    curve = matrix_density(A, report.k, lambdas, grid, args.workers)
+    curve = matrix_density(A, report.k, lambdas, grid)
     rows = []
     for lam, est in zip(curve.lambdas, curve.estimates):
         bound = report.bound_at(lam)
@@ -269,7 +269,8 @@ def _add_density_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--linear", action="store_true",
                     help="linearly spaced lambdas (default log-spaced)")
     sp.add_argument("--workers", type=int, default=1,
-                    help="worker threads for grid evaluation (default 1)")
+                    help="accepted for compatibility and ignored: the grid is"
+                    " summed on one thread (must be at least 1)")
     sp.add_argument("--out", default=None, metavar="FILE", help="write CSV here")
     sp.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS,
                     help="cost guard: cap on the grid points and on --points"

@@ -21,27 +21,25 @@ Exactness conventions that the tests rely on:
 Grid evaluation streams through chunks of ``CHUNK`` = 8192 points, a
 fixed size at which one chunk's arrays stay in cache.  Every step works
 point by point or matrix by matrix and every count is an exact integer, so
-the counts are bit-identical for any chunk size and worker count.  A
-midpoint chunk with n <= 8192 points per axis gathers its points
-z = exp(i*angles) from a table of the n roots, whose angles take the same
-float steps (``_midpoint_angles``); other grids take one complex exp per
-coordinate per point.  The entries are evaluated from one table of the
-integer powers of z (``LaurentPoly.eval_block``) and summed into the gram
-A A* on the wide side (``_gram``).  A 1x1 or 2x2 gram's eigenvalues are
+the counts are bit-identical for any chunk size; the chunks are summed in
+block order on the calling thread.  A midpoint chunk with n <= 8192 points
+per axis gathers its points z = exp(i*angles) from a table of the n roots,
+whose angles take the same float steps (``_midpoint_angles``); other
+grids take one complex exp per coordinate per point.  The entries are
+evaluated from one table of the integer powers of z
+(``LaurentPoly.eval_block``) and summed into the gram A A* on the wide
+side (``_gram``).  A 1x1 or 2x2 gram's eigenvalues are
 taken in closed form (``hermitian_eigenvalues``) and binned against the
-thresholds; a larger gram's are counted by inertia (``_inertia``).  Each
-worker thread writes every chunk into one workspace that it allocates on
-its first chunk, with as many power rows as the table draws on one point
-(``_chunk_counter``), so memory does not grow with the grid and no chunk
-faults fresh pages in: a complex array of 8192 points is exactly glibc's
-128 KiB mmap threshold.
+thresholds; a larger gram's are counted by inertia (``_inertia``).  Every
+chunk is written into one workspace, allocated once per run, with as many
+power rows as the table draws on one point (``_chunk_counter``), so memory
+does not grow with the grid and no chunk faults fresh pages in: a complex
+array of 8192 points is exactly glibc's 128 KiB mmap threshold.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -142,28 +140,6 @@ class TorusGrid:
 
                 lattice_angles(idx, self.generator[j], self.total, self.shift[j], out=col)
         return out
-
-
-def _sum_chunks(grid: TorusGrid, fn: Callable[[int, int], np.ndarray], workers: int = 1):
-    """Sum of fn over the block ranges, added in block order.
-
-    Ranges are produced one at a time, and at most 2 * workers chunks are
-    in flight, so memory does not grow with the grid.
-    """
-    ranges = grid.block_ranges()
-    if workers <= 1:
-        return sum(fn(a, b) for a, b in ranges)
-    # Imported here: a single-worker run never loads the executor machinery.
-    from concurrent.futures import Future, ThreadPoolExecutor
-
-    total = 0
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque[Future] = deque()
-        for a, b in ranges:
-            if len(pending) == 2 * workers:
-                total = total + pending.popleft().result()
-            pending.append(pool.submit(fn, a, b))
-        return sum((f.result() for f in pending), total)
 
 
 # -- Hermitian eigenvalues ---------------------------------------------------
@@ -328,7 +304,6 @@ def matrix_density(
     k: int,
     lambdas: Sequence[float],
     grid: TorusGrid,
-    workers: int = 1,
 ) -> DensityCurve:
     """Average count of gram eigenvalues <= lambda^2 over the torus.
 
@@ -369,7 +344,8 @@ def matrix_density(
     elif A.rows > A.cols:
         entries = tuple(zip(*entries))
     thresholds = _squared_thresholds(lam, scale2)
-    totals = _sum_chunks(grid, _chunk_counter(entries, thresholds, grid), workers)
+    count_chunk = _chunk_counter(entries, thresholds, grid)
+    totals = sum(count_chunk(a, b) for a, b in grid.block_ranges())
     counts = tuple(int(c) + extra_zeros * grid.total for c in totals)
     return DensityCurve(lam, counts, grid.total, max(A.rows, A.cols) - k)
 
@@ -382,10 +358,10 @@ def _chunk_counter(
     Once per run, the gram diagonal's constants (``poly._constant_abs2``)
     are formed, a 2x2 gram whose off-diagonal vanishes as a polynomial is
     marked diagonal (``uncoupled``), and the rows of the power table are
-    counted on one point (``poly._rows_drawn``).  Each worker thread
-    allocates one workspace on its first chunk, sized from ``CHUNK``, the
-    entries and that count, and every later chunk reuses it, so no chunk
-    pays for fresh pages.  Its complex rows of CHUNK points hold, in turn:
+    counted on one point (``poly._rows_drawn``).  One workspace is
+    allocated, sized from ``CHUNK``, the entries and that count, and every
+    chunk reuses it, so no chunk pays for fresh pages.  Its complex rows of
+    CHUNK points hold, in turn:
 
     * z, one row per coordinate, with the angles written into its
       imaginary parts and then the points, gathered from the table of
@@ -405,13 +381,11 @@ def _chunk_counter(
     roots = _midpoint_roots(grid)
     diagonal = [_constant_abs2(row) for row in entries]
     uncoupled = k == 2 and not sum(x * y.star() for x, y in zip(*entries))
-    local = threading.local()
+    work = np.empty((dim + nvals + pool, size), dtype=np.complex128)
 
     def count_chunk(start: int, stop: int) -> np.ndarray:
-        if not hasattr(local, "rows"):
-            local.rows = np.empty((dim + nvals + pool, size), dtype=np.complex128)
         n = stop - start
-        z, values, table = np.split(local.rows[:, :n], [dim, dim + nvals])
+        z, values, table = np.split(work[:, :n], [dim, dim + nvals])
         grid.angles(start, stop, out=z.imag.T)
         if roots is None:
             z.real = 0.0
@@ -427,14 +401,14 @@ def _chunk_counter(
             p.eval_block(z.T, powers, out=v, scratch=scratch)
         stack = table[: k * k].reshape(k, k, n)  # a view: only the row axis is split
         gram = _gram(values, stack, z[0], diagonal)
-        flags = local.rows[dim : dim + nvals].reshape(-1).view(np.bool_)
+        flags = work[dim : dim + nvals].reshape(-1).view(np.bool_)
         if not np.isfinite(stack, out=flags[: stack.size].reshape(stack.shape)).all():
             raise OverflowError("a gram matrix entry overflows a float")
         if k >= 3:  # the z and value rows, k^2 + 1 or more, are its workspace
             from ._inertia import inertia_counts  # only k >= 3 grams load it
 
-            return inertia_counts(stack, thresholds, local.rows[: dim + nvals])
-        eig = local.rows[dim : dim + 2].reshape(-1).view(np.float64)[: 3 * n].reshape(3, n)
+            return inertia_counts(stack, thresholds, work[: dim + nvals])
+        eig = work[dim : dim + 2].reshape(-1).view(np.float64)[: 3 * n].reshape(3, n)
         return _count_at_most(hermitian_eigenvalues(gram, eig, uncoupled).T, thresholds)
 
     return count_chunk

@@ -165,20 +165,19 @@ class _Parser:
             )
         return items
 
-    def _signed_sum(self, item: Callable) -> list[tuple[Fraction, object]]:
-        """['-'] item (('+'|'-') item)*, as (sign, item) pairs."""
-        sign = 1
-        if self.peek().kind == "-":
+    def _signed_sum(self, item: Callable) -> list[tuple[bool, object]]:
+        """['-'] item (('+'|'-') item)*, as (negated, item) pairs."""
+        negated = self.peek().kind == "-"
+        if negated:
             self.next()
-            sign = -1
         out = []
         while True:
-            out.append((Fraction(sign), item()))
+            out.append((negated, item()))
             kind = self.peek().kind
             if kind not in ("+", "-"):
                 return out
             self.next()
-            sign = 1 if kind == "+" else -1
+            negated = kind == "-"
 
     # -- numbers -------------------------------------------------------
 
@@ -246,7 +245,7 @@ class _Parser:
         elif tok.kind == "(":
             self.next()
             parts = self._signed_sum(self._simple_coeff)
-            coeff = sum((part * sign for sign, part in parts), GaussianRational(0))
+            coeff = sum((-part if neg else part for neg, part in parts), GaussianRational(0))
             self.expect(")", "')' closing a complex coefficient")
         elif tok.kind == "var":
             coeff = GaussianRational(1)
@@ -261,7 +260,8 @@ class _Parser:
         return coeff, exps
 
     def poly_body(self) -> list[tuple[GaussianRational, dict[int, int]]]:
-        return [(coeff * sign, exps) for sign, (coeff, exps) in self._signed_sum(self._term)]
+        terms = self._signed_sum(self._term)
+        return [(-coeff if neg else coeff, exps) for neg, (coeff, exps) in terms]
 
     def row(self) -> tuple[_Token, list]:
         """A row and its first token, which locates a ragged-row error."""

@@ -363,6 +363,15 @@ def test_analyze_raises_when_the_lead_modulus_underflows(mode):
         analyze(PolyMatrix([[p]]), minor=mode)
 
 
+def test_best_minor_drops_a_candidate_whose_lead_modulus_underflows():
+    # J = {2}'s |lead| = 10^-400 rounds down to 0.0, so only J = {1}, a step, has a bound
+    tiny = parse_poly("1/1" + "0" * 400 + " * z1 + 1")
+    A = PolyMatrix([[LaurentPoly.monomial(1, (1,), 1), tiny]])
+    best = analyze(A, minor="best")
+    assert best.minor.col_set == (0,) and best.is_step and best.lead_abs == 1.0
+    assert best == analyze(A, minor="first")
+
+
 def test_analyze_zero_matrix_rejected():
     with pytest.raises(ZeroMatrixError):
         analyze(parse_matrix("[[0, 0], [0, 0]]"))

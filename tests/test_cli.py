@@ -174,6 +174,17 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert "ragged" in err
 
 
+@pytest.mark.parametrize("minor", ["first", "best"])
+def test_tiny_lead_candidate_drops_out_of_the_minor_choice(capsys, tmp_path, minor):
+    # J = {2} has |lead| = 10^-400, which underflows; the step minor J = {1} is left
+    f = tmp_path / "tiny.mat"
+    f.write_text("[[z1, 1/1" + "0" * 400 + " * z1 + 1]]\n")
+    code, out, err = run(capsys, "analyze", str(f), "--minor", minor)
+    assert code == 0
+    assert err == ""
+    assert "cols J = {1}\n" in out and "alpha: infinite-type\n" in out
+
+
 @pytest.mark.parametrize(
     "name,text,command",
     [
@@ -264,8 +275,8 @@ _OPTIONAL = {"nsbound._lattice", "nsbound._pcg64", "nsbound._inertia"}
 def _loaded_modules(tmp_path, command, text, flags):
     """Runs the command in a fresh interpreter and returns the modules it imported.
 
-    Also checks what every run shares: exit 0, no numpy.random and, as no
-    run here asks for more than one worker, no executor.
+    Also checks what every run shares: exit 0, no numpy.random and, whatever
+    ``--workers`` says, no executor.
     """
     f = tmp_path / "in.mat"
     f.write_text(text + "\n")
@@ -289,6 +300,10 @@ def _loaded_modules(tmp_path, command, text, flags):
         pytest.param(
             "verify", EXAMPLE_MATRIX_TEXT, ["--grid", "50", "--workers", "1"], set(),
             id="midpoint",
+        ),
+        pytest.param(
+            "verify", EXAMPLE_MATRIX_TEXT, ["--grid", "50", "--workers", "4"], set(),
+            id="midpoint-workers-4",
         ),
         pytest.param(
             "verify", "[[z1 - z2, 2, z2^-1], [z1*z2, z2 - 3, 1], [z2, z1^2, z1]]",

@@ -369,12 +369,23 @@ def test_density_curve_rejects_length_mismatch(lambdas, counts):
         DensityCurve(lambdas, counts, 4, 0)
 
 
-def test_poly_density_workers_bit_identical():
+def _two_partitions(monkeypatch, grid: TorusGrid, chunk: int, run):
+    """run() at the default ``CHUNK`` and at ``chunk``, two different block partitions."""
+    default = list(grid.block_ranges())
+    first = run()
+    monkeypatch.setattr(density, "CHUNK", chunk)
+    other = list(grid.block_ranges())
+    assert len(default) > 1 and len(other) > 1 and default != other
+    return first, run()
+
+
+def test_poly_density_bit_identical_over_chunk_partitions(monkeypatch):
     p = parse_poly("z1^3 - 2*z1 + 1")
     g = TorusGrid.midpoint(1, 200000)
     lams = np.geomspace(1e-3, 3, 24).tolist()
-    c1 = matrix_density(PolyMatrix([[p]]), 1, lams, g, workers=1)
-    c2 = matrix_density(PolyMatrix([[p]]), 1, lams, g, workers=3)
+    c1, c2 = _two_partitions(
+        monkeypatch, g, 3001, lambda: matrix_density(PolyMatrix([[p]]), 1, lams, g)
+    )
     assert c1.counts == c2.counts
     assert c1.estimates == c2.estimates
 
@@ -456,13 +467,13 @@ def test_matrix_density_transpose_agrees(rows, cols, grid):
     ],
     ids=["midpoint-90000", "lattice-140000"],
 )
-def test_matrix_density_workers_bit_identical_over_chunks(text, grid):
+def test_matrix_density_bit_identical_over_chunk_partitions(monkeypatch, text, grid):
     A = parse_matrix(text)
-    assert len(list(grid.block_ranges())) > 1
     lams = np.geomspace(1e-2, 30, 24).tolist()
-    c1 = matrix_density(A, min(A.rows, A.cols), lams, grid, workers=1)
-    c3 = matrix_density(A, min(A.rows, A.cols), lams, grid, workers=3)
-    assert c1.counts == c3.counts
+    c1, c2 = _two_partitions(
+        monkeypatch, grid, 3001, lambda: matrix_density(A, min(A.rows, A.cols), lams, grid)
+    )
+    assert c1.counts == c2.counts
 
 
 def _recount(A: PolyMatrix, lams, grid: TorusGrid) -> np.ndarray:
@@ -620,12 +631,12 @@ def test_counts_do_not_depend_on_chunk_size(monkeypatch, grid):
     lams = np.geomspace(1e-2, 40, 32).tolist()
     p = parse_poly("z1^3*z2 + 2*z1*z2^2 - 3*z2^-1 + 1")
     runs = []
-    for chunk, workers in ((1000, 1), (1000, 2), (density.CHUNK, 1), (grid.total, 1)):
+    for chunk in (1000, density.CHUNK, grid.total):
         monkeypatch.setattr(density, "CHUNK", chunk)
-        curves = [matrix_density(PolyMatrix([[p]]), 1, lams, grid, workers)]
+        curves = [matrix_density(PolyMatrix([[p]]), 1, lams, grid)]
         for text in CHUNK_MATRICES.values():
             A = parse_matrix(text)
-            curves.append(matrix_density(A, min(A.rows, A.cols), lams, grid, workers))
+            curves.append(matrix_density(A, min(A.rows, A.cols), lams, grid))
         runs.append([c.counts for c in curves])
     assert all(run == runs[0] for run in runs[1:])
     # the counts move over the lambdas, so equality says something
@@ -652,7 +663,7 @@ def test_reference_workspace_keeps_twelve_rows():
     A = parse_matrix(EXAMPLE_MATRIX_TEXT)
     count_chunk = density._chunk_counter(A.entries, np.array([1.0]), TorusGrid.midpoint(2, 50))
     count_chunk(0, 100)
-    assert inspect.getclosurevars(count_chunk).nonlocals["local"].rows.shape == (12, 2500)
+    assert inspect.getclosurevars(count_chunk).nonlocals["work"].shape == (12, 2500)
 
 
 @settings(max_examples=60, deadline=None)

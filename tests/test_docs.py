@@ -1,7 +1,8 @@
-"""README against the package: its Library section and its exit codes."""
+"""README against the package: its Library section, its command line and its exit codes."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import re
 from pathlib import Path
@@ -12,13 +13,13 @@ import nsbound.cli
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _library_section() -> str:
+def _section(title: str) -> str:
     text = README.read_text(encoding="utf-8")
-    return text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def test_readme_library_block_runs_and_matches_all():
-    section = _library_section()
+    section = _section("Library")
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, str(README), "exec"), {})
     imported = {
@@ -34,7 +35,7 @@ def test_readme_library_block_runs_and_matches_all():
 
 
 def test_readme_export_list_names_nothing_beyond_all():
-    exports = _library_section().split("no others:\n", 1)[1].split("\n\n", 1)[0]
+    exports = _section("Library").split("no others:\n", 1)[1].split("\n\n", 1)[0]
     listed = set(re.findall(r"`([A-Za-z_]\w*)`", exports))
     assert listed and listed <= set(nsbound.__all__), listed - set(nsbound.__all__)
 
@@ -50,3 +51,19 @@ def test_readme_and_cli_docstring_list_the_same_exit_codes():
     readme = _exit_codes(README.read_text(encoding="utf-8"))
     assert readme == _exit_codes(nsbound.cli.__doc__)
     assert readme == {0, 1, 2, 3, 4, 5}
+
+
+def test_readme_command_line_names_every_long_option():
+    parser = nsbound.cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        option
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    section = _section("Command line")
+    missing = sorted(o for o in options if not re.search(rf"{o}(?![\w-])", section))
+    assert len(options) >= 13 and not missing, missing
