@@ -317,6 +317,9 @@ _COMMANDS = {
     "example": cmd_example,
 }
 
+#: Exit code of each error by its exact type; any other error exits 2.
+_EXIT_CODES = {ZeroMatrixError: 3, MinorSearchCapExceeded: 4, CostGuardExceeded: 5}
+
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
@@ -329,18 +332,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except ZeroMatrixError as exc:
+    except (ValueError, OverflowError, MinorSearchCapExceeded, CostGuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except MinorSearchCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except CostGuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _EXIT_CODES.get(type(exc), 2)
 
 
 def _console_main() -> int:

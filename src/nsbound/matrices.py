@@ -249,8 +249,9 @@ def _laplace_levels(
     minors maps each column set J, in lexicographic order, to the non-zero
     det(rows[I, J]).  Level t holds the t x t minors of the row prefix
     I[:t] and is expanded along that prefix's last row from level t - 1
-    (:func:`_next_level`).  Only the levels of the current row prefix are
-    kept; row sets visited in lexicographic order share them.
+    (:func:`_expand_level`); level 1 is that row's non-zero entries.  Only
+    the levels of the current row prefix are kept; row sets visited in
+    lexicographic order share them.
     """
     path: list[tuple[int, dict[tuple[int, ...], _KPoly]]] = []
     for I in combinations(range(len(rows)), size):
@@ -258,22 +259,8 @@ def _laplace_levels(
         del path[keep:]
         for t in range(keep + 1, size + 1):
             below = path[-1][1] if path else {}
-            path.append((I[t - 1], _next_level(rows[I[t - 1]], below, t)))
+            path.append((I[t - 1], _expand_level(rows[I[t - 1]], below, t)))
         yield I, path[-1][1]
-
-
-def _next_level(
-    row: Sequence[_KPoly], below: dict[tuple[int, ...], _KPoly], t: int
-) -> dict[tuple[int, ...], _KPoly]:
-    """Level t of a row prefix ending in ``row``: its non-zero t x t minors.
-
-    Level 1 is the non-zero entries of ``row``; a higher level is expanded
-    from ``below``, level t - 1 of the prefix without ``row``
-    (:func:`_expand_level`).
-    """
-    if t == 1:
-        return {(j,): x for j, x in enumerate(row) if x}
-    return _expand_level(row, below, t)
 
 
 def _expand_level(
@@ -281,11 +268,14 @@ def _expand_level(
 ) -> dict[tuple[int, ...], _KPoly]:
     """The non-zero t x t minors of a row prefix ending in ``row``.
 
+    Level 1 is the non-zero entries of ``row``, keyed ``(j,)``.  Above it,
     ``below`` holds the non-zero (t-1) x (t-1) minors of the prefix without
     ``row``.  Each of the C(len(row), t) column sets J is expanded along
     ``row``: M(J) = sum_p (-1)^(t-1+p) * row[J[p]] * below[J without J[p]],
     so every product is entry times minor and nothing is divided.
     """
+    if t == 1:
+        return {(j,): x for j, x in enumerate(row) if x}
     level = {}
     for J in combinations(range(len(row)), t):
         acc: _KPoly = {}
@@ -325,8 +315,9 @@ def _greedy_basis(A: PolyMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     One greedy pass over the vectors of the long side of the row-scaled
     kernel (:func:`_scaled_kernel`) keeps each vector whose level, the kept
-    vectors' maximal minors extended along it (:func:`_next_level`), is
-    non-empty, forming at most (rows + cols) * 2^min(rows, cols) minors.
+    vectors' maximal minors extended along it (:func:`_expand_level`), is
+    non-empty, forming at most (rows + cols) * 2^min(rows, cols) minors;
+    the first vector's level is its non-zero entries.
     The kept vectors are the lexicographically first basis of the long side.
     The last level keys the non-zero maximal minors of the kept vectors by
     coordinate set in lexicographic order, and a set's minor is non-zero
@@ -340,7 +331,7 @@ def _greedy_basis(A: PolyMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     kept: list[int] = []
     level: dict[tuple[int, ...], _KPoly] = {}
     for i, v in enumerate(rows if tall else list(zip(*rows))):
-        extended = _next_level(v, level, len(kept) + 1)
+        extended = _expand_level(v, level, len(kept) + 1)
         if extended:
             kept.append(i)
             level = extended

@@ -341,31 +341,22 @@ def parse_matrix(text: str):
 # -- canonical formatting --------------------------------------------------
 
 
-def _format_magnitude(c: GaussianRational) -> str:
-    """Magnitude text for a coefficient whose sign is handled outside.
+def _sign_and_magnitude(c: GaussianRational) -> tuple[bool, str]:
+    """Whether a term prints a minus sign, and its coefficient's text.
 
-    The text is '' for a (real) unit, which is elided in front of variables.
+    A real or imaginary coefficient gives its sign to the term and prints
+    its magnitude, '' for a (real) unit, which is elided in front of
+    variables; a genuinely complex one keeps its signs in parentheses.
     """
     if c.im == 0:
         mag = abs(c.re)
-        return "" if mag == 1 else str(mag)
+        return c.re < 0, "" if mag == 1 else str(mag)
+    mag = abs(c.im)
+    im_s = ("" if mag == 1 else str(mag)) + "i"
     if c.re == 0:
-        mag = abs(c.im)
-        return "i" if mag == 1 else str(mag) + "i"
-    # genuinely complex: parenthesized with internal signs, never split
-    im_mag = abs(c.im)
-    im_s = ("" if im_mag == 1 else str(im_mag)) + "i"
+        return c.im < 0, im_s
     op = "+" if c.im > 0 else "-"
-    return f"({c.re}{op}{im_s})"
-
-
-def _term_sign(c: GaussianRational) -> int:
-    """Sign pulled out in front of a term; complex coefficients keep theirs."""
-    if c.im == 0:
-        return -1 if c.re < 0 else 1
-    if c.re == 0:
-        return -1 if c.im < 0 else 1
-    return 1
+    return False, f"({c.re}{op}{im_s})"
 
 
 def format_poly(p: LaurentPoly) -> str:
@@ -374,9 +365,7 @@ def format_poly(p: LaurentPoly) -> str:
         return "0"
     parts: list[str] = []
     for exp in reversed(p.terms):
-        c = p.terms[exp]
-        sign = _term_sign(c)
-        mag = _format_magnitude(c * sign if sign < 0 else c)
+        minus, mag = _sign_and_magnitude(p.terms[exp])
         factors = [
             f"z{j + 1}" + (f"^{e}" if e != 1 else "")
             for j, e in enumerate(exp)
@@ -387,9 +376,9 @@ def format_poly(p: LaurentPoly) -> str:
         else:
             body = mag if mag else "1"
         if not parts:
-            parts.append(("-" if sign < 0 else "") + body)
+            parts.append(("-" if minus else "") + body)
         else:
-            parts.append((" - " if sign < 0 else " + ") + body)
+            parts.append((" - " if minus else " + ") + body)
     return "".join(parts)
 
 

@@ -231,9 +231,6 @@ class LaurentPoly:
 
     @staticmethod
     def const(dim: int, c) -> LaurentPoly:
-        c = _coerce_gaussian(c)
-        if not c:
-            return LaurentPoly.zero(dim)
         return LaurentPoly(dim, {(0,) * dim: c})
 
     @staticmethod
@@ -247,7 +244,7 @@ class LaurentPoly:
 
     @staticmethod
     def monomial(dim: int, exponent: Iterable[int], coeff=1) -> LaurentPoly:
-        return LaurentPoly(dim, {tuple(exponent): _coerce_gaussian(coeff)})
+        return LaurentPoly(dim, {tuple(exponent): coeff})
 
     # -- basic queries -------------------------------------------------
 
@@ -310,10 +307,7 @@ class LaurentPoly:
 
     def __mul__(self, other) -> LaurentPoly:
         if isinstance(other, (int, Fraction, GaussianRational)):
-            c = _coerce_gaussian(other)
-            if not c:
-                return LaurentPoly.zero(self.dim)
-            return LaurentPoly(self.dim, {e: v * c for e, v in self._terms.items()})
+            return LaurentPoly(self.dim, {e: v * other for e, v in self._terms.items()})
         self._check_dim(other)
         return LaurentPoly(
             self.dim,

@@ -88,13 +88,15 @@ def eval_at(p: LaurentPoly, angles) -> complex:
 
 
 def count_swept_minors(monkeypatch) -> list[int]:
-    """Record the minors the Laplace sweep forms: each level it expands
-    appends C(cols, t), its number of t x t column sets, to the list."""
+    """Record the minors the Laplace sweep forms: each level t > 1 it
+    expands appends C(cols, t), its number of t x t column sets, to the
+    list.  Level 1 only copies a row's entries and is not counted."""
     formed: list[int] = []
     real = matrices._expand_level
 
     def counting(row, below, t):
-        formed.append(math.comb(len(row), t))
+        if t > 1:
+            formed.append(math.comb(len(row), t))
         return real(row, below, t)
 
     monkeypatch.setattr(matrices, "_expand_level", counting)

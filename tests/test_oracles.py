@@ -13,16 +13,29 @@ or a one-dimensional integral of one (scipy, imported only here).
 * A = U diag(p_i) V with U and V rational orthogonal: A A* = U
   diag(|p_i|^2) U^T at every point, so F_A = sum F_{p_i}, and each
   p_i = z_j - c has the arc measure of ``conftest.arc_measure``.
+* Degree one in z2, p = a(z1) + b(z1) z2: on the circle of z2 over each
+  z1, |p|^2 = |a|^2 + |b|^2 + 2|a||b| cos(.), so {|p| <= lam} is one arc
+  of length phi = 2 arccos((|a|^2 + |b|^2 - lam^2) / (2|a||b|)), clamped
+  to [0, 2 pi], or all or nothing where a b = 0; F(lam) = (2 pi)^-2 int
+  phi(theta1) dtheta1.
+* Mahler measures (Smyth 1981), through the evaluation path rather than
+  the counts: the midpoint mean of log|p| against m(1 + z1 + z2) =
+  (3 sqrt 3 / 4 pi) L(chi_-3, 2) and m(1 + z1 + z2 + z3) = 7 zeta(3) /
+  (2 pi^2), both from mpmath at 30 digits.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from nsbound import LaurentPoly, PolyMatrix, TorusGrid, matrix_density
+from nsbound import GaussianRational, LaurentPoly, PolyMatrix, TorusGrid, matrix_density
 
 from conftest import arc_measure, matrix_product
 
@@ -154,3 +167,140 @@ def test_spectrum_matrix_on_a_coprime_lattice(name):
     grid = TorusGrid.lattice(2, 10007, seed=3)
     assert math.gcd(grid.generator[1], grid.total) == 1  # no collapsed axis
     assert max(_spectrum_errors(name, grid)) <= grid.epsilon_quad()
+
+
+# -- degree one in z2 -----------------------------------------------------------
+
+#: lam from 1e-3 to 6.3, past the largest |a| + |b| of the fixed cases
+LINEAR_LAMBDAS = [1e-3, 1e-2] + [0.05 * 1.5**i for i in range(13)]
+
+
+Linear = list[GaussianRational]  # [c0, c1] for c0 + c1 z1
+
+
+def _linear_poly(a: Linear, b: Linear) -> LaurentPoly:
+    """a(z1) + b(z1) z2."""
+    return LaurentPoly(2, {(e1, e2): c for e2, cs in enumerate((a, b)) for e1, c in enumerate(cs)})
+
+
+def _linear_density(a: Linear, b: Linear, lam: float) -> float:
+    """F of a(z1) + b(z1) z2 at lam, integrating the arc length over theta1.
+
+    ``quad`` is split at every kink of the integrand: the circle zeros of a
+    and b, and the theta1 where ||a| - |b|| = lam or |a| + |b| = lam, found
+    by sign changes on a fine grid and ``brentq``.
+    """
+    integrate = pytest.importorskip("scipy.integrate")
+    optimize = pytest.importorskip("scipy.optimize")
+    (a0, a1), (b0, b1) = [[complex(c) for c in cs] for cs in (a, b)]
+
+    def moduli(t: float) -> tuple[float, float]:
+        w = cmath.exp(1j * t)
+        return abs(a0 + a1 * w), abs(b0 + b1 * w)
+
+    def arc(t: float) -> float:
+        ra, rb = moduli(t)
+        if ra * rb == 0.0:
+            return 2.0 * math.pi if max(ra, rb) <= lam else 0.0
+        x = (ra * ra + rb * rb - lam * lam) / (2.0 * ra * rb)
+        return 2.0 * math.acos(min(1.0, max(-1.0, x)))
+
+    kinks = {0.0, 2.0 * math.pi}
+    for c0, c1 in (a, b):
+        if c1 and c0.abs2() == c1.abs2():  # a circle zero, decided exactly
+            kinks.add(cmath.phase(-complex(c0 / c1)) % (2.0 * math.pi))
+    edges = [
+        lambda t: moduli(t)[0] - moduli(t)[1] - lam,
+        lambda t: moduli(t)[1] - moduli(t)[0] - lam,
+        lambda t: moduli(t)[0] + moduli(t)[1] - lam,
+    ]
+    ts = np.linspace(0.0, 2.0 * math.pi, 4097)
+    for g in edges:
+        vals = [g(t) for t in ts]
+        for i in range(len(ts) - 1):
+            if vals[i] * vals[i + 1] < 0.0:
+                kinks.add(optimize.brentq(g, ts[i], ts[i + 1], xtol=1e-15))
+    cuts = sorted(kinks)
+    total = sum(
+        integrate.quad(arc, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+        for lo, hi in zip(cuts, cuts[1:])
+    )
+    return total / (2.0 * math.pi) ** 2
+
+
+def _linear_errors(a: Linear, b: Linear, n: int) -> list[float]:
+    grid = TorusGrid.midpoint(2, n)
+    curve = matrix_density(PolyMatrix([[_linear_poly(a, b)]]), 1, LINEAR_LAMBDAS, grid)
+    return [abs(f - _linear_density(a, b, lam)) for lam, f in zip(LINEAR_LAMBDAS, curve.estimates)]
+
+
+G = GaussianRational
+#: (a, b) with p = a(z1) + b(z1) z2
+LINEAR = {
+    "1 + z1 + z2": ([G(1), G(1)], [G(1), G(0)]),
+    "2 - z1 + z2 + i*z1*z2": ([G(2), G(-1)], [G(1), G(0, 1)]),  # b vanishes at theta1 = pi/2
+    "z1 - 1/2 + z1*z2 + 3*z2": ([G(Fraction(-1, 2)), G(1)], [G(3), G(1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR))
+@pytest.mark.parametrize("n", [100, 300, 1000])
+def test_degree_one_in_z2_matches_its_arc_integral(name, n):
+    assert max(_linear_errors(*LINEAR[name], n)) <= TorusGrid.midpoint(2, n).epsilon_quad()
+
+
+def test_arc_integral_is_the_exact_step_at_the_ends():
+    a, b = LINEAR["1 + z1 + z2"]
+    assert _linear_density(a, b, 3.0 + 1e-9) == pytest.approx(1.0, abs=1e-12)
+    assert _linear_density(a, b, 1e-300) == pytest.approx(0.0, abs=1e-12)
+
+
+_GAUSSIAN = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_GAUSSIAN, min_size=4, max_size=4))
+def test_degree_one_in_z2_random_members(coeffs):
+    a, b = coeffs[:2], coeffs[2:]
+    assume(any(coeffs))
+    assert max(_linear_errors(a, b, 300)) <= TorusGrid.midpoint(2, 300).epsilon_quad()
+
+
+# -- Mahler measures through the evaluation path ------------------------------
+
+
+def _log_mean(p: LaurentPoly, grid: TorusGrid) -> float:
+    """The midpoint-grid mean of log|p|, evaluated chunk by chunk."""
+    total = 0.0
+    for start, stop in grid.block_ranges():
+        z = np.exp(1j * grid.angles(start, stop))
+        total += float(np.log(np.abs(p.eval_block(z))).sum())
+    return total / grid.total
+
+
+def _mahler_constants() -> dict[int, float]:
+    """m(1 + z1 + ... + zd) in closed form for d = 2 and 3 (Smyth 1981)."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(30):
+        return {
+            2: float(3 * mp.sqrt(3) / (4 * mp.pi) * mp.dirichlet(2, [0, 1, -1])),
+            3: float(7 * mp.zeta(3) / (2 * mp.pi**2)),
+        }
+
+
+#: dimension -> (grid sizes, stated tolerance of |mean log|p| - m(p)|)
+MAHLER = {2: ([100, 300, 1000], 1e-5), 3: ([50, 100, 200], 1e-3)}
+
+
+@pytest.mark.parametrize("dim, n", [(d, n) for d, (ns, _) in MAHLER.items() for n in ns])
+def test_mahler_measure_of_the_linear_sum(dim, n):
+    units = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
+    p = LaurentPoly(dim, {(0,) * dim: 1, **{e: 1 for e in units}})
+    got = _log_mean(p, TorusGrid.midpoint(dim, n))
+    assert abs(got - _mahler_constants()[dim]) <= MAHLER[dim][1]
+
+
+def test_mahler_constants_match_their_decimals():
+    want = _mahler_constants()
+    assert want[2] == pytest.approx(0.3230659472, abs=1e-10)
+    assert want[3] == pytest.approx(0.4262783988, abs=1e-10)

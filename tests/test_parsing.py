@@ -212,6 +212,28 @@ def test_format_units_and_signs():
     assert format_poly(parse_poly("(1/2 - 3/4i)*z2^-1")) == "(1/2-3/4i)*z2^-1"
 
 
+#: (dim, {exponent: (re, im)}, exact printed text).  A real or imaginary
+#: coefficient gives its sign to the term; a complex one keeps its signs
+#: inside the parentheses, so a leading "-" of the term is not pulled out.
+PRINTED = [
+    (1, {(1,): (-1, 0), (0,): (1, 0)}, "-z1 + 1"),
+    (1, {(1,): (1, 0), (0,): (Fraction(-2, 3), 0)}, "z1 - 2/3"),
+    (1, {(1,): (0, -1)}, "-i*z1"),
+    (1, {(1,): (1, 0), (0,): (0, Fraction(-3, 4))}, "z1 - 3/4i"),
+    (1, {(0,): (0, -1)}, "-i"),
+    (1, {(1,): (1, 0), (0,): (Fraction(-1, 2), 1)}, "z1 + (-1/2+i)"),
+    (1, {(0,): (-1, 0)}, "-1"),
+    (2, {(-1, 1): (-1, 0), (0, 0): (Fraction(-1, 2), Fraction(3, 4))}, "-z1^-1*z2 + (-1/2+3/4i)"),
+    (2, {(2, 1): (2, -1), (0, 1): (-1, 0), (0, 0): (Fraction(7, 3), 0)}, "(2-i)*z1^2*z2 - z2 + 7/3"),
+]
+
+
+@pytest.mark.parametrize("dim, terms, text", PRINTED, ids=[t for _, _, t in PRINTED])
+def test_format_prints_each_sign_case_exactly(dim, terms, text):
+    p = LaurentPoly(dim, {e: GaussianRational(re, im) for e, (re, im) in terms.items()})
+    assert format_poly(p) == text
+
+
 def test_format_matrix_round_trip(example_matrix):
     text = format_matrix(example_matrix)
     assert parse_matrix(text) == example_matrix
