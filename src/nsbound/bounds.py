@@ -163,6 +163,17 @@ class BoundReport:
             return None
         return _float_down(Fraction(self.lead_abs) / _norm_factor(self.k, self.minor.b_l1))
 
+    @cached_property
+    def lambda_star(self) -> float:
+        """Where coefficient * lambda^(1/(d*wd)) reaches k, or the step threshold.
+
+        The largest float <= (k / coefficient)^(d*wd): the power is formed
+        exactly, as d*wd is an integer, and rounded once.
+        """
+        if self.is_step:
+            return self.step_threshold_matrix
+        return _float_down((self.k / Fraction(self.coefficient)) ** (self.dim * self.profile.wd))
+
     @property
     def is_step(self) -> bool:
         return self.profile.wd == 0

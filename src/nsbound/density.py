@@ -34,7 +34,13 @@ thresholds; a larger gram's are counted by inertia (``_inertia``).  Every
 chunk is written into one workspace, allocated once per run, with as many
 power rows as the table draws on one point (``_chunk_counter``), so memory
 does not grow with the grid and no chunk faults fresh pages in: a complex
-array of 8192 points is exactly glibc's 128 KiB mmap threshold.
+array of 8192 points is exactly glibc's 128 KiB mmap threshold.  What does
+not depend on the chunk is formed once per run: the complex coefficients
+(``LaurentPoly._float_terms``) and the workspace's blocks over a full chunk.
+A gram entry that overflows raises ``OverflowError``.  For k <= 2 the check
+reads the eigenvalue rows that are counted, as a non-finite entry leaves
+the lower or the upper eigenvalue non-finite; for k >= 3 it reads the
+whole stack, as the count by inertia does.
 """
 
 from __future__ import annotations
@@ -115,8 +121,10 @@ class TorusGrid:
         ``out``, a float (stop - start, dim) array, receives them if given.
         Each column's integer digit (or lattice residue) is formed in an
         int64 view of that column's own memory before it becomes an angle,
-        and column 0, done last, holds the indices meanwhile, so nothing is
-        allocated.
+        and column 0 holds the indices meanwhile, so nothing is allocated.
+        Midpoint column j + 1 receives q_(j+1) = q_j // n, and column j's
+        digit q_j - n*q_(j+1) is formed by multiplying column j + 1 by n,
+        subtracting it from column j and dividing it back.
         """
         if out is None:
             out = np.empty((stop - start, self.dim), dtype=np.float64)
@@ -124,21 +132,24 @@ class TorusGrid:
         idx.fill(1)
         idx[:1] = start
         np.cumsum(idx, out=idx)  # start, start + 1, ..., stop - 1
-        n = self.points_per_dim
-        for j in reversed(range(self.dim)):
-            col = out[:, j]
-            if self.scheme == "midpoint":
-                digits = col.view(np.int64)  # column 0's digits overwrite idx itself
-                if j:
-                    np.floor_divide(idx, n**j, out=digits)
-                if j + 1 < self.dim:  # idx < n^dim keeps the last quotient below n
-                    np.remainder(digits, n, out=digits)
-                np.copyto(col, digits, casting="unsafe")
-                _midpoint_angles(col, n)
-            else:
-                from ._lattice import lattice_angles  # only lattice runs load it
+        if self.scheme != "midpoint":
+            from ._lattice import lattice_angles  # only lattice runs load it
 
-                lattice_angles(idx, self.generator[j], self.total, self.shift[j], out=col)
+            for j in reversed(range(self.dim)):  # column 0, the indices, last
+                lattice_angles(idx, self.generator[j], self.total, self.shift[j], out=out[:, j])
+            return out
+        n = self.points_per_dim
+        for j in range(self.dim):
+            col = out[:, j]
+            q = col.view(np.int64)  # q_j = idx // n^j; column 0 holds idx itself
+            if j + 1 < self.dim:  # idx < n^dim keeps the last quotient below n
+                above = out[:, j + 1].view(np.int64)
+                np.floor_divide(q, n, out=above)
+                above *= n
+                q -= above
+                above //= n
+            np.copyto(col, q, casting="unsafe")
+            _midpoint_angles(col, n)
         return out
 
 
@@ -154,9 +165,11 @@ def hermitian_eigenvalues(H: np.ndarray, out: np.ndarray | None = None, diagonal
     Rows 0 and 1 of ``out``, a C-contiguous float (3, npoints) array whose
     row 2 is scratch, receive the lower and upper eigenvalues; the result
     is an (npoints, 2) view of them.  ``diagonal`` asserts that
-    every b is zero: the eigenvalues are then a and c, exactly.  Other
-    sizes go to ``np.linalg.eigvalsh``.  Each result depends only on its
-    own matrix, so chunking cannot change it.
+    every b is zero: the eigenvalues are then a and c, exactly.  The
+    closed form runs under ``np.errstate(over="ignore", invalid="ignore")``:
+    a non-finite or huge entry gives a non-finite eigenvalue quietly, for
+    the caller to reject.  Other sizes go to ``np.linalg.eigvalsh``.  Each
+    result depends only on its own matrix, so chunking cannot change it.
     """
     if H.shape[-1] == 1:
         return H[..., 0].real
@@ -165,21 +178,22 @@ def hermitian_eigenvalues(H: np.ndarray, out: np.ndarray | None = None, diagonal
     out = np.empty((3, *H.shape[:-2])) if out is None else out
     lo, hi, rad = out[0, ...], out[1, ...], out[2, ...]  # views even of one matrix
     a, c = H[..., 0, 0].real, H[..., 1, 1].real
-    if diagonal:
-        np.minimum(a, c, out=lo)
-        np.maximum(a, c, out=hi)
-    else:
-        # rows 0 and 1 hold w = (a - c)/2 + i|b|, whose modulus lands in row 2
-        w = out[:2].reshape(-1).view(np.complex128).reshape(rad.shape)
-        np.abs(H[..., 0, 1], out=w.imag)
-        np.subtract(a, c, out=w.real)
-        w.real *= 0.5
-        np.abs(w, out=rad)
-        np.add(a, c, out=lo)
-        lo *= 0.5  # mid; mid + rad and mid - rad are each rounded once
-        np.add(lo, rad, out=hi)
-        lo -= rad
-    return np.moveaxis(out[:2], 0, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if diagonal:
+            np.minimum(a, c, out=lo)
+            np.maximum(a, c, out=hi)
+        else:
+            # rows 0 and 1 hold w = (a - c)/2 + i|b|, whose modulus lands in row 2
+            w = out[:2].reshape(-1).view(np.complex128).reshape(rad.shape)
+            np.abs(H[..., 0, 1], out=w.imag)
+            np.subtract(a, c, out=w.real)
+            w.real *= 0.5
+            np.abs(w, out=rad)
+            np.add(a, c, out=lo)
+            lo *= 0.5  # mid; mid + rad and mid - rad are each rounded once
+            np.add(lo, rad, out=hi)
+            lo -= rad
+    return out[:2].T
 
 
 def _gram(
@@ -363,53 +377,66 @@ def _chunk_counter(
     chunk reuses it, so no chunk pays for fresh pages.  Its complex rows of
     CHUNK points hold, in turn:
 
-    * z, one row per coordinate, with the angles written into its
-      imaginary parts and then the points, gathered from the table of
-      roots or exponentiated in place; once the entries are evaluated, the
-      first row is the gram's scratch row;
-    * the entry values, one row each, the first holding the digits of a
-      gather; once the values are summed into the gram they hold the
-      finiteness mask and then the 2x2 eigenvalue rows, or, together with
-      the z rows, the intermediates of the count by inertia for k >= 3;
+    * z, one row per coordinate: the points, gathered from the table of
+      roots, or exponentiated in place from the angles written into its
+      imaginary parts; once the entries are evaluated, the first row is
+      the gram's scratch row, and then the finiteness mask for k <= 2;
+    * the entry values, one row each; once the values are summed into the
+      gram they hold the 2x2 eigenvalue rows, or the finiteness mask and
+      then, together with the z rows, the intermediates of the count by
+      inertia for k >= 3;
     * the power table, at least k^2 rows, two it leaves free being the
       evaluation's scratch rows; then the gram stack reuses its rows.
+
+    Before the values, the value and table rows hold a gather's angles,
+    one contiguous float row per coordinate, and then its digits; they
+    are sized to hold d + 1 float rows.  The z, value and table blocks of
+    a full chunk are split once; only the last, partial chunk splits its own.
     """
     k = len(entries)
     polys = [p for row in entries for p in row]
     size, dim, nvals = min(CHUNK, grid.total), grid.dim, len(polys)
-    pool = max(_rows_drawn(polys), k * k)
+    pool = max(_rows_drawn(polys), k * k, dim // 2 + 1 - nvals)
     roots = _midpoint_roots(grid)
     diagonal = [_constant_abs2(row) for row in entries]
     uncoupled = k == 2 and not sum(x * y.star() for x, y in zip(*entries))
+    inertia_counts = None
+    if k >= 3:
+        from ._inertia import inertia_counts  # only k >= 3 grams load it
     work = np.empty((dim + nvals + pool, size), dtype=np.complex128)
+    spare = work[dim:].reshape(-1).view(np.float64)  # the value and table rows, flat
+    # the finiteness mask: value rows beside a k >= 3 stack, z's first row beside eigenvalues
+    flags = (work[dim : dim + nvals] if k >= 3 else work[0]).reshape(-1).view(np.bool_)
+    blocks = np.split(work, [dim, dim + nvals])  # z, values and table over a full chunk
 
     def count_chunk(start: int, stop: int) -> np.ndarray:
         n = stop - start
-        z, values, table = np.split(work[:, :n], [dim, dim + nvals])
-        grid.angles(start, stop, out=z.imag.T)
+        z, values, table = blocks if n == size else np.split(work[:, :n], [dim, dim + nvals])
         if roots is None:
+            grid.angles(start, stop, out=z.imag.T)
             z.real = 0.0
             np.exp(z, out=z)
         else:
+            # contiguous angle rows, then the digits
+            angles, digits = spare[: dim * n].reshape(dim, n), spare[dim * n :][:n].view(np.int64)
+            grid.angles(start, stop, out=angles.T)
             # theta * n / (2 pi) is within 1e-11 of digit + 1/2, so truncation gives the digit
-            digits = values[0].view(np.int64)[:n]
-            for row in z:
-                np.multiply(row.imag, len(roots) / (2.0 * math.pi), out=digits, casting="unsafe")
+            for theta, row in zip(angles, z):
+                np.multiply(theta, len(roots) / (2.0 * math.pi), out=digits, casting="unsafe")
                 np.take(roots, digits, out=row, mode="clip")  # "raise" would copy the row
         powers, scratch = _power_table(z.T, polys, iter(table))
         for p, v in zip(polys, values):
             p.eval_block(z.T, powers, out=v, scratch=scratch)
         stack = table[: k * k].reshape(k, k, n)  # a view: only the row axis is split
         gram = _gram(values, stack, z[0], diagonal)
-        flags = work[dim : dim + nvals].reshape(-1).view(np.bool_)
-        if not np.isfinite(stack, out=flags[: stack.size].reshape(stack.shape)).all():
+        # the count by inertia reads every entry, a closed form's count its rows
+        eig = spare[: 3 * n].reshape(3, n)
+        read = stack if k >= 3 else hermitian_eigenvalues(gram, eig, uncoupled).T
+        if not np.isfinite(read, out=flags[: read.size].reshape(read.shape)).all():
             raise OverflowError("a gram matrix entry overflows a float")
         if k >= 3:  # the z and value rows, k^2 + 1 or more, are its workspace
-            from ._inertia import inertia_counts  # only k >= 3 grams load it
-
             return inertia_counts(stack, thresholds, work[: dim + nvals])
-        eig = work[dim : dim + 2].reshape(-1).view(np.float64)[: 3 * n].reshape(3, n)
-        return _count_at_most(hermitian_eigenvalues(gram, eig, uncoupled).T, thresholds)
+        return _count_at_most(read, thresholds)
 
     return count_chunk
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -200,7 +201,7 @@ class LaurentPoly:
     are immutable by convention; no method mutates an existing polynomial.
     """
 
-    __slots__ = ("dim", "_terms")
+    __slots__ = ("dim", "_terms", "_floats")
 
     def __init__(self, dim: int, terms: Mapping[Exponent, GaussianRational] | Iterable):
         if dim < 0:
@@ -374,7 +375,9 @@ class LaurentPoly:
         in turn, never in place (see ``_unit_powers``); all are complex
         arrays of npoints entries, allocated if missing.  The first term is written into
         ``out`` directly and the others are added to it, so the values are
-        the sum started from zero up to the sign of a zero.
+        the sum started from zero up to the sign of a zero.  Values that
+        overflow, possible only when the moduli sum to 2^1000 or more,
+        become inf or nan quietly.
         """
         z = np.asarray(z, dtype=np.complex128)
         if z.shape[1] != self.dim:
@@ -389,26 +392,46 @@ class LaurentPoly:
             scratch = np.empty((2, z.shape[0]), dtype=np.complex128)
         if not self._terms:
             out.fill(0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, (exp, c) in enumerate(self._terms.items()):
-                factors = [pw[e] for pw, e in zip(powers, exp) if e]
+        terms, bounded = self._float_terms()
+        with nullcontext() if bounded else np.errstate(over="ignore", invalid="ignore"):
+            for i, (powered, c) in enumerate(terms):
+                factors = [powers[j][e] for j, e in powered]
                 if not factors:
                     if i:
-                        out += complex(c)
+                        out += c
                     else:
-                        out.fill(complex(c))
+                        out.fill(c)
                     continue
                 # the products alternate between two rows; the first term
                 # starts in the row that makes its last product land in out
                 term, spare = scratch if i else (out, scratch[0])
                 if len(factors) % 2 == 0:
                     term, spare = spare, term
-                np.multiply(complex(c), factors[0], out=term)
+                np.multiply(c, factors[0], out=term)
                 for f in factors[1:]:
                     term, spare = np.multiply(term, f, out=spare), term
                 if i:
                     out += term
         return out
+
+    def _float_terms(self) -> tuple:
+        """(terms, bounded): ((j, e) per non-zero exponent e of coordinate j, complex(c)) per term.
+
+        ``bounded`` says that the moduli sum below 2^1000, so that no sum
+        of terms on the torus can overflow and ``eval_block`` needs no
+        ``np.errstate``.  Formed on first use and kept, as the polynomial
+        never changes, so a run converts each coefficient once however
+        many blocks it evaluates.
+        """
+        try:
+            return self._floats
+        except AttributeError:
+            terms = tuple(
+                (tuple((j, e) for j, e in enumerate(exp) if e), complex(c))
+                for exp, c in self._terms.items()
+            )
+            self._floats = terms, sum(abs(c) for _, c in terms) < 2.0**1000
+            return self._floats
 
 
 def _power_table(

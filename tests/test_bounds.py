@@ -355,6 +355,31 @@ def test_step_bound_at_closed_threshold():
     assert rep.bound_at(math.nextafter(rep.step_threshold_matrix, 0)) == 0
 
 
+@pytest.mark.parametrize(
+    "text,minor,want",
+    [
+        (EXAMPLE_MATRIX_TEXT, "first", 6.502057299201859e-06),  # J = {1, 2}, d*wd = 4
+        (EXAMPLE_MATRIX_TEXT, "best", 0.015299479166666642),  # J = {2, 3}, d*wd = 2
+        ("[[1, 0], [0, 1]]", "first", 0.25),  # a step: the threshold itself
+    ],
+    ids=["example-first", "example-best", "identity-step"],
+)
+def test_lambda_star_values(text, minor, want):
+    rep = analyze(parse_matrix(text), minor=minor)
+    assert rep.lambda_star == want
+    if rep.is_step:
+        assert rep.lambda_star == rep.step_threshold_matrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), positive, st.integers(1, 5), st.integers(1, 60), positive)
+def test_lambda_star_is_the_ceiling_crossing_rounded_down(k, b1, d, wd, lead):
+    rep = _power_report(k, d, wd, lead, b1)
+    exact = (k / Fraction(rep.coefficient)) ** (d * wd)
+    got = rep.lambda_star
+    assert Fraction(got) <= exact < Fraction(math.nextafter(got, math.inf))
+
+
 @pytest.mark.parametrize("mode", ["first", "best"])
 def test_analyze_raises_when_the_lead_modulus_underflows(mode):
     # |lead| = 10^-400 rounds down to 0.0, which the bound cannot divide by

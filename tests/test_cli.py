@@ -7,6 +7,7 @@ import gc
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,25 @@ def test_float_range_exit_2(capsys, tmp_path, name, text, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+#: 2x2 grams with an entry near 10^400: coupled, and diagonal with only hi infinite
+HUGE_2X2_GRAMS = {
+    "coupled": "[[1" + "0" * 200 + "*z1, 1], [1, z2]]\n",
+    "uncoupled": "[[1" + "0" * 200 + "*z1, 0], [0, z1*z2 - 1]]\n",
+}
+
+
+@pytest.mark.parametrize("text", HUGE_2X2_GRAMS.values(), ids=HUGE_2X2_GRAMS.keys())
+def test_2x2_gram_overflow_exit_2_without_a_warning(capsys, tmp_path, text):
+    # the check reads the eigenvalue rows, which the closed form fills quietly
+    f = tmp_path / "huge-gram.mat"
+    f.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", str(f), "--grid", "8")
+    assert [str(w.message) for w in caught] == []
+    assert (code, out, err) == (2, "", "error: a gram matrix entry overflows a float\n")
 
 
 @pytest.mark.parametrize("coefficient", ["1" + "0" * 200, "1" + "0" * 200 + "i"])

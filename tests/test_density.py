@@ -529,6 +529,36 @@ def test_matrix_density_counts_grams_whose_squares_overflow():
     assert want[0] == 0 and want[-1] == 3 * grid.total
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[[1" + "0" * 200 + "*z1, 1], [1, z2]]",
+        "[[1" + "0" * 200 + "*z1, 0], [0, z1*z2 - 1]]",
+        "[[15" + "0" * 307 + "*z1 + 15" + "0" * 307 + ", 1], [1, z2]]",
+    ],
+    ids=["coupled", "uncoupled", "entry"],
+)
+def test_2x2_gram_overflow_raises(text):
+    # |10^200 z1|^2 overflows: the coupled closed form's lo is NaN, while the
+    # diagonal one keeps lo = |z1 z2 - 1|^2 finite and only hi infinite; an
+    # entry whose moduli sum past 2^1000 overflows in its evaluation
+    with pytest.raises(OverflowError, match="a gram matrix entry overflows a float"):
+        matrix_density(parse_matrix(text), 2, [1.0], TorusGrid.midpoint(2, 8))
+
+
+def test_coefficients_convert_once_per_run(monkeypatch):
+    # each term's complex coefficient is formed once, however many chunks
+    A = parse_matrix(EXAMPLE_MATRIX_TEXT)
+    calls = []
+    convert = GaussianRational.__complex__
+    monkeypatch.setattr(GaussianRational, "__complex__", lambda c: calls.append(c) or convert(c))
+    monkeypatch.setattr(density, "CHUNK", 7)
+    grid = TorusGrid.midpoint(2, 6)
+    assert len(list(grid.block_ranges())) >= 3
+    matrix_density(A, 2, [1.0], grid)
+    assert 0 < len(calls) <= sum(len(p) for row in A.entries for p in row)
+
+
 @pytest.mark.parametrize("lattice", [False, True])
 def test_diagonal_gram_beside_its_constant_eigenvalue(lattice):
     # the gram of [[z1, 0], [0, z1*z2 - 1]] is diag(1, |z1 z2 - 1|^2), and
@@ -689,6 +719,15 @@ def test_chunk_points_are_the_exp_of_the_angles_bit_for_bit(dim, n, data):
     roots = density._midpoint_roots(grid)
     assert (roots is None) == (n > density.CHUNK)
     assert roots is None or len(roots) == n <= density.CHUNK
+
+
+@pytest.mark.parametrize("dim", [6, 7])
+def test_gather_in_many_dimensions_has_room_for_its_angles(dim):
+    # a gather's d angle rows and its digits outnumber the value and power
+    # rows of z1*...*zd - 1, so the workspace is sized up for them
+    grid = TorusGrid.midpoint(dim, 3)
+    want = np.exp(1j * grid.angles(0, grid.total))
+    assert np.array_equal(_chunk_points(grid, 0, grid.total).view(np.int64), want.view(np.int64))
 
 
 @settings(max_examples=100, deadline=None)

@@ -304,3 +304,64 @@ def test_mahler_constants_match_their_decimals():
     want = _mahler_constants()
     assert want[2] == pytest.approx(0.3230659472, abs=1e-10)
     assert want[3] == pytest.approx(0.4262783988, abs=1e-10)
+
+
+# -- lattice Laplacians -------------------------------------------------------
+
+
+def _laplacian(dim: int) -> LaurentPoly:
+    """2d - sum_j (z_j + z_j^-1), real and in [0, 4d] on the torus."""
+    units = [tuple(s * int(i == j) for i in range(dim)) for j in range(dim) for s in (1, -1)]
+    return LaurentPoly(dim, {(0,) * dim: 2 * dim, **{e: -1 for e in units}})
+
+
+def _circle_laplacian_density(u: float) -> float:
+    """F of 2 - z - z^-1 = 2 - 2 cos(theta): the measure of |theta| <= arccos(1 - u/2)."""
+    return math.acos(min(1.0, max(-1.0, 1.0 - u / 2.0))) / math.pi
+
+
+def _square_laplacian_density(lam: float) -> float:
+    """F of 4 - z1 - z1^-1 - z2 - z2^-1 at lam, to about 1e-12.
+
+    Over theta1 the circle Laplacian in z2 must stay below lam - 2 + 2
+    cos(theta1); the integrand has kinks where that bound is 0 or 4.
+    """
+    integrate = pytest.importorskip("scipy.integrate")
+    kinks = [math.acos(x) for x in ((2.0 - lam) / 2.0, (6.0 - lam) / 2.0) if -1.0 < x < 1.0]
+
+    def inner(t: float) -> float:
+        return _circle_laplacian_density(lam - 2.0 + 2.0 * math.cos(t))
+
+    value, _ = integrate.quad(
+        inner, 0.0, math.pi, points=kinks or None, epsabs=1e-13, epsrel=1e-12, limit=200
+    )
+    return value / math.pi
+
+
+#: 12 lambdas across (0, 8), the spectrum of the square Laplacian
+LAPLACIAN_LAMBDAS = [0.01, 0.1, 0.5, 1.0, 1.9, 2.0, 3.0, 4.0, 5.5, 6.0, 7.0, 7.9]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [100, 300, 1000])
+def test_laplacian_density_matches_its_closed_form(dim, n):
+    want = _circle_laplacian_density if dim == 1 else _square_laplacian_density
+    grid = TorusGrid.midpoint(dim, n)
+    curve = matrix_density(PolyMatrix([[_laplacian(dim)]]), 1, LAPLACIAN_LAMBDAS, grid)
+    errors = [abs(f - want(lam)) for lam, f in zip(LAPLACIAN_LAMBDAS, curve.estimates)]
+    assert max(errors) <= grid.epsilon_quad()
+
+
+def test_square_laplacian_integral_is_symmetric_and_ends_exactly():
+    # lam -> 8 - lam is theta -> theta + pi on both axes
+    for lam in LAPLACIAN_LAMBDAS:
+        assert _square_laplacian_density(8.0 - lam) == pytest.approx(
+            1.0 - _square_laplacian_density(lam), abs=1e-12
+        )
+    assert _square_laplacian_density(8.0) == pytest.approx(1.0, abs=1e-12)
+    assert _square_laplacian_density(1e-300) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_square_laplacian_small_lambda_law():
+    # near 0 the Laplacian is |theta|^2, so F(lam) ~ pi lam / (2 pi)^2: alpha = d/2 = 1
+    assert _square_laplacian_density(1e-3) * 4.0 * math.pi / 1e-3 == pytest.approx(1.0, abs=2e-4)
