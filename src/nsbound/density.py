@@ -378,7 +378,7 @@ def _chunk_counter(
     CHUNK points hold, in turn:
 
     * z, one row per coordinate: the points, gathered from the table of
-      roots, or exponentiated in place from the angles written into its
+      roots, or exponentiated in place from the angles copied into its
       imaginary parts; once the entries are evaluated, the first row is
       the gram's scratch row, and then the finiteness mask for k <= 2;
     * the entry values, one row each; once the values are summed into the
@@ -388,8 +388,8 @@ def _chunk_counter(
     * the power table, at least k^2 rows, two it leaves free being the
       evaluation's scratch rows; then the gram stack reuses its rows.
 
-    Before the values, the value and table rows hold a gather's angles,
-    one contiguous float row per coordinate, and then its digits; they
+    Before the values, the value and table rows hold the angles, one
+    contiguous float row per coordinate, and then a gather's digits; they
     are sized to hold d + 1 float rows.  The z, value and table blocks of
     a full chunk are split once; only the last, partial chunk splits its own.
     """
@@ -412,14 +412,14 @@ def _chunk_counter(
     def count_chunk(start: int, stop: int) -> np.ndarray:
         n = stop - start
         z, values, table = blocks if n == size else np.split(work[:, :n], [dim, dim + nvals])
+        angles = spare[: dim * n].reshape(dim, n)  # contiguous rows: strided digits cost more
+        grid.angles(start, stop, out=angles.T)
         if roots is None:
-            grid.angles(start, stop, out=z.imag.T)
             z.real = 0.0
+            z.imag = angles
             np.exp(z, out=z)
         else:
-            # contiguous angle rows, then the digits
-            angles, digits = spare[: dim * n].reshape(dim, n), spare[dim * n :][:n].view(np.int64)
-            grid.angles(start, stop, out=angles.T)
+            digits = spare[dim * n :][:n].view(np.int64)
             # theta * n / (2 pi) is within 1e-11 of digit + 1/2, so truncation gives the digit
             for theta, row in zip(angles, z):
                 np.multiply(theta, len(roots) / (2.0 * math.pi), out=digits, casting="unsafe")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -375,9 +374,7 @@ class LaurentPoly:
         in turn, never in place (see ``_unit_powers``); all are complex
         arrays of npoints entries, allocated if missing.  The first term is written into
         ``out`` directly and the others are added to it, so the values are
-        the sum started from zero up to the sign of a zero.  Values that
-        overflow, possible only when the moduli sum to 2^1000 or more,
-        become inf or nan quietly.
+        the sum started from zero up to the sign of a zero.
         """
         z = np.asarray(z, dtype=np.complex128)
         if z.shape[1] != self.dim:
@@ -392,9 +389,8 @@ class LaurentPoly:
             scratch = np.empty((2, z.shape[0]), dtype=np.complex128)
         if not self._terms:
             out.fill(0)
-        terms, bounded = self._float_terms()
-        with nullcontext() if bounded else np.errstate(over="ignore", invalid="ignore"):
-            for i, (powered, c) in enumerate(terms):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (powered, c) in enumerate(self._float_terms()):
                 factors = [powers[j][e] for j, e in powered]
                 if not factors:
                     if i:
@@ -415,13 +411,10 @@ class LaurentPoly:
         return out
 
     def _float_terms(self) -> tuple:
-        """(terms, bounded): ((j, e) per non-zero exponent e of coordinate j, complex(c)) per term.
+        """((j, e) per non-zero exponent e of coordinate j, complex(c)) per term.
 
-        ``bounded`` says that the moduli sum below 2^1000, so that no sum
-        of terms on the torus can overflow and ``eval_block`` needs no
-        ``np.errstate``.  Formed on first use and kept, as the polynomial
-        never changes, so a run converts each coefficient once however
-        many blocks it evaluates.
+        Formed on first use and kept, as the polynomial never changes, so a
+        run converts each coefficient once however many blocks it evaluates.
         """
         try:
             return self._floats
@@ -430,8 +423,8 @@ class LaurentPoly:
                 (tuple((j, e) for j, e in enumerate(exp) if e), complex(c))
                 for exp, c in self._terms.items()
             )
-            self._floats = terms, sum(abs(c) for _, c in terms) < 2.0**1000
-            return self._floats
+            self._floats = terms
+            return terms
 
 
 def _power_table(

@@ -535,13 +535,15 @@ def test_matrix_density_counts_grams_whose_squares_overflow():
         "[[1" + "0" * 200 + "*z1, 1], [1, z2]]",
         "[[1" + "0" * 200 + "*z1, 0], [0, z1*z2 - 1]]",
         "[[15" + "0" * 307 + "*z1 + 15" + "0" * 307 + ", 1], [1, z2]]",
+        "[[(15" + "0" * 307 + " + 15" + "0" * 307 + "i)*z1 + 1, 1], [1, z2]]",
     ],
-    ids=["coupled", "uncoupled", "entry"],
+    ids=["coupled", "uncoupled", "entry", "complex-entry"],
 )
 def test_2x2_gram_overflow_raises(text):
     # |10^200 z1|^2 overflows: the coupled closed form's lo is NaN, while the
     # diagonal one keeps lo = |z1 z2 - 1|^2 finite and only hi infinite; an
-    # entry whose moduli sum past 2^1000 overflows in its evaluation
+    # entry of modulus past the float range overflows in its evaluation,
+    # also when each part of its coefficient is a float
     with pytest.raises(OverflowError, match="a gram matrix entry overflows a float"):
         matrix_density(parse_matrix(text), 2, [1.0], TorusGrid.midpoint(2, 8))
 
