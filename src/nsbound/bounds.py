@@ -146,7 +146,7 @@ class BoundReport:
     @cached_property
     def lead_abs(self) -> float:
         """The largest float <= |lead| (it sits in a denominator)."""
-        f = _abs_down(self.profile.lead)
+        f = _lead_abs_down(self)
         if f == 0.0:
             raise OverflowError("leading coefficient modulus underflows to zero")
         return f
@@ -201,6 +201,14 @@ class BoundReport:
         return math.nextafter(self.coefficient * root, math.inf)
 
 
+def _lead_abs_down(r: BoundReport) -> float:
+    """``_abs_down`` of the report's lead, with an ``OverflowError`` that names |lead|."""
+    try:
+        return _abs_down(r.profile.lead)
+    except OverflowError:
+        raise OverflowError("|lead| overflows a float") from None
+
+
 def _report_quality(r: BoundReport) -> tuple[float, float]:
     """Sort key: larger is better, deterministic; a step's alpha is inf, so it wins."""
     return (r.alpha_lower, r.step_threshold_matrix if r.is_step else -r.coefficient)
@@ -243,5 +251,5 @@ def analyze(
     reports = [BoundReport(A.rows, A.cols, c, best_ordering(c.det, ordering)) for c in certs]
     # a candidate whose |lead| underflows has no bound and drops out; when none
     # is left, max keys the first, whose lead_abs raises the OverflowError
-    bounded = [r for r in reports if _abs_down(r.profile.lead) > 0.0]
+    bounded = [r for r in reports if _lead_abs_down(r) > 0.0]
     return max(bounded or reports, key=_report_quality)

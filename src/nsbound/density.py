@@ -36,7 +36,7 @@ power rows as the table draws on one point (``_chunk_counter``), so memory
 does not grow with the grid and no chunk faults fresh pages in: a complex
 array of 8192 points is exactly glibc's 128 KiB mmap threshold.  What does
 not depend on the chunk is formed once per run: the complex coefficients
-(``LaurentPoly._float_terms``) and the workspace's blocks over a full chunk.
+(``LaurentPoly._float_terms``) and the workspace's blocks.
 A gram entry that overflows raises ``OverflowError``.  For k <= 2 the check
 reads the eigenvalue rows that are counted, as a non-finite entry leaves
 the lower or the upper eigenvalue non-finite; for k >= 3 it reads the
@@ -119,29 +119,26 @@ class TorusGrid:
         """Angle rows for flat point indices [start, stop).
 
         ``out``, a float (stop - start, dim) array, receives them if given.
-        Each column's integer digit (or lattice residue) is formed in an
-        int64 view of that column's own memory before it becomes an angle,
-        and column 0 holds the indices meanwhile, so nothing is allocated.
+        The indices are one int64 ``arange`` (64 KiB for ``CHUNK`` points,
+        below glibc's mmap threshold); each column's integer digit (or
+        lattice residue) is formed in an int64 view of its own memory.
         Midpoint column j + 1 receives q_(j+1) = q_j // n, and column j's
         digit q_j - n*q_(j+1) is formed by multiplying column j + 1 by n,
-        subtracting it from column j and dividing it back.
+        subtracting it from q_j and dividing it back.
         """
         if out is None:
             out = np.empty((stop - start, self.dim), dtype=np.float64)
-        idx = out[:, 0].view(np.int64)
-        idx.fill(1)
-        idx[:1] = start
-        np.cumsum(idx, out=idx)  # start, start + 1, ..., stop - 1
+        idx = np.arange(start, stop, dtype=np.int64)
         if self.scheme != "midpoint":
             from ._lattice import lattice_angles  # only lattice runs load it
 
-            for j in reversed(range(self.dim)):  # column 0, the indices, last
+            for j in range(self.dim):
                 lattice_angles(idx, self.generator[j], self.total, self.shift[j], out=out[:, j])
             return out
         n = self.points_per_dim
         for j in range(self.dim):
             col = out[:, j]
-            q = col.view(np.int64)  # q_j = idx // n^j; column 0 holds idx itself
+            q = col.view(np.int64) if j else idx  # q_j = idx // n^j
             if j + 1 < self.dim:  # idx < n^dim keeps the last quotient below n
                 above = out[:, j + 1].view(np.int64)
                 np.floor_divide(q, n, out=above)
@@ -380,18 +377,19 @@ def _chunk_counter(
     * z, one row per coordinate: the points, gathered from the table of
       roots, or exponentiated in place from the angles copied into its
       imaginary parts; once the entries are evaluated, the first row is
-      the gram's scratch row, and then the finiteness mask for k <= 2;
+      the gram's scratch row;
     * the entry values, one row each; once the values are summed into the
-      gram they hold the 2x2 eigenvalue rows, or the finiteness mask and
-      then, together with the z rows, the intermediates of the count by
-      inertia for k >= 3;
+      gram they hold the 2x2 eigenvalue rows, or, together with the z
+      rows, the intermediates of the count by inertia for k >= 3;
     * the power table, at least k^2 rows, two it leaves free being the
       evaluation's scratch rows; then the gram stack reuses its rows.
 
     Before the values, the value and table rows hold the angles, one
     contiguous float row per coordinate, and then a gather's digits; they
-    are sized to hold d + 1 float rows.  The z, value and table blocks of
-    a full chunk are split once; only the last, partial chunk splits its own.
+    are sized to hold d + 1 float rows.  The finiteness mask starts at the
+    workspace's first byte: the eigenvalue rows' k*n bytes fall in z's
+    first row, the stack's k^2*n in the z and value rows, as nvals >= k^2.
+    The blocks are split once; a chunk of n points takes their first n columns.
     """
     k = len(entries)
     polys = [p for row in entries for p in row]
@@ -405,13 +403,12 @@ def _chunk_counter(
         from ._inertia import inertia_counts  # only k >= 3 grams load it
     work = np.empty((dim + nvals + pool, size), dtype=np.complex128)
     spare = work[dim:].reshape(-1).view(np.float64)  # the value and table rows, flat
-    # the finiteness mask: value rows beside a k >= 3 stack, z's first row beside eigenvalues
-    flags = (work[dim : dim + nvals] if k >= 3 else work[0]).reshape(-1).view(np.bool_)
-    blocks = np.split(work, [dim, dim + nvals])  # z, values and table over a full chunk
+    flags = work.reshape(-1).view(np.bool_)  # the finiteness mask, from the first byte
+    blocks = np.split(work, [dim, dim + nvals])  # z, values and table
 
     def count_chunk(start: int, stop: int) -> np.ndarray:
         n = stop - start
-        z, values, table = blocks if n == size else np.split(work[:, :n], [dim, dim + nvals])
+        z, values, table = (b[:, :n] for b in blocks)
         angles = spare[: dim * n].reshape(dim, n)  # contiguous rows: strided digits cost more
         grid.angles(start, stop, out=angles.T)
         if roots is None:

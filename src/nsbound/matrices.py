@@ -234,6 +234,14 @@ class MinorCertificate:
         return len(self.row_set)
 
 
+def _b_l1(B: PolyMatrix) -> float:
+    """``B.l1_norm()``, with an ``OverflowError`` that names ||B||_1."""
+    try:
+        return B.l1_norm()
+    except OverflowError:
+        raise OverflowError("||B||_1 overflows a float") from None
+
+
 def _size_guard(m: int, n: int, k: int, cap: int) -> None:
     candidates = math.comb(m, k) * math.comb(n, k)
     if candidates > cap:
@@ -307,7 +315,7 @@ def iter_nonvanishing_minors(
         scale = math.prod(scales[i] for i in I)
         for J, M in minors.items():
             det = _from_kernel(A.dim, M, scale)
-            yield MinorCertificate(I, J, det, A.submatrix(I, J).l1_norm())
+            yield MinorCertificate(I, J, det, _b_l1(A.submatrix(I, J)))
 
 
 def _greedy_basis(A: PolyMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -355,7 +363,7 @@ def max_nonvanishing_minor(A: PolyMatrix) -> MinorCertificate:
         raise ZeroMatrixError("the zero matrix has no non-vanishing minor")
     rows, cols = _greedy_basis(A)
     sub = A.submatrix(rows, cols)
-    return MinorCertificate(rows, cols, determinant(sub), sub.l1_norm())
+    return MinorCertificate(rows, cols, determinant(sub), _b_l1(sub))
 
 
 def maximal_minors(A: PolyMatrix, cap: int = DEFAULT_MINOR_CAP) -> list[MinorCertificate]:

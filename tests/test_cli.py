@@ -187,24 +187,31 @@ def test_tiny_lead_candidate_drops_out_of_the_minor_choice(capsys, tmp_path, min
 
 
 @pytest.mark.parametrize(
-    "name,text,command",
+    "name,text,command,message",
     [
         # the leading coefficient's modulus underflows to zero as a float
-        ("tiny.poly", "1/1" + "0" * 400 + " * z1 + 1\n", ["analyze"]),
-        # the leading coefficient's modulus overflows a float
-        ("huge.mat", "[[1" + "0" * 400 + "*z1 + 1, 1], [z1, 2]]\n", ["analyze"]),
+        ("tiny.poly", "1/1" + "0" * 400 + " * z1 + 1\n", ["analyze"],
+         "leading coefficient modulus underflows to zero"),
+        # the entry 10^400*z1 + 1 puts ||B||_1 beyond the float range
+        ("huge.mat", "[[1" + "0" * 400 + "*z1 + 1, 1], [z1, 2]]\n", ["analyze"],
+         "||B||_1 overflows a float"),
         # the gram entries overflow a float, so no eigenvalue can be trusted
-        ("huge-gram.mat", "[[1, 1*z1, 1" + "0" * 200 + "]]\n", ["verify", "--grid", "8"]),
+        ("huge-gram.mat", "[[1, 1*z1, 1" + "0" * 200 + "]]\n", ["verify", "--grid", "8"],
+         "a gram matrix entry overflows a float"),
+        # each part fits a float, but the modulus 1.5*sqrt(2)*10^308 does not
+        ("complex.mat", "[[(15" + "0" * 307 + " + 15" + "0" * 307 + " i)*z1 + 1, 1], [1, z2]]\n",
+         ["analyze"], "||B||_1 overflows a float"),
+        # every entry fits a float, but det(B)'s lead 10^400 does not
+        ("huge-lead.mat", "[[1" + "0" * 200 + "*z1, 0], [0, 1" + "0" * 200 + "*z2]]\n",
+         ["verify", "--grid", "8"], "|lead| overflows a float"),
     ],
-    ids=["tiny-lead", "huge-coefficient", "huge-gram"],
+    ids=["tiny-lead", "huge-coefficient", "huge-gram", "complex-norm", "huge-lead"],
 )
-def test_float_range_exit_2(capsys, tmp_path, name, text, command):
+def test_float_range_exit_2(capsys, tmp_path, name, text, command, message):
     f = tmp_path / name
     f.write_text(text)
     code, out, err = run(capsys, *command, str(f))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 #: 2x2 grams with an entry near 10^400: coupled, and diagonal with only hi infinite

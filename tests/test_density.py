@@ -548,6 +548,15 @@ def test_2x2_gram_overflow_raises(text):
         matrix_density(parse_matrix(text), 2, [1.0], TorusGrid.midpoint(2, 8))
 
 
+def test_3x3_gram_overflow_raises_in_a_partial_chunk(monkeypatch):
+    # the k >= 3 mask shares the z and value rows; the last chunk of 64 points has one
+    monkeypatch.setattr(density, "CHUNK", 7)
+    A = parse_matrix("[[1" + "0" * 200 + "*z1, 1, 0], [0, z2, 1], [1, 0, z1]]")
+    count_chunk = density._chunk_counter(A.entries, np.array([1.0]), TorusGrid.midpoint(2, 8))
+    with pytest.raises(OverflowError, match="a gram matrix entry overflows a float"):
+        count_chunk(63, 64)
+
+
 def test_coefficients_convert_once_per_run(monkeypatch):
     # each term's complex coefficient is formed once, however many chunks
     A = parse_matrix(EXAMPLE_MATRIX_TEXT)

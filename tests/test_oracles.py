@@ -22,6 +22,11 @@ or a one-dimensional integral of one (scipy, imported only here).
   the counts: the midpoint mean of log|p| against m(1 + z1 + z2) =
   (3 sqrt 3 / 4 pi) L(chi_-3, 2) and m(1 + z1 + z2 + z3) = 7 zeta(3) /
   (2 pi^2), both from mpmath at 30 digits.
+* The Laplacians Delta_1 = 2 - z - z^-1, with F(u) = (1/pi) arccos(1 -
+  u/2), and Delta_2 = 4 - z1 - z1^-1 - z2 - z2^-1, whose F is a scipy
+  integral of Delta_1's split at its kinks; and matrices whose grams are
+  Delta_2 on each of their k non-zero eigenvalues, so that F(lam) =
+  f_zero + k F_(Delta_2)(lam^2).
 """
 
 from __future__ import annotations
@@ -365,3 +370,34 @@ def test_square_laplacian_integral_is_symmetric_and_ends_exactly():
 def test_square_laplacian_small_lambda_law():
     # near 0 the Laplacian is |theta|^2, so F(lam) ~ pi lam / (2 pi)^2: alpha = d/2 = 1
     assert _square_laplacian_density(1e-3) * 4.0 * math.pi / 1e-3 == pytest.approx(1.0, abs=2e-4)
+
+
+# -- Laplacian matrices: grams that are not 1x1 --------------------------------
+
+_D1 = _poly(2, {(0, 0): 1, (1, 0): -1})  # 1 - z1
+_D2 = _poly(2, {(0, 0): 1, (0, 1): -1})  # 1 - z2
+#: (1 - z1, 1 - z2) and (z2^-1 - 1, 1 - z1^-1), each of squared norm Delta_2, orthogonal
+_LAPLACIAN_ROWS = [[_D1, _D2], [-_D2.star(), _D1.star()]]
+#: name: (A, k, f_zero); each of the k gram eigenvalues that are not 0 is Delta_2
+LAPLACIAN_MATRICES = {
+    "row": (PolyMatrix(_LAPLACIAN_ROWS[:1]), 1, 1),
+    "column": (PolyMatrix([[_D1], [_D2]]), 1, 1),
+    "diagonal": (PolyMatrix(_LAPLACIAN_ROWS), 2, 0),
+}
+
+
+def test_laplacian_rows_are_orthogonal_with_norm_delta_2():
+    (a, b), (c, d) = _LAPLACIAN_ROWS
+    assert (a * c.star() + b * d.star()).is_zero()  # so the 2x2 gram takes the exact diagonal path
+    assert a * a.star() + b * b.star() == c * c.star() + d * d.star() == _laplacian(2)
+
+
+@pytest.mark.parametrize("name", LAPLACIAN_MATRICES)
+@pytest.mark.parametrize("n", [100, 300, 1000])
+def test_laplacian_matrix_density_matches_the_square_laplacian(name, n):
+    A, k, f_zero = LAPLACIAN_MATRICES[name]
+    grid = TorusGrid.midpoint(2, n)
+    curve = matrix_density(A, k, [math.sqrt(u) for u in LAPLACIAN_LAMBDAS], grid)
+    assert curve.f_zero == f_zero
+    want = [f_zero + k * _square_laplacian_density(u) for u in LAPLACIAN_LAMBDAS]
+    assert max(abs(f - w) for f, w in zip(curve.estimates, want)) <= grid.epsilon_quad()
