@@ -81,7 +81,12 @@ def _root_up(x: float, n: int) -> float:
 
 
 def bound_coefficient(k: int, d: int, wd: int, lead_abs: float, b_l1: float) -> float:
-    """Prefactor so that the bound at lambda is coefficient * lambda^(1/(d*wd))."""
+    """Prefactor so that the bound at lambda is coefficient * lambda^(1/(d*wd)).
+
+    The factor (k^2 * b_l1)^(k-1) / lead_abs under the root is rounded to a
+    float first; an ``OverflowError`` names it, or the coefficient, when it
+    leaves the float range.
+    """
     if k < 1 or d < 1 or wd < 0:
         raise ValueError("need k >= 1, d >= 1, wd >= 0")
     if lead_abs <= 0 or b_l1 < 0:
@@ -89,8 +94,14 @@ def bound_coefficient(k: int, d: int, wd: int, lead_abs: float, b_l1: float) -> 
     if wd < 1:
         raise ValueError("no power-law coefficient in the step case")
     n = d * wd
-    inner = _float_up(_norm_factor(k, b_l1) / Fraction(lead_abs))
-    return _float_up(Fraction(SPECTRAL_CONSTANT) * (k * n) * Fraction(_root_up(inner, n)))
+    try:
+        inner = _float_up(_norm_factor(k, b_l1) / Fraction(lead_abs))
+    except OverflowError:
+        raise OverflowError("(k^2*||B||_1)^(k-1) / |lead| overflows a float") from None
+    try:
+        return _float_up(Fraction(SPECTRAL_CONSTANT) * (k * n) * Fraction(_root_up(inner, n)))
+    except OverflowError:
+        raise OverflowError("the bound coefficient overflows a float") from None
 
 
 def best_ordering(p: LaurentPoly, mode: str = "fixed") -> WidthProfile:

@@ -119,11 +119,14 @@ def _print_report(report: BoundReport, args: argparse.Namespace) -> None:
             f"det(B) is a monomial: its density is a step at |lead| = "
             f"{report.lead_abs:.17g}"
         )
-        print(
-            "matrix-level guarantee: F - F(0) = 0 for lambda < "
-            f"{report.step_threshold_matrix:.17g}"
-            f" (threshold |lead| / (k^2*||B||_1)^(k-1))"
-        )
+        threshold = "threshold |lead| / (k^2*||B||_1)^(k-1)"
+        if report.step_threshold_matrix > 0.0:
+            print(
+                "matrix-level guarantee: F - F(0) = 0 for lambda < "
+                f"{report.step_threshold_matrix:.17g} ({threshold})"
+            )
+        else:
+            print(f"matrix-level guarantee: none ({threshold} underflows to 0)")
         print("alpha: infinite-type")
     else:
         print(
@@ -154,7 +157,7 @@ def _density_run(
     report = analyze(A, args.ordering, args.minor, args.minor_cap)
     grid = _grid_for(args, A.dim)
     lambdas = _lambda_grid(args, report)
-    curve = matrix_density(A, report.k, lambdas, grid)
+    curve = matrix_density(A, lambdas, grid)
     rows = []
     for lam, est in zip(curve.lambdas, curve.estimates):
         bound = report.bound_at(lam)

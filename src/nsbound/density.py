@@ -37,10 +37,10 @@ does not grow with the grid and no chunk faults fresh pages in: a complex
 array of 8192 points is exactly glibc's 128 KiB mmap threshold.  What does
 not depend on the chunk is formed once per run: the complex coefficients
 (``LaurentPoly._float_terms``) and the workspace's blocks.
-A gram entry that overflows raises ``OverflowError``.  For k <= 2 the check
-reads the eigenvalue rows that are counted, as a non-finite entry leaves
-the lower or the upper eigenvalue non-finite; for k >= 3 it reads the
-whole stack, as the count by inertia does.
+A gram entry that overflows raises ``OverflowError``.  For a k x k gram
+with k <= 2 the check reads the eigenvalue rows that are counted, as a
+non-finite entry leaves the lower or the upper eigenvalue non-finite; for
+k >= 3 it reads the whole stack, as the count by inertia does.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .matrices import PolyMatrix, ZeroMatrixError
+from .matrices import PolyMatrix, ZeroMatrixError, _greedy_basis
 from .poly import (
     GaussianRational,
     LaurentPoly,
@@ -312,7 +312,6 @@ def _count_slots(slot: np.ndarray, nthresholds: int) -> np.ndarray:
 
 def matrix_density(
     A: PolyMatrix,
-    k: int,
     lambdas: Sequence[float],
     grid: TorusGrid,
 ) -> DensityCurve:
@@ -321,10 +320,10 @@ def matrix_density(
     The count is taken on the larger of the two gram sides, so it starts at
     max(rows, cols) - rank almost everywhere; only the smaller gram is
     formed, A A* of A or of its transpose when A is tall, and the
-    |rows - cols| exact zero eigenvalues are added as a constant.  ``k``
-    (the maximal non-vanishing minor size) fixes the analytic value
-    f_zero = max(rows, cols) - k; a zero matrix larger than 1x1 has no
-    such k and raises ``ZeroMatrixError``.
+    |rows - cols| exact zero eigenvalues are added as a constant.  The
+    analytic f_zero = max(rows, cols) - rank A reads the rank from the
+    greedy pass behind ``--minor first`` (``matrices._greedy_basis``); a
+    zero matrix larger than 1x1 has no rank and raises ``ZeroMatrixError``.
 
     A 1x1 matrix [[p]] is the fraction of the torus where |p| <= lambda.
     A zero p raises ``ZeroPolynomialError``.  A one-term p is the exact
@@ -338,8 +337,6 @@ def matrix_density(
     lam = _check_lambdas(lambdas)
     small = min(A.rows, A.cols)
     extra_zeros = max(A.rows, A.cols) - small
-    if not 1 <= k <= small:
-        raise ValueError(f"minor size {k} out of range for a {A.rows}x{A.cols} matrix")
     entries, scale2 = A.entries, Fraction(1)
     if A.rows == A.cols == 1:
         p = A[0, 0]
@@ -354,11 +351,12 @@ def matrix_density(
         raise ZeroMatrixError("the zero matrix has no non-vanishing minor")
     elif A.rows > A.cols:
         entries = tuple(zip(*entries))
+    rank = 1 if A.rows == A.cols == 1 else len(_greedy_basis(A)[0])
     thresholds = _squared_thresholds(lam, scale2)
     count_chunk = _chunk_counter(entries, thresholds, grid)
     totals = sum(count_chunk(a, b) for a, b in grid.block_ranges())
     counts = tuple(int(c) + extra_zeros * grid.total for c in totals)
-    return DensityCurve(lam, counts, grid.total, max(A.rows, A.cols) - k)
+    return DensityCurve(lam, counts, grid.total, max(A.rows, A.cols) - rank)
 
 
 def _chunk_counter(

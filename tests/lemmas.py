@@ -32,10 +32,10 @@ def product_violations(
 ) -> list[float]:
     """F(q1*q2)(lam) - (F(q1)(lam^(1-s)) + F(q2)(lam^s)) for each lambda."""
     assert 0.0 < s < 1.0
-    left = matrix_density(PolyMatrix([[q1 * q2]]), 1, lambdas, grid)
+    left = matrix_density(PolyMatrix([[q1 * q2]]), lambdas, grid)
     lam1 = [x ** (1.0 - s) for x in lambdas]
-    right1 = matrix_density(PolyMatrix([[q1]]), 1, lam1, grid)
-    right2 = matrix_density(PolyMatrix([[q2]]), 1, [x**s for x in lambdas], grid)
+    right1 = matrix_density(PolyMatrix([[q1]]), lam1, grid)
+    right2 = matrix_density(PolyMatrix([[q2]]), [x**s for x in lambdas], grid)
     return [l - (a + b) for l, a, b in zip(left.estimates, right1.estimates, right2.estimates)]
 
 
@@ -48,7 +48,7 @@ def det_domination_violations(
     which only enlarges the right-hand side's argument.
     """
     k = B.rows
-    left = matrix_density(B, k, lambdas, grid)
+    left = matrix_density(B, lambdas, grid)
     scaled = [rescale_lambda(k, B.l1_norm(), x) for x in lambdas]
-    right = matrix_density(PolyMatrix([[determinant(B)]]), 1, scaled, grid)
+    right = matrix_density(PolyMatrix([[determinant(B)]]), scaled, grid)
     return [l - k * r for l, r in zip(left.estimates, right.estimates)]

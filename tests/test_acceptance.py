@@ -81,7 +81,7 @@ def test_criterion_03_linear_factor_oracle(capsys):
     worst_oracle = 0.0
     for a in (Fraction(1, 2), Fraction(1), Fraction(2)):
         p = LaurentPoly.variable(1, 0) - LaurentPoly.const(1, a)
-        curve = matrix_density(PolyMatrix([[p]]), 1, lams, grid)
+        curve = matrix_density(PolyMatrix([[p]]), lams, grid)
         for lam, est in zip(lams, curve.estimates):
             worst_oracle = max(worst_oracle, abs(est - arc_measure(float(a), lam)))
             assert abs(est - arc_measure(float(a), lam)) <= 2e-3
@@ -98,7 +98,7 @@ def test_criterion_04_width_zero_exact_step(capsys):
     for n in (2, 3, 10, 37):
         grid = TorusGrid.midpoint(2, n)
         lams = [4.0, 4.999999999, 5.0, 5.000000001, 7.0]
-        curve = matrix_density(PolyMatrix([[p]]), 1, lams, grid)
+        curve = matrix_density(PolyMatrix([[p]]), lams, grid)
         assert curve.estimates == (0.0, 0.0, 1.0, 1.0, 1.0)
         assert curve.counts == (0, 0, grid.total, grid.total, grid.total)
     with capsys.disabled():
@@ -121,8 +121,8 @@ def test_criterion_05_scaling_identity_exact_counts(capsys):
             # also exercise exactly representable moduli
             c = GaussianRational(Fraction(2) ** rng.randint(-3, 3))
         lams = sorted(rng.uniform(0.01, 5.0) for _ in range(12))
-        scaled = matrix_density(PolyMatrix([[p * c]]), 1, lams, grid)
-        base = matrix_density(PolyMatrix([[p]]), 1, [x / abs(c) for x in lams], grid)
+        scaled = matrix_density(PolyMatrix([[p * c]]), lams, grid)
+        base = matrix_density(PolyMatrix([[p]]), [x / abs(c) for x in lams], grid)
         assert scaled.counts == base.counts
         checked += 1
     with capsys.disabled():
@@ -201,7 +201,7 @@ def test_criterion_08_decay_exponent_tightness(capsys):
         for _ in range(r):
             p = p * (z - 1)
         lams = np.geomspace(1e-5, 1e-2, 48).tolist()
-        curve = matrix_density(PolyMatrix([[p]]), 1, lams, grid)
+        curve = matrix_density(PolyMatrix([[p]]), lams, grid)
         a_hat, r2 = alpha_fit(curve, (1e-5, 1e-2))
         assert abs(a_hat - 1.0 / r) <= 0.05, (r, a_hat)
         assert r2 >= 0.99, (r, r2)

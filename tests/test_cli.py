@@ -186,6 +186,10 @@ def test_tiny_lead_candidate_drops_out_of_the_minor_choice(capsys, tmp_path, min
     assert "cols J = {1}\n" in out and "alpha: infinite-type\n" in out
 
 
+#: diag(10^200*z1, 10^200*z2, e): k = 3 and ||B||_1 = 10^200 whatever e is
+HUGE_NORM_DIAGONAL = "[[1" + "0" * 200 + "*z1, 0, 0], [0, 1" + "0" * 200 + "*z2, 0], [0, 0, {}]]\n"
+
+
 @pytest.mark.parametrize(
     "name,text,command,message",
     [
@@ -204,14 +208,47 @@ def test_tiny_lead_candidate_drops_out_of_the_minor_choice(capsys, tmp_path, min
         # every entry fits a float, but det(B)'s lead 10^400 does not
         ("huge-lead.mat", "[[1" + "0" * 200 + "*z1, 0], [0, 1" + "0" * 200 + "*z2]]\n",
          ["verify", "--grid", "8"], "|lead| overflows a float"),
+        # |lead| = 1 and ||B||_1 = 10^200, so (k^2*||B||_1)^(k-1) / |lead| is near 10^401
+        ("huge-factor.mat", HUGE_NORM_DIAGONAL.format("1/1" + "0" * 400 + "*z3 + 1/1" + "0" * 400),
+         ["analyze"], "(k^2*||B||_1)^(k-1) / |lead| overflows a float"),
+        # k = d*wd = 1 and |lead| = 10^-308: the coefficient is C / |lead|, about 2*10^308
+        ("huge-bound.poly", "1/1" + "0" * 308 + "*z1 + 1/1" + "0" * 308 + "\n",
+         ["analyze"], "the bound coefficient overflows a float"),
     ],
-    ids=["tiny-lead", "huge-coefficient", "huge-gram", "complex-norm", "huge-lead"],
+    ids=[
+        "tiny-lead", "huge-coefficient", "huge-gram", "complex-norm", "huge-lead", "huge-factor",
+        "huge-bound",
+    ],
 )
 def test_float_range_exit_2(capsys, tmp_path, name, text, command, message):
     f = tmp_path / name
     f.write_text(text)
     code, out, err = run(capsys, *command, str(f))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_step_threshold_that_underflows_gives_no_guarantee(capsys, tmp_path):
+    # det(B) = z1*z2*z3 is a step at |lead| = 1, but |lead| / (9 * 10^200)^2 is 0.0
+    f = tmp_path / "tiny-step.mat"
+    f.write_text(HUGE_NORM_DIAGONAL.format("1/1" + "0" * 400 + "*z3"))
+    code, out, err = run(capsys, "analyze", str(f))
+    assert (code, err) == (0, "")
+    assert out == """\
+matrix: 3x3 over 3 variable(s)
+k = 3
+rows I = {1, 2, 3}
+cols J = {1, 2, 3}
+det(B) = z1*z2*z3
+ordering = (z1, z2, z3) [fixed, minor mode first]
+width tower: p_0 = z1*z2*z3, p_1 = z1*z2, p_2 = z1, p_3 = 1
+widths = (0, 0, 0), wd = 0
+lead = 1, |lead| = 1
+||B||_1 = 1.0000000000000001e+200
+det(B) is a monomial: its density is a step at |lead| = 1
+matrix-level guarantee: none (threshold |lead| / (k^2*||B||_1)^(k-1) underflows to 0)
+alpha: infinite-type
+f_zero = F(0) = 0
+"""
 
 
 #: 2x2 grams with an entry near 10^400: coupled, and diagonal with only hi infinite

@@ -25,6 +25,7 @@ from nsbound import (
     PolyMatrix,
     TorusGrid,
     alpha_fit,
+    analyze,
     matrix_density,
     parse_matrix,
     parse_poly,
@@ -140,8 +141,8 @@ def test_block_ranges_partition():
 def test_lattice_density_agrees_with_midpoint():
     p = parse_poly("z1*z2 - 2")
     lams = [0.5, 1.0, 1.5, 2.5]
-    mid = matrix_density(PolyMatrix([[p]]), 1, lams, TorusGrid.midpoint(2, 120))
-    lat = matrix_density(PolyMatrix([[p]]), 1, lams, TorusGrid.lattice(2, 120 * 120, seed=1))
+    mid = matrix_density(PolyMatrix([[p]]), lams, TorusGrid.midpoint(2, 120))
+    lat = matrix_density(PolyMatrix([[p]]), lams, TorusGrid.lattice(2, 120 * 120, seed=1))
     for a, b in zip(mid.estimates, lat.estimates):
         assert a == pytest.approx(b, abs=0.02)
 
@@ -236,13 +237,13 @@ def test_eigen_example_corner_gram():
 def test_poly_density_unit_variable_step():
     p = parse_poly("z1")
     g = TorusGrid.midpoint(1, 101)
-    curve = matrix_density(PolyMatrix([[p]]), 1, [0.5, 0.999, 1.0, 1.5], g)
+    curve = matrix_density(PolyMatrix([[p]]), [0.5, 0.999, 1.0, 1.5], g)
     assert curve.estimates == (0.0, 0.0, 1.0, 1.0)
 
 
 def test_poly_density_arc_oracle_z_minus_one():
     g = TorusGrid.midpoint(1, 30000)
-    curve = matrix_density(PolyMatrix([[parse_poly("z1 - 1")]]), 1, [1.0], g)
+    curve = matrix_density(PolyMatrix([[parse_poly("z1 - 1")]]), [1.0], g)
     assert curve.estimates[0] == pytest.approx(1.0 / 3.0, abs=1e-4)
 
 
@@ -251,7 +252,7 @@ def test_poly_density_arc_oracle_general_radius():
     lams = np.linspace(0.05, 3.2, 40).tolist()
     for r in (0.5, 2.0):
         p = parse_poly(f"z1 - {Fraction(r)}")
-        curve = matrix_density(PolyMatrix([[p]]), 1, lams, g)
+        curve = matrix_density(PolyMatrix([[p]]), lams, g)
         for lam, est in zip(lams, curve.estimates):
             assert est == pytest.approx(arc_measure(r, lam), abs=5e-4)
 
@@ -260,7 +261,7 @@ def test_poly_density_complex_root_uses_modulus():
     # |z - i| is distributed like |z - 1|
     g = TorusGrid.midpoint(1, 20000)
     lams = [0.3, 0.8, 1.4]
-    ci = matrix_density(PolyMatrix([[parse_poly("z1 - i")]]), 1, lams, g)
+    ci = matrix_density(PolyMatrix([[parse_poly("z1 - i")]]), lams, g)
     for lam, est in zip(lams, ci.estimates):
         assert est == pytest.approx(arc_measure(1.0, lam), abs=5e-4)
 
@@ -269,7 +270,7 @@ def test_poly_density_monomial_exact_step_any_grid():
     p = parse_poly("5*z1^2*z2^-1")
     for n in (3, 7, 20):
         g = TorusGrid.midpoint(2, n)
-        curve = matrix_density(PolyMatrix([[p]]), 1, [4.999999, 5.0, 5.000001], g)
+        curve = matrix_density(PolyMatrix([[p]]), [4.999999, 5.0, 5.000001], g)
         assert curve.estimates == (0.0, 1.0, 1.0)
         assert curve.counts == (0, g.total, g.total)
 
@@ -288,7 +289,7 @@ def test_poly_density_linear_domination_incl_complex_roots():
         "z1 - (1 + i)": None,
     }
     for text in cases:
-        curve = matrix_density(PolyMatrix([[parse_poly(text)]]), 1, lams, g)
+        curve = matrix_density(PolyMatrix([[parse_poly(text)]]), lams, g)
         for lam, est in zip(lams, curve.estimates):
             assert est <= SPECTRAL_CONSTANT * lam + g.epsilon_quad()
 
@@ -299,7 +300,7 @@ def test_poly_density_monotone_and_bounded():
     for _ in range(10):
         p = random_poly(rng, 1, max_terms=5, exp_range=4)
         lams = sorted(rng.uniform(0, 4) for _ in range(12))
-        curve = matrix_density(PolyMatrix([[p]]), 1, lams, g)
+        curve = matrix_density(PolyMatrix([[p]]), lams, g)
         assert all(b >= a for a, b in zip(curve.estimates, curve.estimates[1:]))
         assert all(0.0 <= e <= 1.0 for e in curve.estimates)
 
@@ -318,19 +319,19 @@ def test_poly_density_scaling_identity_exact_counts():
         if not c:
             continue
         lams = sorted(rng.uniform(0.01, 5.0) for _ in range(16))
-        scaled = matrix_density(PolyMatrix([[p * c]]), 1, lams, g)
-        base = matrix_density(PolyMatrix([[p]]), 1, [x / abs(c) for x in lams], g)
+        scaled = matrix_density(PolyMatrix([[p * c]]), lams, g)
+        base = matrix_density(PolyMatrix([[p]]), [x / abs(c) for x in lams], g)
         assert scaled.counts == base.counts
 
 
 def test_poly_density_errors():
     g = TorusGrid.midpoint(1, 16)
     with pytest.raises(ValueError):
-        matrix_density(PolyMatrix([[parse_poly("z1")]]), 1, [], g)
+        matrix_density(PolyMatrix([[parse_poly("z1")]]), [], g)
     with pytest.raises(ValueError):
-        matrix_density(PolyMatrix([[parse_poly("z1")]]), 1, [2.0, 1.0], g)
+        matrix_density(PolyMatrix([[parse_poly("z1")]]), [2.0, 1.0], g)
     with pytest.raises(ValueError):
-        matrix_density(PolyMatrix([[LaurentPoly.zero(1)]]), 1, [1.0], g)
+        matrix_density(PolyMatrix([[LaurentPoly.zero(1)]]), [1.0], g)
 
 
 def test_zero_matrix_density_errors():
@@ -340,10 +341,10 @@ def test_zero_matrix_density_errors():
     lams = [0.0, 0.5, 1.0]
     zero = LaurentPoly.zero(2)
     with pytest.raises(ZeroPolynomialError):
-        matrix_density(PolyMatrix([[zero]]), 1, lams, g)
+        matrix_density(PolyMatrix([[zero]]), lams, g)
     for rows, cols in [(2, 2), (2, 3), (3, 1)]:
         with pytest.raises(ZeroMatrixError):
-            matrix_density(PolyMatrix([[zero] * cols] * rows), 1, lams, g)
+            matrix_density(PolyMatrix([[zero] * cols] * rows), lams, g)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -351,7 +352,7 @@ def test_non_finite_lambdas_rejected(bad):
     g = TorusGrid.midpoint(1, 16)
     for text in ("[[z1 - 1]]", "[[z1]]", "[[z1, 1]]"):
         with pytest.raises(ValueError, match="finite"):
-            matrix_density(parse_matrix(text), 1, [0.5, bad], g)
+            matrix_density(parse_matrix(text), [0.5, bad], g)
 
 
 def test_density_curve_rejects_decreasing_counts():
@@ -384,7 +385,7 @@ def test_poly_density_bit_identical_over_chunk_partitions(monkeypatch):
     g = TorusGrid.midpoint(1, 200000)
     lams = np.geomspace(1e-3, 3, 24).tolist()
     c1, c2 = _two_partitions(
-        monkeypatch, g, 3001, lambda: matrix_density(PolyMatrix([[p]]), 1, lams, g)
+        monkeypatch, g, 3001, lambda: matrix_density(PolyMatrix([[p]]), lams, g)
     )
     assert c1.counts == c2.counts
     assert c1.estimates == c2.estimates
@@ -396,7 +397,7 @@ def test_poly_density_bit_identical_over_chunk_partitions(monkeypatch):
 def test_matrix_density_constant_step():
     A = parse_matrix("[[5]]")
     g = TorusGrid.midpoint(1, 50)
-    curve = matrix_density(A, 1, [4.9, 5.0, 5.1], g)
+    curve = matrix_density(A, [4.9, 5.0, 5.1], g)
     assert curve.estimates == (0.0, 1.0, 1.0)
 
 
@@ -413,15 +414,15 @@ def test_matrix_density_block_additivity_exact():
             continue
         A = PolyMatrix([[p, zero], [zero, q]])
         lams = sorted(rng.uniform(0.01, 6.0) for _ in range(10))
-        both = matrix_density(A, 2, lams, g)
-        cp = matrix_density(PolyMatrix([[p]]), 1, lams, g)
-        cq = matrix_density(PolyMatrix([[q]]), 1, lams, g)
+        both = matrix_density(A, lams, g)
+        cp = matrix_density(PolyMatrix([[p]]), lams, g)
+        cq = matrix_density(PolyMatrix([[q]]), lams, g)
         assert both.counts == tuple(a + b for a, b in zip(cp.counts, cq.counts))
 
 
 def test_matrix_density_example_f_zero(example_matrix):
     g = TorusGrid.midpoint(2, 40)
-    curve = matrix_density(example_matrix, 2, [0.01, 0.5, 1.0], g)
+    curve = matrix_density(example_matrix, [0.01, 0.5, 1.0], g)
     assert curve.f_zero == 1
     assert curve.estimates[0] == pytest.approx(1.0)
     assert all(1.0 <= e <= 3.0 for e in curve.estimates)
@@ -432,10 +433,34 @@ def test_matrix_density_wide_vs_tall_agree(example_matrix):
     # the counts relative to f_zero agree
     g = TorusGrid.midpoint(2, 25)
     lams = [0.5, 1.0, 2.0, 5.0, 10.0, 20.0]
-    wide = matrix_density(example_matrix, 2, lams, g)
-    tall = matrix_density(star_transpose(example_matrix), 2, lams, g)
+    wide = matrix_density(example_matrix, lams, g)
+    tall = matrix_density(star_transpose(example_matrix), lams, g)
     assert wide.f_zero == tall.f_zero == 1
     assert wide.counts == tall.counts
+
+
+def _rank3_matrix() -> PolyMatrix:
+    """A 5x6 matrix whose rows 4 and 5 are monomial combinations of rows 1-3."""
+    rows = [list(r) for r in parse_matrix(
+        "[[z1, 2, z2^-1 - 1, 1, z1*z2, 3], [1, z2 - 2, 0, z1^-1, 1, z2],"
+        " [z2^2, 1, z1, 2, -1, z1 + z2]]"
+    ).entries]
+    z1, z2 = LaurentPoly.monomial(2, (1, 0), 1), LaurentPoly.monomial(2, (0, 1), 1)
+    for a, b, c in [(z1, LaurentPoly.const(2, -2), z2), (LaurentPoly.const(2, 3), z1 * z2, -z2)]:
+        rows.append([a * x + b * y + c * w for x, y, w in zip(*rows[:3])])
+    return PolyMatrix(rows)
+
+
+@pytest.mark.parametrize("minor", ["first", "best"])
+@pytest.mark.parametrize(
+    "A, f_zero",
+    [(_rank3_matrix(), 3), (parse_matrix(EXAMPLE_MATRIX_TEXT), 1), (parse_matrix("[[z1 - 1]]"), 0)],
+    ids=["rank3-5x6", "reference", "1x1"],
+)
+def test_matrix_density_reads_f_zero_from_the_matrix(A, f_zero, minor):
+    # F(0) = max(rows, cols) - rank A, the value analyze reports in either minor mode
+    curve = matrix_density(A, [1.0], TorusGrid.midpoint(A.dim, 8))
+    assert curve.f_zero == analyze(A, minor=minor).f_zero == f_zero
 
 
 @pytest.mark.parametrize(
@@ -452,8 +477,8 @@ def test_matrix_density_transpose_agrees(rows, cols, grid):
     )
     wide = PolyMatrix(list(zip(*tall.entries)))
     lams = np.geomspace(0.05, 50, 12).tolist()
-    a = matrix_density(tall, cols, lams, grid)
-    b = matrix_density(wide, cols, lams, grid)
+    a = matrix_density(tall, lams, grid)
+    b = matrix_density(wide, lams, grid)
     assert a.counts == b.counts
     assert len(set(a.counts)) > 2
 
@@ -471,7 +496,7 @@ def test_matrix_density_bit_identical_over_chunk_partitions(monkeypatch, text, g
     A = parse_matrix(text)
     lams = np.geomspace(1e-2, 30, 24).tolist()
     c1, c2 = _two_partitions(
-        monkeypatch, grid, 3001, lambda: matrix_density(A, min(A.rows, A.cols), lams, grid)
+        monkeypatch, grid, 3001, lambda: matrix_density(A, lams, grid)
     )
     assert c1.counts == c2.counts
 
@@ -506,7 +531,7 @@ def test_matrix_density_matches_plain_numpy_recount(shape, grid):
          for _ in range(rows)]
     )
     lams = np.geomspace(0.05, 60, 40).tolist()
-    curve = matrix_density(A, min(rows, cols), lams, grid)
+    curve = matrix_density(A, lams, grid)
     want = _recount(A, lams, grid)
     # eigenvalues within rounding of a threshold may fall on either side
     assert np.abs(np.array(curve.counts) - want).max() <= 2
@@ -523,7 +548,7 @@ def test_matrix_density_counts_grams_whose_squares_overflow():
     )
     grid = TorusGrid.midpoint(2, 40)
     lams = np.geomspace(1e78, 1e83, 24).tolist()
-    curve = matrix_density(A, 3, lams, grid)
+    curve = matrix_density(A, lams, grid)
     want = _recount(A, lams, grid)
     assert np.abs(np.array(curve.counts) - want).max() <= 2
     assert want[0] == 0 and want[-1] == 3 * grid.total
@@ -545,7 +570,7 @@ def test_2x2_gram_overflow_raises(text):
     # entry of modulus past the float range overflows in its evaluation,
     # also when each part of its coefficient is a float
     with pytest.raises(OverflowError, match="a gram matrix entry overflows a float"):
-        matrix_density(parse_matrix(text), 2, [1.0], TorusGrid.midpoint(2, 8))
+        matrix_density(parse_matrix(text), [1.0], TorusGrid.midpoint(2, 8))
 
 
 def test_3x3_gram_overflow_raises_in_a_partial_chunk(monkeypatch):
@@ -566,7 +591,7 @@ def test_coefficients_convert_once_per_run(monkeypatch):
     monkeypatch.setattr(density, "CHUNK", 7)
     grid = TorusGrid.midpoint(2, 6)
     assert len(list(grid.block_ranges())) >= 3
-    matrix_density(A, 2, [1.0], grid)
+    matrix_density(A, [1.0], grid)
     assert 0 < len(calls) <= sum(len(p) for row in A.entries for p in row)
 
 
@@ -576,7 +601,7 @@ def test_diagonal_gram_beside_its_constant_eigenvalue(lattice):
     # |z1 z2 - 1| has the law of |z - 1|: F(1) = 1 + 1/3
     A = parse_matrix("[[z1, 0], [0, z1*z2 - 1]]")
     grid = TorusGrid.lattice(2, 50021) if lattice else TorusGrid.midpoint(2, 301)
-    curve = matrix_density(A, 2, [1.0], grid)
+    curve = matrix_density(A, [1.0], grid)
     assert abs(curve.estimates[0] - 4 / 3) <= grid.epsilon_quad()
 
 
@@ -586,7 +611,7 @@ def test_an_off_diagonal_that_cancels_as_a_polynomial_is_exactly_zero():
     A = parse_matrix("[[z1*z2, z1], [z2, -1]]")
     lams = [math.nextafter(math.sqrt(2), 0), math.sqrt(2)]  # thresholds just below 2, and 2
     for grid in (TorusGrid.midpoint(2, 301), TorusGrid.lattice(2, 50021)):
-        assert matrix_density(A, 2, lams, grid).counts == (0, 2 * grid.total)
+        assert matrix_density(A, lams, grid).counts == (0, 2 * grid.total)
 
 
 @pytest.mark.parametrize("text", [EXAMPLE_MATRIX_TEXT, "[[z1, 0], [0, z1*z2 - 1]]"])
@@ -595,7 +620,7 @@ def test_2x2_grams_never_call_hypot(monkeypatch, text):
         raise AssertionError("np.hypot called")
 
     monkeypatch.setattr(np, "hypot", hypot)
-    curve = matrix_density(parse_matrix(text), 2, [0.5, 1.0, 2.0], TorusGrid.midpoint(2, 200))
+    curve = matrix_density(parse_matrix(text), [0.5, 1.0, 2.0], TorusGrid.midpoint(2, 200))
     assert curve.counts[-1] > 0
 
 
@@ -647,7 +672,7 @@ def test_matrix_density_of_mixed_entries_matches_plain_numpy_recount(A, lattice,
     else:
         grid = TorusGrid.midpoint(A.dim, 400 if A.dim == 1 else 20)
     lams = np.geomspace(0.0517, 61.3, 16).tolist()
-    curve = matrix_density(A, min(A.rows, A.cols), lams, grid)
+    curve = matrix_density(A, lams, grid)
     want = _recount(A, lams, grid)
     assert np.abs(np.array(curve.counts) - want).max() <= 2
 
@@ -674,10 +699,10 @@ def test_counts_do_not_depend_on_chunk_size(monkeypatch, grid):
     runs = []
     for chunk in (1000, density.CHUNK, grid.total):
         monkeypatch.setattr(density, "CHUNK", chunk)
-        curves = [matrix_density(PolyMatrix([[p]]), 1, lams, grid)]
+        curves = [matrix_density(PolyMatrix([[p]]), lams, grid)]
         for text in CHUNK_MATRICES.values():
             A = parse_matrix(text)
-            curves.append(matrix_density(A, min(A.rows, A.cols), lams, grid))
+            curves.append(matrix_density(A, lams, grid))
         runs.append([c.counts for c in curves])
     assert all(run == runs[0] for run in runs[1:])
     # the counts move over the lambdas, so equality says something
@@ -783,7 +808,7 @@ def test_table_and_exp_paths_count_alike(monkeypatch, dim, n):
     for chunk in (n - 1, n):  # the exp path, then the table path
         monkeypatch.setattr(density, "CHUNK", chunk)
         assert (density._midpoint_roots(grid) is None) == (chunk < n)
-        runs.append(matrix_density(A, 2, lams, grid).counts)
+        runs.append(matrix_density(A, lams, grid).counts)
     assert runs[0] == runs[1]
     assert runs[0][0] < runs[0][-1]
 
@@ -930,7 +955,7 @@ def test_matrix_density_memory_does_not_grow_with_the_grid():
         grid = TorusGrid.lattice(3, total, seed=3)
         tracemalloc.start()
         try:
-            matrix_density(A, 4, lams, grid)
+            matrix_density(A, lams, grid)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -947,10 +972,10 @@ import numpy as np
 from nsbound import TorusGrid, matrix_density, parse_matrix
 A = parse_matrix(sys.argv[1])
 lams = np.geomspace(1e-3, 100, 64).tolist()
-matrix_density(A, 2, lams, TorusGrid.midpoint(2, 20))
+matrix_density(A, lams, TorusGrid.midpoint(2, 20))
 for n in (181, 572):  # 4 and 40 chunks of 8192 points, the last one partial
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    matrix_density(A, 2, lams, TorusGrid.midpoint(2, n))
+    matrix_density(A, lams, TorusGrid.midpoint(2, n))
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -986,7 +1011,7 @@ def _assert_midpoint_error(p: LaurentPoly | PolyMatrix, exact, arcs: int, n_poin
     A = p if isinstance(p, PolyMatrix) else PolyMatrix([[p]])
     grid = TorusGrid.midpoint(1, n_points)
     lams = np.geomspace(1e-3, 2.5, 50).tolist()
-    curve = matrix_density(A, min(A.rows, A.cols), lams, grid)
+    curve = matrix_density(A, lams, grid)
     for lam, est in zip(lams, curve.estimates):
         assert abs(est - exact(lam)) <= arcs / n_points + 1e-12, lam
 
@@ -1023,7 +1048,7 @@ def test_monomial_beside_an_arc_at_its_constant_eigenvalue(n_points):
     # at lambda = 1 the threshold is the constant eigenvalue 1 itself, which
     # the diagonal gram returns exactly: F(1) = 1 + 1/3 within one arc
     A = parse_matrix("[[z1, 0], [0, z1 - 1]]")
-    curve = matrix_density(A, 2, [1.0], TorusGrid.midpoint(1, n_points))
+    curve = matrix_density(A, [1.0], TorusGrid.midpoint(1, n_points))
     assert abs(curve.estimates[0] - 4 / 3) <= 1 / n_points + 1e-12
 
 
@@ -1103,7 +1128,7 @@ def test_det_domination_example_submatrix(example_matrix):
 def test_alpha_fit_linear_factor():
     g = TorusGrid.midpoint(1, 200000)
     lams = np.geomspace(1e-4, 1e-1, 40).tolist()
-    curve = matrix_density(PolyMatrix([[parse_poly("z1 - 1")]]), 1, lams, g)
+    curve = matrix_density(PolyMatrix([[parse_poly("z1 - 1")]]), lams, g)
     a, r2 = alpha_fit(curve, (1e-4, 1e-1))
     assert a == pytest.approx(1.0, abs=0.03)
     assert r2 >= 0.99
@@ -1113,7 +1138,7 @@ def test_alpha_fit_squared_factor():
     g = TorusGrid.midpoint(1, 200000)
     lams = np.geomspace(1e-4, 1e-1, 40).tolist()
     p = parse_poly("z1^2 - 2*z1 + 1")  # (z-1)^2
-    curve = matrix_density(PolyMatrix([[p]]), 1, lams, g)
+    curve = matrix_density(PolyMatrix([[p]]), lams, g)
     a, r2 = alpha_fit(curve, (1e-4, 1e-1))
     assert a == pytest.approx(0.5, abs=0.03)
     assert r2 >= 0.99
@@ -1122,7 +1147,7 @@ def test_alpha_fit_squared_factor():
 def test_alpha_fit_step_curve_rejected():
     g = TorusGrid.midpoint(2, 32)
     A = PolyMatrix([[parse_poly("5*z1^2*z2^-1")]])
-    curve = matrix_density(A, 1, [0.5, 1.0, 2.0, 3.0, 4.0, 4.9], g)
+    curve = matrix_density(A, [0.5, 1.0, 2.0, 3.0, 4.0, 4.9], g)
     with pytest.raises(InsufficientDataError):
         alpha_fit(curve, (0.5, 4.9))
 
@@ -1130,7 +1155,7 @@ def test_alpha_fit_step_curve_rejected():
 def test_alpha_fit_equal_lambdas_rejected():
     # every usable point sits at lambda = 1: no slope, not a 0/0 slope of nan
     g = TorusGrid.midpoint(1, 10)
-    curve = matrix_density(PolyMatrix([[parse_poly("z1 - 1")]]), 1, [1.0] * 8, g)
+    curve = matrix_density(PolyMatrix([[parse_poly("z1 - 1")]]), [1.0] * 8, g)
     assert sum(est > curve.f_zero for est in curve.estimates) >= 5
     with pytest.raises(InsufficientDataError, match="distinct lambdas"):
         alpha_fit(curve, (1.0, 1.0))
@@ -1139,7 +1164,7 @@ def test_alpha_fit_equal_lambdas_rejected():
 def test_default_fit_window():
     g = TorusGrid.midpoint(1, 50000)
     lams = np.geomspace(1e-4, 1.0, 48).tolist()
-    curve = matrix_density(PolyMatrix([[parse_poly("z1 - 1")]]), 1, lams, g)
+    curve = matrix_density(PolyMatrix([[parse_poly("z1 - 1")]]), lams, g)
     lo, hi = default_fit_window(curve)
     assert lo >= lams[0]
     assert hi <= lams[-1]

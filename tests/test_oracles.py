@@ -26,7 +26,11 @@ or a one-dimensional integral of one (scipy, imported only here).
   u/2), and Delta_2 = 4 - z1 - z1^-1 - z2 - z2^-1, whose F is a scipy
   integral of Delta_1's split at its kinks; and matrices whose grams are
   Delta_2 on each of their k non-zero eigenvalues, so that F(lam) =
-  f_zero + k F_(Delta_2)(lam^2).
+  f_zero + k F_(Delta_2)(lam^2).  The cube Laplacian Delta_3 = 6 - sum_j
+  (z_j + z_j^-1), whose F is a scipy integral of Delta_2's.
+* The midpoint bracket: on a cell of half-width pi/N each singular value
+  moves by at most delta = K pi / N (Weyl), with K from the coefficients,
+  so F_hat_N(lam - delta) <= F(lam) <= F_hat_N(lam + delta).
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ def _product_density(lam: float) -> float:
 
 
 def _errors(p: LaurentPoly, want, grid: TorusGrid) -> list[float]:
-    curve = matrix_density(PolyMatrix([[p]]), 1, LAMBDAS, grid)
+    curve = matrix_density(PolyMatrix([[p]]), LAMBDAS, grid)
     return [abs(f - want(lam)) for lam, f in zip(LAMBDAS, curve.estimates)]
 
 
@@ -141,7 +145,7 @@ def _spectrum_matrix(name: str) -> tuple[PolyMatrix, list[float]]:
 def _spectrum_errors(name: str, grid: TorusGrid) -> list[float]:
     A, moduli = _spectrum_matrix(name)
     lams = [0.1 * 1.25**i for i in range(20)]  # 0.1 to 6.9: every arc opens and closes
-    curve = matrix_density(A, len(moduli), lams, grid)
+    curve = matrix_density(A, lams, grid)
     assert curve.f_zero == 0
     return [
         abs(f - sum(arc_measure(r, lam) for r in moduli))
@@ -235,7 +239,7 @@ def _linear_density(a: Linear, b: Linear, lam: float) -> float:
 
 def _linear_errors(a: Linear, b: Linear, n: int) -> list[float]:
     grid = TorusGrid.midpoint(2, n)
-    curve = matrix_density(PolyMatrix([[_linear_poly(a, b)]]), 1, LINEAR_LAMBDAS, grid)
+    curve = matrix_density(PolyMatrix([[_linear_poly(a, b)]]), LINEAR_LAMBDAS, grid)
     return [abs(f - _linear_density(a, b, lam)) for lam, f in zip(LINEAR_LAMBDAS, curve.estimates)]
 
 
@@ -352,7 +356,7 @@ LAPLACIAN_LAMBDAS = [0.01, 0.1, 0.5, 1.0, 1.9, 2.0, 3.0, 4.0, 5.5, 6.0, 7.0, 7.9
 def test_laplacian_density_matches_its_closed_form(dim, n):
     want = _circle_laplacian_density if dim == 1 else _square_laplacian_density
     grid = TorusGrid.midpoint(dim, n)
-    curve = matrix_density(PolyMatrix([[_laplacian(dim)]]), 1, LAPLACIAN_LAMBDAS, grid)
+    curve = matrix_density(PolyMatrix([[_laplacian(dim)]]), LAPLACIAN_LAMBDAS, grid)
     errors = [abs(f - want(lam)) for lam, f in zip(LAPLACIAN_LAMBDAS, curve.estimates)]
     assert max(errors) <= grid.epsilon_quad()
 
@@ -397,7 +401,113 @@ def test_laplacian_rows_are_orthogonal_with_norm_delta_2():
 def test_laplacian_matrix_density_matches_the_square_laplacian(name, n):
     A, k, f_zero = LAPLACIAN_MATRICES[name]
     grid = TorusGrid.midpoint(2, n)
-    curve = matrix_density(A, k, [math.sqrt(u) for u in LAPLACIAN_LAMBDAS], grid)
+    curve = matrix_density(A, [math.sqrt(u) for u in LAPLACIAN_LAMBDAS], grid)
     assert curve.f_zero == f_zero
     want = [f_zero + k * _square_laplacian_density(u) for u in LAPLACIAN_LAMBDAS]
     assert max(abs(f - w) for f, w in zip(curve.estimates, want)) <= grid.epsilon_quad()
+
+
+# -- the midpoint bracket -----------------------------------------------------
+
+
+def _bracket_delta(A: PolyMatrix, n: int) -> float:
+    """delta = K pi / n rounded up, K = sqrt(sum over entries of (sum_t |c_t| ||t||_1)^2).
+
+    On a midpoint cell of half-width pi/n each entry moves by at most
+    (pi/n) sum_t |c_t| ||t||_1, so A moves by at most delta in operator
+    norm, and by Weyl's inequality so does each of its singular values.
+    """
+    k2 = sum(
+        sum(abs(complex(c)) * sum(map(abs, t)) for t, c in p.terms.items()) ** 2
+        for row in A.entries
+        for p in row
+    )
+    return math.sqrt(k2) * math.pi / n * (1.0 + 1e-12)  # the margin covers the float steps
+
+
+def _assert_bracketed(A: PolyMatrix, exact, lams: list[float], n: int) -> None:
+    """F_hat_N(lam - delta) <= exact(lam) <= F_hat_N(lam + delta) at each lambda, N = n per axis.
+
+    The lower end is f_zero where lam <= delta, since F never falls below F(0).
+    """
+    grid = TorusGrid.midpoint(A.dim, n)
+    delta = _bracket_delta(A, n)
+    upper = matrix_density(A, [lam + delta for lam in lams], grid)
+    inside = [lam - delta for lam in lams if lam > delta]
+    lower = [upper.f_zero] * (len(lams) - len(inside))
+    if inside:
+        lower += matrix_density(A, inside, grid).estimates
+    for lam, lo, hi in zip(lams, lower, upper.estimates):
+        assert lo <= exact(lam) <= hi, (lam, lo, exact(lam), hi)
+
+
+#: name: (p, exact F, points per axis); z1^10 - 1 has the law of z - 1, and its
+#: midpoint error at N = 100 (ten arcs per sublevel set) exceeds the declared epsilon
+BRACKETED = {
+    "product": (PRODUCT, _product_density, [100, 300, 1000]),
+    "square-laplacian": (_laplacian(2), _square_laplacian_density, [100, 300]),
+    "z1^10 - 1": (_poly(1, {(10,): 1, (0,): -1}), lambda lam: arc_measure(1.0, lam), [100]),
+}
+
+
+@pytest.mark.parametrize(
+    "name, n", [(name, n) for name, (_, _, ns) in BRACKETED.items() for n in ns]
+)
+def test_midpoint_bracket_holds_the_exact_density(name, n):
+    p, exact, _ = BRACKETED[name]
+    _assert_bracketed(PolyMatrix([[p]]), exact, LAMBDAS, n)
+
+
+# -- the cube Laplacian -------------------------------------------------------
+
+
+def _cube_laplacian_density(lam: float) -> float:
+    """F of 6 - sum_j (z_j + z_j^-1) at lam, to about 1e-11.
+
+    Over theta3 the square Laplacian must stay below lam - 2 + 2 cos(theta3),
+    so F_3(lam) = (1/pi) int_0^pi F_2(lam - 2 + 2 cos t) dt; the integrand
+    has kinks where that bound is 0, 4 or 8.
+    """
+    integrate = pytest.importorskip("scipy.integrate")
+    cuts = ((2.0 - lam) / 2.0, (6.0 - lam) / 2.0, (10.0 - lam) / 2.0)
+    kinks = [math.acos(x) for x in cuts if -1.0 < x < 1.0]
+
+    def inner(t: float) -> float:
+        u = lam - 2.0 + 2.0 * math.cos(t)
+        return 0.0 if u <= 0.0 else 1.0 if u >= 8.0 else _square_laplacian_density(u)
+
+    value, _ = integrate.quad(
+        inner, 0.0, math.pi, points=kinks or None, epsabs=1e-12, epsrel=1e-10, limit=200
+    )
+    return value / math.pi
+
+
+#: 11 lambdas across (0, 12), the spectrum of the cube Laplacian
+CUBE_LAMBDAS = [0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 11.9]
+
+
+@pytest.mark.parametrize("n", [50, 100])
+def test_cube_laplacian_density_matches_its_integral(n):
+    A = PolyMatrix([[_laplacian(3)]])
+    grid = TorusGrid.midpoint(3, n)
+    curve = matrix_density(A, CUBE_LAMBDAS, grid)
+    want = [_cube_laplacian_density(lam) for lam in CUBE_LAMBDAS]
+    assert max(abs(f - w) for f, w in zip(curve.estimates, want)) <= grid.epsilon_quad()
+    _assert_bracketed(A, _cube_laplacian_density, CUBE_LAMBDAS, n)
+
+
+def test_cube_laplacian_integral_is_symmetric_and_ends_exactly():
+    # lam -> 12 - lam is theta -> theta + pi on all three axes
+    for lam in CUBE_LAMBDAS:
+        assert _cube_laplacian_density(12.0 - lam) == pytest.approx(
+            1.0 - _cube_laplacian_density(lam), abs=1e-10
+        )
+    assert _cube_laplacian_density(12.0) == pytest.approx(1.0, abs=1e-12)
+    assert _cube_laplacian_density(1e-300) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_cube_laplacian_small_lambda_law():
+    # near 0 the Laplacian is |theta|^2, so F(lam) ~ (4/3) pi lam^(3/2) / (2 pi)^3: alpha = 3/2
+    assert _cube_laplacian_density(1e-3) * 6.0 * math.pi**2 / 1e-3**1.5 == pytest.approx(
+        1.0, abs=2e-4
+    )
