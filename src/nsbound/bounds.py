@@ -83,9 +83,10 @@ def _root_up(x: float, n: int) -> float:
 def bound_coefficient(k: int, d: int, wd: int, lead_abs: float, b_l1: float) -> float:
     """Prefactor so that the bound at lambda is coefficient * lambda^(1/(d*wd)).
 
-    The factor (k^2 * b_l1)^(k-1) / lead_abs under the root is rounded to a
-    float first; an ``OverflowError`` names it, or the coefficient, when it
-    leaves the float range.
+    The factor x = (k^2 * b_l1)^(k-1) / lead_abs under the root is exact;
+    where it leaves the float range, 2^(n*s) (n = d*wd) is split off before
+    the float root and 2^s multiplied back.  The coefficient is rounded up
+    once, and an ``OverflowError`` names it when it leaves the float range.
     """
     if k < 1 or d < 1 or wd < 0:
         raise ValueError("need k >= 1, d >= 1, wd >= 0")
@@ -94,12 +95,13 @@ def bound_coefficient(k: int, d: int, wd: int, lead_abs: float, b_l1: float) -> 
     if wd < 1:
         raise ValueError("no power-law coefficient in the step case")
     n = d * wd
+    x = _norm_factor(k, b_l1) / Fraction(lead_abs)
+    # x < 2^(e + 1) and n*s >= e - 1022, so x / 2^(n*s) < 2^1023 fits a float
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    s = max(0, -((1022 - e) // n))
+    root = Fraction(_root_up(_float_up(x / 2 ** (n * s)), n)) * 2**s
     try:
-        inner = _float_up(_norm_factor(k, b_l1) / Fraction(lead_abs))
-    except OverflowError:
-        raise OverflowError("(k^2*||B||_1)^(k-1) / |lead| overflows a float") from None
-    try:
-        return _float_up(Fraction(SPECTRAL_CONSTANT) * (k * n) * Fraction(_root_up(inner, n)))
+        return _float_up(Fraction(SPECTRAL_CONSTANT) * (k * n) * root)
     except OverflowError:
         raise OverflowError("the bound coefficient overflows a float") from None
 
@@ -156,11 +158,11 @@ class BoundReport:
 
     @cached_property
     def lead_abs(self) -> float:
-        """The largest float <= |lead| (it sits in a denominator)."""
-        f = _lead_abs_down(self)
-        if f == 0.0:
-            raise OverflowError("leading coefficient modulus underflows to zero")
-        return f
+        """The largest float <= |lead|: 0.0 where it underflows, and ``analyze`` drops the report."""
+        try:
+            return _abs_down(self.profile.lead)
+        except OverflowError:
+            raise OverflowError("|lead| overflows a float") from None
 
     @cached_property
     def coefficient(self) -> float | None:
@@ -212,14 +214,6 @@ class BoundReport:
         return math.nextafter(self.coefficient * root, math.inf)
 
 
-def _lead_abs_down(r: BoundReport) -> float:
-    """``_abs_down`` of the report's lead, with an ``OverflowError`` that names |lead|."""
-    try:
-        return _abs_down(r.profile.lead)
-    except OverflowError:
-        raise OverflowError("|lead| overflows a float") from None
-
-
 def _report_quality(r: BoundReport) -> tuple[float, float]:
     """Sort key: larger is better, deterministic; a step's alpha is inf, so it wins."""
     return (r.alpha_lower, r.step_threshold_matrix if r.is_step else -r.coefficient)
@@ -253,14 +247,13 @@ def analyze(
         raise ValueError(f"unknown minor mode {minor!r}")
     if A.dim < 1:
         raise ValueError("need a matrix over d >= 1 variables")
-    if A.is_zero():
-        raise ZeroMatrixError("cannot analyze the zero matrix")
-    if minor == "first":
-        certs = [max_nonvanishing_minor(A)]
-    else:
-        certs = maximal_minors(A, minor_cap)
+    try:
+        certs = [max_nonvanishing_minor(A)] if minor == "first" else maximal_minors(A, minor_cap)
+    except ZeroMatrixError:
+        raise ZeroMatrixError("cannot analyze the zero matrix") from None
     reports = [BoundReport(A.rows, A.cols, c, best_ordering(c.det, ordering)) for c in certs]
-    # a candidate whose |lead| underflows has no bound and drops out; when none
-    # is left, max keys the first, whose lead_abs raises the OverflowError
-    bounded = [r for r in reports if _lead_abs_down(r) > 0.0]
-    return max(bounded or reports, key=_report_quality)
+    # a candidate whose |lead| underflows has no bound and drops out
+    bounded = [r for r in reports if r.lead_abs > 0.0]
+    if not bounded:
+        raise OverflowError("leading coefficient modulus underflows to zero")
+    return max(bounded, key=_report_quality)

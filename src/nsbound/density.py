@@ -53,7 +53,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .matrices import PolyMatrix, ZeroMatrixError, _greedy_basis
+from .matrices import PolyMatrix
 from .poly import (
     GaussianRational,
     LaurentPoly,
@@ -321,9 +321,9 @@ def matrix_density(
     max(rows, cols) - rank almost everywhere; only the smaller gram is
     formed, A A* of A or of its transpose when A is tall, and the
     |rows - cols| exact zero eigenvalues are added as a constant.  The
-    analytic f_zero = max(rows, cols) - rank A reads the rank from the
-    greedy pass behind ``--minor first`` (``matrices._greedy_basis``); a
-    zero matrix larger than 1x1 has no rank and raises ``ZeroMatrixError``.
+    analytic f_zero = max(rows, cols) - rank A reads the rank found once
+    per matrix and shared with ``analyze`` (``PolyMatrix._first_basis``),
+    which raises ``ZeroMatrixError`` for a zero matrix larger than 1x1.
 
     A 1x1 matrix [[p]] is the fraction of the torus where |p| <= lambda.
     A zero p raises ``ZeroPolynomialError``.  A one-term p is the exact
@@ -347,11 +347,9 @@ def matrix_density(
             counts = tuple(grid.total if Fraction(x) ** 2 >= scale2 else 0 for x in lam)
             return DensityCurve(lam, counts, grid.total, 0)
         entries = [[p * (GaussianRational(1) / lead)]]
-    elif A.is_zero():
-        raise ZeroMatrixError("the zero matrix has no non-vanishing minor")
     elif A.rows > A.cols:
         entries = tuple(zip(*entries))
-    rank = 1 if A.rows == A.cols == 1 else len(_greedy_basis(A)[0])
+    rank = len(A._first_basis()[0])
     thresholds = _squared_thresholds(lam, scale2)
     count_chunk = _chunk_counter(entries, thresholds, grid)
     totals = sum(count_chunk(a, b) for a, b in grid.block_ranges())

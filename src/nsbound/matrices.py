@@ -13,9 +13,11 @@ only at the edges.  A determinant is one sweep over its rows
 first maximal minor behind ``--minor first`` comes from one greedy pass
 built with the same step (:func:`_greedy_basis`): its kept vectors are one
 index set and the first key of its last level the other, and one
-determinant certifies it.  The sweep forms 2^n - n - 1 minors for an n x n
-determinant, exponential in n but with no quotients whose term counts
-outgrow the minors.  Cofactor expansion is kept as an independent oracle.
+determinant certifies it.  A matrix runs the pass at most once and keeps
+it, so ``analyze`` and ``matrix_density`` share its rank.  The sweep forms
+2^n - n - 1 minors for an n x n determinant, exponential in n but with no
+quotients whose term counts outgrow the minors; cofactor expansion is kept
+as an independent oracle.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class MinorSearchCapExceeded(RuntimeError):
 class PolyMatrix:
     """A rectangular matrix of LaurentPoly entries sharing one dimension."""
 
-    __slots__ = ("rows", "cols", "dim", "entries")
+    __slots__ = ("rows", "cols", "dim", "entries", "_basis")
 
     def __init__(self, entries: Sequence[Sequence[LaurentPoly]]):
         rows = [list(r) for r in entries]
@@ -85,6 +87,12 @@ class PolyMatrix:
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for r in self.entries for p in r)
+
+    def _first_basis(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """:func:`_greedy_basis` of the matrix, found on first use and kept."""
+        if not hasattr(self, "_basis"):
+            self._basis = _greedy_basis(self)
+        return self._basis
 
     def submatrix(self, rows: Iterable[int], cols: Iterable[int]) -> PolyMatrix:
         rows = list(rows)
@@ -332,7 +340,8 @@ def _greedy_basis(A: PolyMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     exactly when it is a basis of the short side restricted to the kept
     vectors, so its first key is the first such basis.  Restricting to a
     basis of the other side keeps every dependency, so the two sets are the
-    first row basis and the first column basis of A.
+    first row basis and the first column basis of A.  The zero matrix keeps
+    no vector and raises ``ZeroMatrixError``.
     """
     _, rows = _scaled_kernel(A)
     tall = A.rows >= A.cols
@@ -345,6 +354,8 @@ def _greedy_basis(A: PolyMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
             level = extended
             if len(kept) == len(v):
                 break
+    if not kept:
+        raise ZeroMatrixError("the zero matrix has no non-vanishing minor")
     first = next(iter(level))
     return (tuple(kept), first) if tall else (first, tuple(kept))
 
@@ -356,12 +367,10 @@ def max_nonvanishing_minor(A: PolyMatrix) -> MinorCertificate:
     in lexicographic order within a size (rows outer, columns inner), would
     find first: I, the lexicographically first set of rank(A) independent
     rows, and J, the lexicographically first set of independent columns of
-    A[I, :].  One greedy pass (:func:`_greedy_basis`) finds both, and one
-    determinant of A[I, J] certifies them.  The zero matrix is rejected.
+    A[I, :].  The matrix's greedy pass (:func:`_greedy_basis`) finds both
+    and rejects the zero matrix; one determinant of A[I, J] certifies them.
     """
-    if A.is_zero():
-        raise ZeroMatrixError("the zero matrix has no non-vanishing minor")
-    rows, cols = _greedy_basis(A)
+    rows, cols = A._first_basis()
     sub = A.submatrix(rows, cols)
     return MinorCertificate(rows, cols, determinant(sub), _b_l1(sub))
 
@@ -370,15 +379,12 @@ def maximal_minors(A: PolyMatrix, cap: int = DEFAULT_MINOR_CAP) -> list[MinorCer
     """Every non-vanishing minor of maximal size, in enumeration order.
 
     The maximal size is min(rows, cols) unless all of those minors vanish;
-    then it is rank(A), from one greedy pass (:func:`_greedy_basis`), and
-    no size in between is enumerated.  ``cap`` bounds the candidates at
-    each size enumerated (see :func:`iter_nonvanishing_minors`).  The zero
-    matrix is rejected.
+    then it is rank(A), from the matrix's greedy pass, and no size in
+    between is enumerated.  ``cap`` bounds the candidates at each size
+    enumerated (see :func:`iter_nonvanishing_minors`).  The zero matrix is
+    rejected first, so it is never enumerated and never meets the cap.
     """
     if A.is_zero():
         raise ZeroMatrixError("the zero matrix has no non-vanishing minor")
     certs = list(iter_nonvanishing_minors(A, min(A.rows, A.cols), cap))
-    if not certs:
-        rank = len(_greedy_basis(A)[0])
-        certs = list(iter_nonvanishing_minors(A, rank, cap))
-    return certs
+    return certs or list(iter_nonvanishing_minors(A, len(A._first_basis()[0]), cap))

@@ -141,6 +141,8 @@ def _float_up(x: Fraction) -> float:
     f = float(x)
     if Fraction(f) < x:
         f = math.nextafter(f, math.inf)
+        if f == math.inf:
+            raise OverflowError("rounding up leaves the float range")
     return f
 
 

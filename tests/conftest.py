@@ -101,3 +101,16 @@ def count_swept_minors(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(matrices, "_expand_level", counting)
     return formed
+
+
+def count_greedy_passes(monkeypatch) -> list[PolyMatrix]:
+    """Record the matrix of each greedy rank pass (``matrices._greedy_basis``)."""
+    passes: list[PolyMatrix] = []
+    real = matrices._greedy_basis
+
+    def counting(A):
+        passes.append(A)
+        return real(A)
+
+    monkeypatch.setattr(matrices, "_greedy_basis", counting)
+    return passes

@@ -8,6 +8,7 @@ to quadrature error when the largest violation is at most
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from nsbound import (
@@ -25,6 +26,16 @@ def rescale_lambda(k: int, b_l1: float, lam: float) -> float:
     """(k^2 * b_l1)^(k-1) * lam, rounded up: the bound's argument change
     from the matrix density to that of det B."""
     return _float_up(_norm_factor(k, b_l1) * Fraction(lam))
+
+
+def decimal_bound(k: int, b1: float, d: int, wd: int, lead: float, lam: float):
+    """Coefficient and bound at lam from the formula in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        root = Decimal(1) / (d * wd)
+        inner = Decimal(k) ** (2 * k - 2) * Decimal(b1) ** (k - 1) / Decimal(lead)
+        coeff = (Decimal(192) / 47).sqrt() * k * d * wd * inner**root
+        return coeff, coeff * Decimal(lam) ** root if lam else Decimal(0)
 
 
 def product_violations(

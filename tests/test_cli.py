@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +17,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nsbound
+from nsbound import format_matrix, parse_matrix
 from nsbound.bounds import BoundReport
 from nsbound.density import TorusGrid
 from nsbound.cli import main
 
-from conftest import EXAMPLE_MATRIX_TEXT
+from conftest import (
+    EXAMPLE_MATRIX_TEXT,
+    RANK3_LEFT,
+    RANK3_RIGHT,
+    count_greedy_passes,
+    matrix_product,
+)
+from lemmas import decimal_bound
 
 
 @pytest.fixture
@@ -208,16 +217,12 @@ HUGE_NORM_DIAGONAL = "[[1" + "0" * 200 + "*z1, 0, 0], [0, 1" + "0" * 200 + "*z2,
         # every entry fits a float, but det(B)'s lead 10^400 does not
         ("huge-lead.mat", "[[1" + "0" * 200 + "*z1, 0], [0, 1" + "0" * 200 + "*z2]]\n",
          ["verify", "--grid", "8"], "|lead| overflows a float"),
-        # |lead| = 1 and ||B||_1 = 10^200, so (k^2*||B||_1)^(k-1) / |lead| is near 10^401
-        ("huge-factor.mat", HUGE_NORM_DIAGONAL.format("1/1" + "0" * 400 + "*z3 + 1/1" + "0" * 400),
-         ["analyze"], "(k^2*||B||_1)^(k-1) / |lead| overflows a float"),
         # k = d*wd = 1 and |lead| = 10^-308: the coefficient is C / |lead|, about 2*10^308
         ("huge-bound.poly", "1/1" + "0" * 308 + "*z1 + 1/1" + "0" * 308 + "\n",
          ["analyze"], "the bound coefficient overflows a float"),
     ],
     ids=[
-        "tiny-lead", "huge-coefficient", "huge-gram", "complex-norm", "huge-lead", "huge-factor",
-        "huge-bound",
+        "tiny-lead", "huge-coefficient", "huge-gram", "complex-norm", "huge-lead", "huge-bound",
     ],
 )
 def test_float_range_exit_2(capsys, tmp_path, name, text, command, message):
@@ -225,6 +230,22 @@ def test_float_range_exit_2(capsys, tmp_path, name, text, command, message):
     f.write_text(text)
     code, out, err = run(capsys, *command, str(f))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_factor_beyond_the_float_range_still_gives_the_bound(capsys, tmp_path):
+    # |lead| = 1 and ||B||_1 = 10^200, so (k^2*||B||_1)^(k-1) / |lead| is near 8.1*10^401,
+    # but its cube root times C*k*d*wd, the coefficient, is near 1.7*10^135
+    f = tmp_path / "huge-factor.mat"
+    f.write_text(HUGE_NORM_DIAGONAL.format("1/1" + "0" * 400 + "*z3 + 1/1" + "0" * 400))
+    code, out, err = run(capsys, "analyze", str(f))
+    assert (code, err) == (0, "")
+    b1 = 1.0000000000000001e200
+    assert f"||B||_1 = {b1:.17g}\n" in out and "lead = 1, |lead| = 1\n" in out
+    line = next(x for x in out.splitlines() if x.startswith("bound: "))
+    assert line.endswith(" * lambda^0.333333")
+    got = Decimal(float(line.split()[-3]))
+    want, _ = decimal_bound(3, b1, 3, 1, 1.0, 0.0)
+    assert want * (1 - Decimal("1e-50")) <= got <= want * (1 + Decimal("1e-12"))
 
 
 def test_step_threshold_that_underflows_gives_no_guarantee(capsys, tmp_path):
@@ -455,6 +476,24 @@ def test_zero_matrix_exit_3(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", str(f))
     assert code == 3
     assert out == ""
+
+
+@pytest.mark.parametrize("minor", ["first", "best"])
+@pytest.mark.parametrize("command", ["density", "verify"])
+@pytest.mark.parametrize("shape", ["reference", "rank3-5x6"])
+def test_run_makes_one_greedy_rank_pass(capsys, tmp_path, monkeypatch, shape, command, minor):
+    # analyze and matrix_density share the matrix's rank: the reference matrix is
+    # full rank, so best mode's sweep needs no pass until matrix_density asks
+    A = {
+        "reference": parse_matrix(EXAMPLE_MATRIX_TEXT),
+        "rank3-5x6": matrix_product(parse_matrix(RANK3_LEFT), parse_matrix(RANK3_RIGHT)),
+    }[shape]
+    f = tmp_path / "A.mat"
+    f.write_text(format_matrix(A))
+    passes = count_greedy_passes(monkeypatch)
+    code, out, err = run(capsys, command, str(f), "--minor", minor, "--grid", "8")
+    assert code in (0, 1) and err == ""
+    assert len(passes) == 1
 
 
 @pytest.fixture

@@ -463,6 +463,29 @@ def test_matrix_density_reads_f_zero_from_the_matrix(A, f_zero, minor):
     assert curve.f_zero == analyze(A, minor=minor).f_zero == f_zero
 
 
+@st.composite
+def rank_deficient_products(draw):
+    """U @ V with random_poly entries: m x r times r x n, m <= 5, n <= 6, r <= 3."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    m, n, dim = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 2))
+    r = draw(st.integers(1, min(3, m, n)))
+    U = [[random_poly(rng, dim, max_terms=2, exp_range=2) for _ in range(r)] for _ in range(m)]
+    V = [[random_poly(rng, dim, max_terms=2, exp_range=2) for _ in range(n)] for _ in range(r)]
+    zero = LaurentPoly.zero(dim)
+    return [[sum((U[i][t] * V[t][j] for t in range(r)), zero) for j in range(n)] for i in range(m)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank_deficient_products())
+def test_matrix_density_f_zero_matches_analyze_on_products_property(entries):
+    # each call gets its own PolyMatrix, so none reads a rank another found
+    assume(not PolyMatrix(entries).is_zero())
+    grid = TorusGrid.midpoint(PolyMatrix(entries).dim, 3)
+    curve = matrix_density(PolyMatrix(entries), [1.0], grid)
+    for minor in ("first", "best"):
+        assert curve.f_zero == analyze(PolyMatrix(entries), minor=minor).f_zero
+
+
 @pytest.mark.parametrize(
     "grid", [TorusGrid.midpoint(2, 60), TorusGrid.lattice(2, 5003, seed=7)],
     ids=["midpoint", "lattice"],

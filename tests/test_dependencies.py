@@ -13,6 +13,7 @@ import nsbound
 
 PACKAGE = Path(nsbound.__file__).parent
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
+TESTS = Path(__file__).parent
 
 
 def _absolute_imports(path: Path) -> set[str]:
@@ -43,3 +44,12 @@ def test_pyproject_declares_numpy_alone():
     project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in project["dependencies"]]
     assert names == ["numpy"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_modules_parse_as_python_3_10(path):
+    # pyproject.toml declares requires-python >= 3.10
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -14,11 +14,13 @@ from nsbound import (
     GaussianRational,
     LaurentPoly,
     PolyMatrix,
+    TorusGrid,
     analyze,
     determinant,
     determinant_cofactor,
     format_poly,
     iter_nonvanishing_minors,
+    matrix_density,
     max_nonvanishing_minor,
     minor,
     parse_matrix,
@@ -486,6 +488,32 @@ def test_best_minor_6x6_sweeps_57_minors_and_runs_no_determinant(monkeypatch):
 def test_maximal_minors_zero_matrix_rejected():
     with pytest.raises(ZeroMatrixError):
         maximal_minors(parse_matrix("[[0, 0]]"))
+
+
+NO_MINOR = "the zero matrix has no non-vanishing minor"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda A: analyze(A, minor="first"), "cannot analyze the zero matrix"),
+        (lambda A: analyze(A, minor="best"), "cannot analyze the zero matrix"),
+        # every shape but 2x2 has more candidates than the cap: none is searched
+        (lambda A: analyze(A, minor="best", minor_cap=1), "cannot analyze the zero matrix"),
+        (max_nonvanishing_minor, NO_MINOR),
+        (maximal_minors, NO_MINOR),
+        (lambda A: matrix_density(A, [1.0], TorusGrid.midpoint(1, 4)), NO_MINOR),
+    ],
+    ids=["analyze-first", "analyze-best", "analyze-best-cap-1", "max_nonvanishing_minor",
+         "maximal_minors", "matrix_density"],
+)
+@pytest.mark.parametrize("rows, cols", [(1, 2), (2, 2), (3, 1)])
+def test_zero_matrix_raises_the_same_error_everywhere(call, message, rows, cols):
+    # the greedy rank pass is the one zero test; analyze names itself in its message
+    A = PolyMatrix([[LaurentPoly.zero(1)] * cols] * rows)
+    with pytest.raises(ZeroMatrixError) as excinfo:
+        call(A)
+    assert (type(excinfo.value), str(excinfo.value)) == (ZeroMatrixError, message)
 
 
 # -- norms -------------------------------------------------------------------------

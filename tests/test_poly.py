@@ -25,6 +25,7 @@ from nsbound.poly import (
     ZeroPolynomialError,
     _abs_down,
     _abs_up,
+    _float_up,
     _power_table,
     _rows_drawn,
 )
@@ -192,6 +193,15 @@ def test_abs_bounds_enclose_the_modulus_tightly(c):
     assert c.abs2() <= hi**2 <= c.abs2() * (1 + Fraction(1, 2**98))
     n, d = c.abs2().as_integer_ratio()
     assert (hi**2 == c.abs2()) == (math.isqrt(n * d) ** 2 == n * d)
+
+
+def test_float_up_raises_just_past_the_largest_float():
+    # float() of the value just past it rounds down to the largest float, and
+    # stepping up from there leaves the float range
+    top = Fraction(sys.float_info.max)
+    assert _float_up(top) == sys.float_info.max
+    with pytest.raises(OverflowError):
+        _float_up(top + 1)
 
 
 def _decimal_l1(p: LaurentPoly) -> Decimal:
