@@ -215,7 +215,16 @@ class BoundReport:
 
 
 def _report_quality(r: BoundReport) -> tuple[float, float]:
-    """Sort key: larger is better, deterministic; a step's alpha is inf, so it wins."""
+    """Sort key: larger is better, deterministic; a step's alpha is inf, so it wins.
+
+    A report without a bound raises the ``OverflowError`` that names why:
+    ||B||_1 or |lead| beyond the float range, |lead| underflowing to 0.0,
+    or the bound coefficient overflowing, checked in that order.
+    """
+    if r.minor.b_l1 == math.inf:
+        raise OverflowError("||B||_1 overflows a float")
+    if r.lead_abs == 0.0:
+        raise OverflowError("leading coefficient modulus underflows to zero")
     return (r.alpha_lower, r.step_threshold_matrix if r.is_step else -r.coefficient)
 
 
@@ -234,8 +243,8 @@ def analyze(
     guarantee wins: a step before a power law, the larger threshold between
     steps, and between power laws the larger alpha lower bound, then the
     smaller coefficient; a full tie keeps the first candidate.  A candidate
-    whose |lead| underflows to 0.0 is dropped; ``OverflowError`` is raised
-    only when every candidate is.
+    without a bound (see :func:`_report_quality`) is dropped; when every
+    candidate is, the first one's ``OverflowError`` is raised.
     ``minor_cap`` bounds the candidates at each size the "best" enumeration
     tries (see :func:`maximal_minors`), which raises MinorSearchCapExceeded
     beyond it; "first" enumerates nothing and ignores it.  The zero matrix
@@ -251,9 +260,13 @@ def analyze(
         certs = [max_nonvanishing_minor(A)] if minor == "first" else maximal_minors(A, minor_cap)
     except ZeroMatrixError:
         raise ZeroMatrixError("cannot analyze the zero matrix") from None
-    reports = [BoundReport(A.rows, A.cols, c, best_ordering(c.det, ordering)) for c in certs]
-    # a candidate whose |lead| underflows has no bound and drops out
-    bounded = [r for r in reports if r.lead_abs > 0.0]
-    if not bounded:
-        raise OverflowError("leading coefficient modulus underflows to zero")
-    return max(bounded, key=_report_quality)
+    ranked, unbounded = [], []
+    for c in certs:
+        report = BoundReport(A.rows, A.cols, c, best_ordering(c.det, ordering))
+        try:
+            ranked.append((_report_quality(report), report))
+        except OverflowError as exc:
+            unbounded.append(exc)
+    if not ranked:
+        raise unbounded[0]
+    return max(ranked, key=lambda qr: qr[0])[1]

@@ -7,7 +7,9 @@ before it, so each product is an entry times a minor and nothing is
 divided.  It works on a small private kernel whose polynomials are plain
 dicts of Gaussian-integer coefficient pairs (Python ints), each row first
 scaled by the lcm of its coefficient denominators; ``LaurentPoly`` appears
-only at the edges.  A determinant is one sweep over its rows
+only at the edges.  A ``PolyMatrix`` converts its entries to the kernel,
+and forms their L1 norms, once, when it is built; every sweep, pass and
+norm of it reads those.  A determinant is one sweep over its rows
 (:func:`_laplace_levels`), and enumerating every minor of one size
 (``--minor best``) is one sweep whose row sets share their prefixes.  The
 first maximal minor behind ``--minor first`` comes from one greedy pass
@@ -52,9 +54,13 @@ class MinorSearchCapExceeded(RuntimeError):
 
 
 class PolyMatrix:
-    """A rectangular matrix of LaurentPoly entries sharing one dimension."""
+    """A rectangular matrix of LaurentPoly entries sharing one dimension.
 
-    __slots__ = ("rows", "cols", "dim", "entries", "_basis")
+    Building it forms, once, its row scales (the lcm of each row's
+    denominators), its row-scaled kernel and its entry L1 norms (inf past floats).
+    """
+
+    __slots__ = ("rows", "cols", "dim", "entries", "_scales", "_kernel", "_norms", "_basis")
 
     def __init__(self, entries: Sequence[Sequence[LaurentPoly]]):
         rows = [list(r) for r in entries]
@@ -65,11 +71,16 @@ class PolyMatrix:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
         dim = max(p.dim for r in rows for p in r)
-        lifted = [[p.lift(dim) for p in r] for r in rows]
         self.rows = len(rows)
         self.cols = ncols
         self.dim = dim
-        self.entries = tuple(tuple(r) for r in lifted)
+        self.entries = tuple(tuple(p.lift(dim) for p in r) for r in rows)
+        self._scales = [
+            math.lcm(*(x.denominator for p in r for c in p.terms.values() for x in (c.re, c.im)))
+            for r in self.entries
+        ]
+        self._kernel = [[_to_kernel(p, s) for p in r] for r, s in zip(self.entries, self._scales)]
+        self._norms = [[_norm(p) for p in r] for r in self.entries]
 
     def __getitem__(self, ij: tuple[int, int]) -> LaurentPoly:
         i, j = ij
@@ -100,8 +111,8 @@ class PolyMatrix:
         return PolyMatrix([[self.entries[i][j] for j in cols] for i in rows])
 
     def l1_norm(self) -> float:
-        """Max over entries of the entry L1 norms (0.0 for the zero matrix)."""
-        return max(p.l1_norm() for r in self.entries for p in r)
+        """Max over entries of the entry L1 norms: 0.0 for the zero matrix, inf past floats."""
+        return _b_l1(self, range(self.rows), range(self.cols))
 
 
 # -- the exact kernel ----------------------------------------------------------
@@ -120,6 +131,14 @@ def _scaled(x: Fraction, scale: int) -> int:
 
 def _to_kernel(p: LaurentPoly, scale: int) -> _KPoly:
     return {e: (_scaled(c.re, scale), _scaled(c.im, scale)) for e, c in p.terms.items()}
+
+
+def _norm(p: LaurentPoly) -> float:
+    """``p.l1_norm()``, or ``math.inf`` where it leaves the float range."""
+    try:
+        return p.l1_norm()
+    except OverflowError:
+        return math.inf
 
 
 def _from_kernel(dim: int, p: _KPoly, denominator: int) -> LaurentPoly:
@@ -179,22 +198,6 @@ def _det_cofactor(rows: Sequence[Sequence[LaurentPoly]], dim: int) -> LaurentPol
     return total
 
 
-def _row_scale(row: Sequence[LaurentPoly]) -> int:
-    """The lcm of the coefficient denominators in a row."""
-    return math.lcm(*(x.denominator for p in row for c in p.terms.values() for x in (c.re, c.im)))
-
-
-def _scaled_kernel(A: PolyMatrix) -> tuple[list[int], list[list[_KPoly]]]:
-    """The row scales of A and its rows, each times its scale, on the kernel.
-
-    Row i is scaled by the lcm s_i of its denominators (:func:`_row_scale`),
-    so its entries become Gaussian integers; a minor of the scaled matrix is
-    the minor of A times the scales of its rows.
-    """
-    scales = [_row_scale(row) for row in A.entries]
-    return scales, [[_to_kernel(p, s) for p in row] for row, s in zip(A.entries, scales)]
-
-
 def determinant(B: PolyMatrix) -> LaurentPoly:
     """Exact determinant of a square matrix, by one Laplace sweep.
 
@@ -206,9 +209,8 @@ def determinant(B: PolyMatrix) -> LaurentPoly:
     """
     if B.rows != B.cols:
         raise ValueError(f"determinant of a non-square {B.rows}x{B.cols} matrix")
-    scales, kernel = _scaled_kernel(B)
-    [(_, level)] = _laplace_levels(kernel, B.rows)
-    return _from_kernel(B.dim, level.get(tuple(range(B.cols)), {}), math.prod(scales))
+    [(_, level)] = _laplace_levels(B._kernel, B.rows)
+    return _from_kernel(B.dim, level.get(tuple(range(B.cols)), {}), math.prod(B._scales))
 
 
 def minor(A: PolyMatrix, rows: Iterable[int], cols: Iterable[int]) -> LaurentPoly:
@@ -229,7 +231,8 @@ class MinorCertificate:
     """A maximal non-vanishing minor: index sets, exact determinant.
 
     ``row_set`` and ``col_set`` are 0-based, and ``size`` is read from
-    them.  ``b_l1`` is the L1 norm of the selected square submatrix.
+    them.  ``b_l1`` is the L1 norm of the selected square submatrix,
+    ``math.inf`` where it leaves the float range.
     """
 
     row_set: tuple[int, ...]
@@ -242,12 +245,9 @@ class MinorCertificate:
         return len(self.row_set)
 
 
-def _b_l1(B: PolyMatrix) -> float:
-    """``B.l1_norm()``, with an ``OverflowError`` that names ||B||_1."""
-    try:
-        return B.l1_norm()
-    except OverflowError:
-        raise OverflowError("||B||_1 overflows a float") from None
+def _b_l1(A: PolyMatrix, rows: Iterable[int], cols: Sequence[int]) -> float:
+    """||A[rows, cols]||_1, read off the entry norms of A."""
+    return max(A._norms[i][j] for i in rows for j in cols)
 
 
 def _size_guard(m: int, n: int, k: int, cap: int) -> None:
@@ -312,25 +312,23 @@ def iter_nonvanishing_minors(
 
     Index sets are visited in lexicographic order (rows outer, columns
     inner), so the iteration order is deterministic.  The minors come from
-    one Laplace sweep (:func:`_laplace_levels`) over the row-scaled matrix
-    (:func:`_scaled_kernel`).
+    one Laplace sweep (:func:`_laplace_levels`) over the matrix's row-scaled
+    kernel, and each ||B||_1 from its entry norms; no submatrix is built.
     """
     if size < 1:
         raise ValueError(f"minor size must be at least 1, got {size}")
     _size_guard(A.rows, A.cols, size, cap)
-    scales, kernel = _scaled_kernel(A)
-    for I, minors in _laplace_levels(kernel, size):
-        scale = math.prod(scales[i] for i in I)
+    for I, minors in _laplace_levels(A._kernel, size):
+        scale = math.prod(A._scales[i] for i in I)
         for J, M in minors.items():
-            det = _from_kernel(A.dim, M, scale)
-            yield MinorCertificate(I, J, det, _b_l1(A.submatrix(I, J)))
+            yield MinorCertificate(I, J, _from_kernel(A.dim, M, scale), _b_l1(A, I, J))
 
 
 def _greedy_basis(A: PolyMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Row and column sets of the lexicographically first maximal minor of A.
 
-    One greedy pass over the vectors of the long side of the row-scaled
-    kernel (:func:`_scaled_kernel`) keeps each vector whose level, the kept
+    One greedy pass over the vectors of the long side of the matrix's
+    row-scaled kernel keeps each vector whose level, the kept
     vectors' maximal minors extended along it (:func:`_expand_level`), is
     non-empty, forming at most (rows + cols) * 2^min(rows, cols) minors;
     the first vector's level is its non-zero entries.
@@ -343,7 +341,7 @@ def _greedy_basis(A: PolyMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     first row basis and the first column basis of A.  The zero matrix keeps
     no vector and raises ``ZeroMatrixError``.
     """
-    _, rows = _scaled_kernel(A)
+    rows = A._kernel
     tall = A.rows >= A.cols
     kept: list[int] = []
     level: dict[tuple[int, ...], _KPoly] = {}
@@ -371,8 +369,7 @@ def max_nonvanishing_minor(A: PolyMatrix) -> MinorCertificate:
     and rejects the zero matrix; one determinant of A[I, J] certifies them.
     """
     rows, cols = A._first_basis()
-    sub = A.submatrix(rows, cols)
-    return MinorCertificate(rows, cols, determinant(sub), _b_l1(sub))
+    return MinorCertificate(rows, cols, minor(A, rows, cols), _b_l1(A, rows, cols))
 
 
 def maximal_minors(A: PolyMatrix, cap: int = DEFAULT_MINOR_CAP) -> list[MinorCertificate]:

@@ -114,3 +114,29 @@ def count_greedy_passes(monkeypatch) -> list[PolyMatrix]:
 
     monkeypatch.setattr(matrices, "_greedy_basis", counting)
     return passes
+
+
+def count_kernel_conversions(monkeypatch) -> list[LaurentPoly]:
+    """Record the entry of each conversion to the exact kernel (``matrices._to_kernel``)."""
+    converted: list[LaurentPoly] = []
+    real = matrices._to_kernel
+
+    def counting(p, scale):
+        converted.append(p)
+        return real(p, scale)
+
+    monkeypatch.setattr(matrices, "_to_kernel", counting)
+    return converted
+
+
+def count_entry_norms(monkeypatch) -> list[LaurentPoly]:
+    """Record the polynomial of each ``LaurentPoly.l1_norm`` call."""
+    normed: list[LaurentPoly] = []
+    real = LaurentPoly.l1_norm
+
+    def counting(p):
+        normed.append(p)
+        return real(p)
+
+    monkeypatch.setattr(LaurentPoly, "l1_norm", counting)
+    return normed

@@ -167,13 +167,18 @@ positive = st.floats(1e-6, 1e6)
 )
 # (k^2*b1)^(k-1) / lead, about 8.1e401, leaves the float range; the coefficient does not
 @example(3, 1e200, 3, 1, 1.0, 1e-300)
+# the bound, near 3.2e-312, is subnormal: its one-ulp rounding steps are 5e-324
+@example(1, 1.0, 1, 1, 14258.0, 2.2250738585072014e-308)
 def test_bound_rounds_up_against_decimal_evaluation(k, b1, d, wd, lead, lam):
     coeff, bound = decimal_bound(k, b1, d, wd, lead, lam)
     got_coeff = Decimal(bound_coefficient(k, d, wd, lead, b1))
     got_bound = Decimal(_power_report(k, d, wd, lead, b1).bound_at(lam))
-    # 1e-50 covers the decimal evaluation's own rounding; the excess is tiny
+    # 1e-50 covers the decimal evaluation's own rounding; the excess is tiny,
+    # except that a subnormal bound's rounding steps are absolute: two of the
+    # smallest subnormal, for the product's rounding and the ulp above it
     assert coeff * (1 - Decimal("1e-50")) <= got_coeff <= coeff * (1 + Decimal("1e-12"))
-    assert bound * (1 - Decimal("1e-50")) <= got_bound <= bound * (1 + Decimal("1e-12"))
+    excess = bound * Decimal("1e-12") + 2 * Decimal(5e-324)
+    assert bound * (1 - Decimal("1e-50")) <= got_bound <= bound + excess
     exact = k ** (2 * k - 2) * Fraction(b1) ** (k - 1) * Fraction(lam)
     up = rescale_lambda(k, b1, lam)
     assert Fraction(up) >= exact > Fraction(math.nextafter(up, -1.0)) or up == exact == 0
@@ -387,6 +392,25 @@ def test_best_minor_drops_a_candidate_whose_lead_modulus_underflows():
     best = analyze(A, minor="best")
     assert best.minor.col_set == (0,) and best.is_step and best.lead_abs == 1.0
     assert best == analyze(A, minor="first")
+
+
+@pytest.mark.parametrize(
+    "first, second, message",
+    [("huge", "tiny", "||B||_1 overflows a float"),
+     ("tiny", "huge", "leading coefficient modulus underflows to zero")],
+)
+def test_best_minor_raises_the_first_candidates_error_when_none_is_bounded(
+    first, second, message
+):
+    # 10^400*z1 + 1 has ||B||_1 and |lead| beyond the float range, and the norm
+    # is checked first; 10^-400*z1 + 1 has a |lead| that underflows
+    polys = {
+        "huge": parse_poly("1" + "0" * 400 + " * z1 + 1"),
+        "tiny": parse_poly("1/1" + "0" * 400 + " * z1 + 1"),
+    }
+    with pytest.raises(OverflowError) as excinfo:
+        analyze(PolyMatrix([[polys[first], polys[second]]]), minor="best")
+    assert str(excinfo.value) == message
 
 
 def test_analyze_zero_matrix_rejected():

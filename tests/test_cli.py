@@ -26,7 +26,9 @@ from conftest import (
     EXAMPLE_MATRIX_TEXT,
     RANK3_LEFT,
     RANK3_RIGHT,
+    count_entry_norms,
     count_greedy_passes,
+    count_kernel_conversions,
     matrix_product,
 )
 from lemmas import decimal_bound
@@ -193,6 +195,32 @@ def test_tiny_lead_candidate_drops_out_of_the_minor_choice(capsys, tmp_path, min
     assert code == 0
     assert err == ""
     assert "cols J = {1}\n" in out and "alpha: infinite-type\n" in out
+
+
+@pytest.mark.parametrize(
+    "text, first, best_cols",
+    [
+        # J = {2}: 10^400*z1 + 1 puts ||B||_1 beyond the float range
+        ("[[z1, 1" + "0" * 400 + "*z1 + 1]]\n", (0, ""), "{1}"),
+        # J = {2}: k = d*wd = 1 and |lead| = 10^-308, so the coefficient is about 2*10^308
+        ("[[z1 + 1, 1/1" + "0" * 308 + "*z1 + 1/1" + "0" * 308 + "]]\n", (0, ""), "{1}"),
+        # J = {1, 2}: det(B)'s lead 10^400 does not fit a float; {1, 3} and {2, 3} tie as steps
+        ("[[1" + "0" * 200 + "*z1, 0, 1], [0, 1" + "0" * 200 + "*z2, z1]]\n",
+         (2, "error: |lead| overflows a float\n"), "{1, 3}"),
+    ],
+    ids=["huge-norm", "huge-coefficient", "huge-lead"],
+)
+def test_unboundable_candidates_drop_out_of_the_minor_choice(
+    capsys, tmp_path, text, first, best_cols
+):
+    # --minor first keeps its one candidate's outcome; best bounds the others
+    f = tmp_path / "unboundable.mat"
+    f.write_text(text)
+    code, out, err = run(capsys, "analyze", str(f), "--minor", "first")
+    assert (code, err) == first
+    code, out, err = run(capsys, "analyze", str(f), "--minor", "best")
+    assert (code, err) == (0, "")
+    assert f"cols J = {best_cols}\n" in out
 
 
 #: diag(10^200*z1, 10^200*z2, e): k = 3 and ||B||_1 = 10^200 whatever e is
@@ -496,6 +524,25 @@ def test_run_makes_one_greedy_rank_pass(capsys, tmp_path, monkeypatch, shape, co
     assert len(passes) == 1
 
 
+@pytest.mark.parametrize("command", ["density", "verify"])
+@pytest.mark.parametrize("shape", ["reference", "rank3-5x6"])
+def test_best_minor_run_converts_each_entry_once(capsys, tmp_path, monkeypatch, shape, command):
+    # the minor sweep, the rank pass and every ||B||_1 read the kernel and the
+    # entry norms the matrix formed when it was parsed
+    A = {
+        "reference": parse_matrix(EXAMPLE_MATRIX_TEXT),
+        "rank3-5x6": matrix_product(parse_matrix(RANK3_LEFT), parse_matrix(RANK3_RIGHT)),
+    }[shape]
+    f = tmp_path / "A.mat"
+    f.write_text(format_matrix(A))
+    converted = count_kernel_conversions(monkeypatch)
+    normed = count_entry_norms(monkeypatch)
+    code, out, err = run(capsys, command, str(f), "--minor", "best", "--grid", "8")
+    assert code in (0, 1) and err == ""
+    entries = [p for row in A.entries for p in row]
+    assert converted == normed == entries
+
+
 @pytest.fixture
 def rank1_file(tmp_path):
     f = tmp_path / "rank1.mat"
@@ -712,14 +759,14 @@ COEFFICIENTS = [str(c) for c in range(1, 10)] + [
 
 
 @st.composite
-def matrix_texts(draw):
-    nvars = draw(st.integers(1, 2))
+def matrix_texts(draw, max_vars=2, exp_range=3, coefficients=COEFFICIENTS):
+    nvars = draw(st.integers(1, max_vars))
 
     def term():
-        factors = [draw(st.sampled_from(COEFFICIENTS))]
+        factors = [draw(st.sampled_from(coefficients))]
         for v in range(1, nvars + 1):
             if draw(st.booleans()):
-                factors.append(f"z{v}^{draw(st.integers(-3, 3))}")
+                factors.append(f"z{v}^{draw(st.integers(-exp_range, exp_range))}")
         return "*".join(factors)
 
     def entry():
@@ -744,3 +791,57 @@ def test_cli_never_escapes_on_random_small_inputs(tmp_path, text, workers):
     assert main(["analyze", str(f)]) in DOCUMENTED_EXIT_CODES
     code = main(["verify", str(f), "--grid", "8", "--workers", workers])
     assert code in DOCUMENTED_EXIT_CODES
+
+
+#: COEFFICIENTS, with a complex 10^400 and more Fractions
+WIDE_COEFFICIENTS = COEFFICIENTS + ["(1" + "0" * 400 + " + 2i)", "7/3", "(2/5 - 1/3i)"]
+
+
+@st.composite
+def cli_argvs(draw, path):
+    """One ``main`` argv on ``path``: a command and a draw of its flags."""
+    command = draw(st.sampled_from(["analyze", "density", "verify"]))
+    argv = [command, path]
+
+    def maybe(flag, values):
+        value = draw(st.none() | values)
+        if value is not None:
+            argv.extend([flag, str(value)])
+
+    maybe("--minor", st.sampled_from(["first", "best"]))
+    maybe("--ordering", st.sampled_from(["fixed", "exhaustive"]))
+    maybe("--minor-cap", st.integers(1, 40))
+    if command != "analyze":
+        if draw(st.booleans()):
+            argv += ["--grid", str(draw(st.integers(2, 8)))]
+        else:
+            argv += ["--lattice", str(draw(st.integers(1, 200)))]
+            maybe("--seed", st.integers(0, 99))
+        maybe("--points", st.integers(2, 16))
+        maybe("--lambda-min", st.sampled_from(["0", "5e-324", "1e308"]))
+        maybe("--lambda-max", st.sampled_from(["0", "5e-324", "1e308"]))
+        maybe("--max-points", st.sampled_from([1, 10, 100, 1000]))
+        if draw(st.booleans()):
+            argv.append("--linear")
+    return argv
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(matrix_texts(max_vars=3, exp_range=40, coefficients=WIDE_COEFFICIENTS), st.data())
+def test_every_failure_is_one_documented_error_line(capsys, tmp_path, text, data):
+    # a run that fails prints nothing on stdout and one error line on stderr,
+    # never a traceback, whatever the matrix and flags
+    f = tmp_path / "random.mat"
+    f.write_text(text)
+    argv = data.draw(cli_argvs(str(f)))
+    try:
+        code, out, err = run(capsys, *argv)
+    except SystemExit:
+        capsys.readouterr()
+        return
+    assert code in DOCUMENTED_EXIT_CODES
+    if code >= 2:
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith(("error: ", "parse error: "))

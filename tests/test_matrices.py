@@ -37,6 +37,7 @@ from nsbound.matrices import (
 from conftest import (
     RANK3_LEFT,
     RANK3_RIGHT,
+    count_entry_norms,
     count_swept_minors,
     matrix_product,
     random_poly,
@@ -459,16 +460,43 @@ def _count_determinants(monkeypatch):
     return calls
 
 
+#: a full-rank 4x6: fifteen non-vanishing 4x4 minors
+MATRIX_4X6 = (
+    "[[1, z1, 0, 2, z2, 1], [z2, 1, 1, 0, 3, z1^-1],"
+    " [0, 2, z1*z2, 1, 1, 0], [1, 0, 1, z1, 0, z2]]"
+)
+
+
 def test_best_minor_4x6_sweeps_50_minors_and_runs_no_determinant(monkeypatch):
     # all fifteen 4x4 minors expand from the twenty 3x3 minors of rows 0-2
-    A = parse_matrix(
-        "[[1, z1, 0, 2, z2, 1], [z2, 1, 1, 0, 3, z1^-1],"
-        " [0, 2, z1*z2, 1, 1, 0], [1, 0, 1, z1, 0, z2]]"
-    )
+    A = parse_matrix(MATRIX_4X6)
     calls = _count_determinants(monkeypatch)
     swept = count_swept_minors(monkeypatch)
     report = analyze(A, minor="best")
     assert calls == [] and sum(swept) == 50 and report.k == 4
+
+
+def test_best_minor_4x6_forms_each_entry_norm_once(monkeypatch):
+    # the fifteen candidates read ||B||_1 off the 24 entry norms of A
+    rows = parse_matrix(MATRIX_4X6).entries
+    normed = count_entry_norms(monkeypatch)
+    report = analyze(PolyMatrix(rows), minor="best")
+    assert normed == [p for row in rows for p in row] and report.k == 4
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_sweep_builds_no_submatrix(monkeypatch, size):
+    A = parse_matrix(MATRIX_4X6)
+    built = []
+    real = PolyMatrix.__init__
+
+    def counting(self, entries):
+        built.append(entries)
+        real(self, entries)
+
+    monkeypatch.setattr(PolyMatrix, "__init__", counting)
+    certs = list(iter_nonvanishing_minors(A, size))
+    assert built == [] and certs
 
 
 def test_best_minor_6x6_sweeps_57_minors_and_runs_no_determinant(monkeypatch):
