@@ -50,17 +50,7 @@ class CostGuardExceeded(RuntimeError):
 
 
 def _read_matrix(path: str) -> PolyMatrix:
-    text = Path(path).read_text(encoding="utf-8")
-    if path.endswith(".poly"):
-        return PolyMatrix([[parse_poly(text)]])
-    if path.endswith(".mat"):
-        return parse_matrix(text)
-    stripped = "".join(
-        line.split("#", 1)[0] for line in text.splitlines()
-    ).strip()
-    if stripped.startswith("["):
-        return parse_matrix(text)
-    return PolyMatrix([[parse_poly(text)]])
+    return parse_matrix(Path(path).read_text(encoding="utf-8"))
 
 
 def _grid_for(args: argparse.Namespace, dim: int) -> TorusGrid:
@@ -291,16 +281,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     a = sub.add_parser("analyze", help="exact invariants and the bound")
-    a.add_argument("input", help="a .mat or .poly file")
+    a.add_argument("input", help="a file holding a matrix or a polynomial")
     _add_analysis_flags(a)
 
     d = sub.add_parser("density", help="estimate the spectral density (CSV)")
-    d.add_argument("input", help="a .mat or .poly file")
+    d.add_argument("input", help="a file holding a matrix or a polynomial")
     _add_analysis_flags(d)
     _add_density_flags(d)
 
     v = sub.add_parser("verify", help="check the bound against the estimate")
-    v.add_argument("input", help="a .mat or .poly file")
+    v.add_argument("input", help="a file holding a matrix or a polynomial")
     _add_analysis_flags(v)
     _add_density_flags(v)
 

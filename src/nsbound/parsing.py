@@ -3,6 +3,7 @@
 Grammar (space, tab, CR and LF are insignificant; a comment runs from ``#``
 to the end of the line):
 
+    input  := matrix | poly
     matrix := '[' row (',' row)* ']'
     row    := '[' poly (',' poly)* ']'
     poly   := ['-'] term (('+'|'-') term)*
@@ -315,14 +316,19 @@ def parse_poly(text: str, expected_dim: int | None = None) -> LaurentPoly:
 
 
 def parse_matrix(text: str):
-    """Parse a rectangular matrix of Laurent polynomials.
+    """Parse ``input := matrix | poly``: a rectangular matrix of Laurent
+    polynomials, or one polynomial, which is the 1x1 matrix ``[[p]]``.
 
-    The ambient dimension is the largest variable index over all entries.
-    Ragged rows are rejected with the offending row's span.
+    The first token decides: a text that opens with '[' is a matrix, any
+    other is read by ``parse_poly``, errors included.  The ambient dimension
+    is the largest variable index over all entries.  Ragged rows are
+    rejected with the offending row's span.
     """
     from .matrices import PolyMatrix
 
     parser = _Parser(text)
+    if parser.peek().kind != "[":
+        return PolyMatrix([[parse_poly(text)]])
     rows = parser.bracketed(parser.row, "matrix", "a row")
     parser.expect_eof()
     ncols = len(rows[0][1])

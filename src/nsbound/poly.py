@@ -417,14 +417,18 @@ class LaurentPoly:
 
         Formed on first use and kept, as the polynomial never changes, so a
         run converts each coefficient once however many blocks it evaluates.
+        A part of a coefficient beyond the float range raises ``OverflowError``.
         """
         try:
             return self._floats
         except AttributeError:
-            terms = tuple(
-                (tuple((j, e) for j, e in enumerate(exp) if e), complex(c))
-                for exp, c in self._terms.items()
-            )
+            try:
+                terms = tuple(
+                    (tuple((j, e) for j, e in enumerate(exp) if e), complex(c))
+                    for exp, c in self._terms.items()
+                )
+            except OverflowError:
+                raise OverflowError("a coefficient overflows a float") from None
             self._floats = terms
             return terms
 

@@ -186,6 +186,32 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert "ragged" in err
 
 
+#: one content per kind of input; a comment may hold a bracket
+CONTENTS = {
+    "matrix": "# reference example\n" + EXAMPLE_MATRIX_TEXT + "\n",
+    "polynomial": "# not [[a matrix]]\n(1/2 - 3i)*z1^2*z2^-1 + z2 - 1\n",
+    "empty": "# nothing here\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze"], ["verify", "--grid", "8"]], ids=["analyze", "verify"]
+)
+@pytest.mark.parametrize("kind", CONTENTS)
+def test_file_name_does_not_decide_the_input_kind(capsys, tmp_path, argv, kind):
+    runs = []
+    for name in ["input.mat", "input.poly", "input"]:
+        f = tmp_path / name
+        f.write_text(CONTENTS[kind])
+        runs.append(run(capsys, *argv, str(f)))
+    assert runs[0] == runs[1] == runs[2]
+    code, out, err = runs[0]
+    if kind == "empty":
+        assert (code, out) == (2, "") and err.endswith("expected a term, found end of input\n")
+    else:
+        assert code in (0, 1) and out and err == ""
+
+
 @pytest.mark.parametrize("minor", ["first", "best"])
 def test_tiny_lead_candidate_drops_out_of_the_minor_choice(capsys, tmp_path, minor):
     # J = {2} has |lead| = 10^-400, which underflows; the step minor J = {1} is left
@@ -248,9 +274,15 @@ HUGE_NORM_DIAGONAL = "[[1" + "0" * 200 + "*z1, 0, 0], [0, 1" + "0" * 200 + "*z2,
         # k = d*wd = 1 and |lead| = 10^-308: the coefficient is C / |lead|, about 2*10^308
         ("huge-bound.poly", "1/1" + "0" * 308 + "*z1 + 1/1" + "0" * 308 + "\n",
          ["analyze"], "the bound coefficient overflows a float"),
+        # the entry 10^400*z1 + 1 lies outside B = [[z1]], but the gram evaluates it
+        ("huge-entry.mat", "[[z1, 1" + "0" * 400 + "*z1 + 1]]\n", ["verify", "--grid", "8"],
+         "a coefficient overflows a float"),
+        ("huge-entry.mat", "[[z1, 1" + "0" * 400 + "*z1 + 1]]\n",
+         ["density", "--minor", "best", "--grid", "8"], "a coefficient overflows a float"),
     ],
     ids=[
         "tiny-lead", "huge-coefficient", "huge-gram", "complex-norm", "huge-lead", "huge-bound",
+        "huge-entry-verify", "huge-entry-density-best",
     ],
 )
 def test_float_range_exit_2(capsys, tmp_path, name, text, command, message):

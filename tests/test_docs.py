@@ -1,4 +1,5 @@
-"""README against the package: its Library section, its command line and its exit codes."""
+"""README against the package: its Library section, its command line, its exit codes
+and its input examples."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import nsbound
 import nsbound.cli
+from nsbound import parse_matrix
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -67,3 +69,15 @@ def test_readme_command_line_names_every_long_option():
     section = _section("Command line")
     missing = sorted(o for o in options if not re.search(rf"{o}(?![\w-])", section))
     assert len(options) >= 13 and not missing, missing
+
+
+def test_readme_input_examples_parse_from_a_file_of_any_name(tmp_path):
+    blocks = re.findall(r"```\n(.*?)```", _section("Input format"), re.S)
+    shapes = set()
+    for i, block in enumerate(blocks):
+        A = parse_matrix(block)
+        f = tmp_path / f"example{i}"
+        f.write_text(block, encoding="utf-8")
+        assert nsbound.cli._read_matrix(str(f)) == A
+        shapes.add((A.rows, A.cols))
+    assert (1, 1) in shapes and len(shapes) >= 2, shapes  # a polynomial and a matrix

@@ -21,7 +21,9 @@ or a one-dimensional integral of one (scipy, imported only here).
 * Mahler measures (Smyth 1981), through the evaluation path rather than
   the counts: the midpoint mean of log|p| against m(1 + z1 + z2) =
   (3 sqrt 3 / 4 pi) L(chi_-3, 2) and m(1 + z1 + z2 + z3) = 7 zeta(3) /
-  (2 pi^2), both from mpmath at 30 digits.
+  (2 pi^2), both from mpmath at 30 digits; Jensen's formula in one
+  variable, with the roots from numpy; and m(3 + z1 + z2) = log 3 under
+  unimodular changes of variables.
 * The Laplacians Delta_1 = 2 - z - z^-1, with F(u) = (1/pi) arccos(1 -
   u/2), and Delta_2 = 4 - z1 - z1^-1 - z2 - z2^-1, whose F is a scipy
   integral of Delta_1's split at its kinks; and matrices whose grams are
@@ -30,7 +32,8 @@ or a one-dimensional integral of one (scipy, imported only here).
   (z_j + z_j^-1), whose F is a scipy integral of Delta_2's.
 * The midpoint bracket: on a cell of half-width pi/N each singular value
   moves by at most delta = K pi / N (Weyl), with K from the coefficients,
-  so F_hat_N(lam - delta) <= F(lam) <= F_hat_N(lam + delta).
+  so F_hat_N(lam - delta) <= F(lam) <= F_hat_N(lam + delta), checked on
+  members of the families above drawn with N.
 """
 
 from __future__ import annotations
@@ -315,6 +318,47 @@ def test_mahler_constants_match_their_decimals():
     assert want[3] == pytest.approx(0.4262783988, abs=1e-10)
 
 
+#: a x + b with its root -b/a at least 0.1 from the unit circle
+_FAR_FACTOR = st.tuples(st.integers(1, 4), st.integers(-6, 6)).filter(
+    lambda f: abs(abs(Fraction(f[1], f[0])) - 1) >= Fraction(1, 10)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_FAR_FACTOR, min_size=1, max_size=5, unique_by=lambda f: Fraction(f[1], f[0])))
+def test_mahler_measure_in_one_variable_is_jensens_formula(factors):
+    # m(p) = log|lead| + sum over the roots of log max(1, |root|) (Jensen); with
+    # every root 0.1 from the circle the midpoint rule converges like 0.9^N
+    coeffs = np.array([1])
+    for a, b in factors:
+        coeffs = np.convolve(coeffs, [a, b])  # highest degree first, as numpy.roots reads it
+    p = LaurentPoly(1, {(e,): int(c) for e, c in enumerate(reversed(coeffs.tolist()))})
+    roots = np.roots(coeffs)
+    assert min(abs(abs(roots) - 1.0)) >= 0.1 - 1e-9
+    want = math.log(abs(coeffs[0])) + sum(math.log(max(1.0, abs(r))) for r in roots)
+    assert abs(_log_mean(p, TorusGrid.midpoint(1, 1000)) - want) <= 1e-9
+
+
+def _unimodular_image(p: LaurentPoly, U: list[list[int]]) -> LaurentPoly:
+    """p with each exponent t sent to U t; F and m do not change for U in GL_d(Z)."""
+    return LaurentPoly(p.dim, {
+        tuple(sum(u * e for u, e in zip(row, t)) for row in U): c for t, c in p.terms.items()
+    })
+
+
+#: name: U; each image of 3 + z1 + z2 keeps m = log 3
+UNIMODULAR = {"identity": [[1, 0], [0, 1]], "shear": [[1, 1], [0, 1]], "cat": [[2, 1], [1, 1]]}
+
+
+@pytest.mark.parametrize("name", UNIMODULAR)
+@pytest.mark.parametrize("n", [100, 300])
+def test_mahler_measure_is_unimodular_invariant(name, n):
+    # |z1 + z2| < 3 on the torus, so log|3 + z1 + z2| = log 3 + Re log(1 + (z1 + z2)/3),
+    # whose mean is log 3 exactly; the image's aliases at N lie at total degree >= N
+    p = _unimodular_image(_poly(2, {(0, 0): 3, (1, 0): 1, (0, 1): 1}), UNIMODULAR[name])
+    assert abs(_log_mean(p, TorusGrid.midpoint(2, n)) - math.log(3.0)) <= 1e-9
+
+
 # -- lattice Laplacians -------------------------------------------------------
 
 
@@ -456,6 +500,43 @@ BRACKETED = {
 def test_midpoint_bracket_holds_the_exact_density(name, n):
     p, exact, _ = BRACKETED[name]
     _assert_bracketed(PolyMatrix([[p]]), exact, LAMBDAS, n)
+
+
+@st.composite
+def bracket_members(draw) -> tuple[str, PolyMatrix, object]:
+    """(family, A, exact F) for one member of an oracle family above."""
+    family = draw(st.sampled_from(
+        ["product", "sheared-product", "z1*z2^a - 1", "degree-one", "laplacian",
+         "laplacian-matrix", "spectrum"]
+    ))
+    if family == "product":
+        return family, PolyMatrix([[PRODUCT]]), _product_density
+    if family == "sheared-product":
+        return family, PolyMatrix([[SHEARED_PRODUCT]]), _product_density
+    if family == "z1*z2^a - 1":
+        a = draw(st.integers(-3, 3))
+        return family, PolyMatrix([[_poly(2, {(1, a): 1, (0, 0): -1})]]), (
+            lambda lam: arc_measure(1.0, lam)
+        )
+    if family == "degree-one":
+        a, b = LINEAR[draw(st.sampled_from(sorted(LINEAR)))]
+        return family, PolyMatrix([[_linear_poly(a, b)]]), lambda lam: _linear_density(a, b, lam)
+    if family == "laplacian":
+        dim = draw(st.integers(1, 2))
+        exact = _circle_laplacian_density if dim == 1 else _square_laplacian_density
+        return family, PolyMatrix([[_laplacian(dim)]]), exact
+    if family == "laplacian-matrix":
+        A, k, f_zero = LAPLACIAN_MATRICES[draw(st.sampled_from(sorted(LAPLACIAN_MATRICES)))]
+        return family, A, lambda lam: f_zero + k * _square_laplacian_density(lam * lam)
+    A, moduli = _spectrum_matrix(draw(st.sampled_from(sorted(SPECTRA))))
+    return family, A, lambda lam: sum(arc_measure(r, lam) for r in moduli)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bracket_members(), st.integers(50, 300))
+def test_midpoint_bracket_holds_on_random_family_members(member, n):
+    _, A, exact = member
+    _assert_bracketed(A, exact, LAMBDAS, n)
 
 
 # -- the cube Laplacian -------------------------------------------------------

@@ -14,11 +14,13 @@ from nsbound import (
     GaussianRational,
     LaurentPoly,
     ParseError,
+    PolyMatrix,
     format_matrix,
     format_poly,
     parse_matrix,
     parse_poly,
 )
+from nsbound.parsing import _TOKEN
 
 from conftest import EXAMPLE_MATRIX_TEXT, random_poly
 
@@ -161,6 +163,10 @@ def test_parse_poly_errors(text, kind):
         ("poly", "\u0663*z1 -\n\t(1 + 2i", None,
          "unbalanced-bracket at line 2, col 9: expected ')' closing a complex coefficient, "
          "found end of input", (15, 15, 2, 9)),
+        # a matrix input that holds no token reads as a missing polynomial
+        ("matrix", "# only a comment", None,
+         "unexpected-token at line 1, col 17: expected a term, found end of input",
+         (16, 16, 1, 17)),
     ],
 )
 def test_error_positions(entry, text, expected_dim, message, span):
@@ -278,6 +284,45 @@ def test_format_injective_on_canonical_forms(p, q):
 @given(st.text(alphabet="z123[]()+-*/^i., \n#²", max_size=40))
 def test_error_spans_stay_inside_input(text):
     try:
-        parse_matrix(text) if text.lstrip().startswith("[") else parse_poly(text)
+        parse_matrix(text)
     except ParseError as exc:
         assert 0 <= exc.span.start <= exc.span.end <= len(text)
+
+
+#: what may stand between two tokens: whitespace, a lone CR, a comment to its LF
+_GAPS = st.lists(
+    st.sampled_from([" ", "\t", "\r", "\n", "\r\n", "  # note [[z1]]\n"]), max_size=3
+).map("".join)
+
+
+@st.composite
+def spaced_poly_text(draw):
+    """format_poly of a random polynomial, its tokens spread by comments, tabs and CR/LF."""
+    p = draw(poly_strategy())
+    tokens = [m.group() for m in _TOKEN.finditer(format_poly(p)) if m.lastgroup != "skip"]
+    return p, "".join(draw(_GAPS) + tok for tok in tokens) + draw(_GAPS)
+
+
+@settings(max_examples=100)
+@given(spaced_poly_text())
+def test_parse_matrix_reads_a_polynomial_as_its_1x1_matrix(case):
+    p, text = case
+    assert parse_poly(text, expected_dim=p.dim) == p
+    assert parse_matrix(text) == PolyMatrix([[parse_poly(text)]])
+
+
+@settings(max_examples=300)
+@given(
+    _GAPS, st.sampled_from("z1()+-*/^i.,]²"), st.text(alphabet="z12[]()+-*/^i., \n#", max_size=30)
+)
+def test_text_not_opening_with_a_bracket_reads_as_a_polynomial(gap, first, rest):
+    # the same polynomial, or the same error at the same span, from both entry points
+    text = gap + first + rest
+    try:
+        want = PolyMatrix([[parse_poly(text)]])
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_matrix(text)
+        assert (str(got.value), got.value.span) == (str(exc), exc.span)
+    else:
+        assert parse_matrix(text) == want
