@@ -8,12 +8,12 @@ polynomial and matrix layers.  The paper's bound is one formula,
 
 with the universal constant C = 8*sqrt(3)/sqrt(47).  The scalar case is
 k = 1.  :func:`_norm_factor` computes the factor (k^2 * b1)^(k-1),
-:func:`bound_coefficient` the prefactor of lambda^(1/(d*wd)), and
-:meth:`BoundReport.bound_at` evaluates the bound.  When the width vanishes
-the determinant is a single monomial, the bound is a step at
-|lead| / (k^2 * b1)^(k-1), and the decay exponent's lower bound
-:func:`ns_lower_bound` is ``math.inf``.  The module also searches variable
-orderings and minors for the best certificate.
+:attr:`BoundReport.coefficient`, the one place the formula is computed, the
+prefactor of lambda^(1/(d*wd)), and :meth:`BoundReport.bound_at` evaluates
+the bound.  When the width vanishes the determinant is a single monomial,
+the bound is a step at |lead| / (k^2 * b1)^(k-1), and the decay exponent's
+lower bound :attr:`BoundReport.alpha_lower` is ``math.inf``.  The module
+also searches variable orderings and minors for the best certificate.
 
 Every float here is rounded in the safe direction, so the bound stays an
 upper bound: C, the rescaled lambda, the coefficient and the bound round
@@ -47,15 +47,6 @@ SPECTRAL_CONSTANT = math.nextafter(8.0 * math.sqrt(3.0) / math.sqrt(47.0), math.
 MAX_EXHAUSTIVE_DIM = 8
 
 
-def ns_lower_bound(d: int, wd: int) -> float:
-    """Lower bound 1/(d*wd) for the decay exponent; ``math.inf`` for a step (wd = 0)."""
-    if d < 1 or wd < 0:
-        raise ValueError("need d >= 1 and wd >= 0")
-    if wd == 0:
-        return math.inf
-    return 1.0 / (d * wd)
-
-
 def _norm_factor(k: int, b_l1: float) -> Fraction:
     """(k^2 * b_l1)^(k-1) exactly, written k^(2k-2) * b_l1^(k-1), for k >= 1."""
     return k ** (2 * k - 2) * Fraction(b_l1) ** (k - 1)
@@ -78,32 +69,6 @@ def _root_up(x: float, n: int) -> float:
     elif x < 1.0 and Fraction(e) > Fraction(1, n):
         e = math.nextafter(e, 0.0)
     return math.nextafter(math.nextafter(x**e, math.inf), math.inf)
-
-
-def bound_coefficient(k: int, d: int, wd: int, lead_abs: float, b_l1: float) -> float:
-    """Prefactor so that the bound at lambda is coefficient * lambda^(1/(d*wd)).
-
-    The factor x = (k^2 * b_l1)^(k-1) / lead_abs under the root is exact;
-    where it leaves the float range, 2^(n*s) (n = d*wd) is split off before
-    the float root and 2^s multiplied back.  The coefficient is rounded up
-    once, and an ``OverflowError`` names it when it leaves the float range.
-    """
-    if k < 1 or d < 1 or wd < 0:
-        raise ValueError("need k >= 1, d >= 1, wd >= 0")
-    if lead_abs <= 0 or b_l1 < 0:
-        raise ValueError("need lead_abs > 0 and b_l1 >= 0")
-    if wd < 1:
-        raise ValueError("no power-law coefficient in the step case")
-    n = d * wd
-    x = _norm_factor(k, b_l1) / Fraction(lead_abs)
-    # x < 2^(e + 1) and n*s >= e - 1022, so x / 2^(n*s) < 2^1023 fits a float
-    e = x.numerator.bit_length() - x.denominator.bit_length()
-    s = max(0, -((1022 - e) // n))
-    root = Fraction(_root_up(_float_up(x / 2 ** (n * s)), n)) * 2**s
-    try:
-        return _float_up(Fraction(SPECTRAL_CONSTANT) * (k * n) * root)
-    except OverflowError:
-        raise OverflowError("the bound coefficient overflows a float") from None
 
 
 def best_ordering(p: LaurentPoly, mode: str = "fixed") -> WidthProfile:
@@ -166,9 +131,26 @@ class BoundReport:
 
     @cached_property
     def coefficient(self) -> float | None:
+        """Prefactor so that the bound at lambda is coefficient * lambda^(1/(d*wd)).
+
+        The factor x = (k^2 * ||B||_1)^(k-1) / lead_abs under the root is
+        exact; where it leaves the float range, 2^(n*s) (n = d*wd) is split
+        off before the float root and 2^s multiplied back.  The coefficient
+        is rounded up once, and an ``OverflowError`` names it when it leaves
+        the float range.
+        """
         if self.is_step:
             return None
-        return bound_coefficient(self.k, self.dim, self.profile.wd, self.lead_abs, self.minor.b_l1)
+        n = self.dim * self.profile.wd
+        x = _norm_factor(self.k, self.minor.b_l1) / Fraction(self.lead_abs)
+        # x < 2^(e + 1) and n*s >= e - 1022, so x / 2^(n*s) < 2^1023 fits a float
+        e = x.numerator.bit_length() - x.denominator.bit_length()
+        s = max(0, -((1022 - e) // n))
+        root = Fraction(_root_up(_float_up(x / 2 ** (n * s)), n)) * 2**s
+        try:
+            return _float_up(Fraction(SPECTRAL_CONSTANT) * (self.k * n) * root)
+        except OverflowError:
+            raise OverflowError("the bound coefficient overflows a float") from None
 
     @cached_property
     def step_threshold_matrix(self) -> float | None:
@@ -194,7 +176,7 @@ class BoundReport:
     @property
     def alpha_lower(self) -> float:
         """Lower bound 1/(d*wd) for the decay exponent, ``math.inf`` for a step."""
-        return ns_lower_bound(self.dim, self.profile.wd)
+        return math.inf if self.is_step else 1.0 / (self.dim * self.profile.wd)
 
     @property
     def f_zero(self) -> int:

@@ -9,8 +9,9 @@ computed by ``_pcg64`` without importing ``numpy.random``.
 
 Exactness conventions that the tests rely on:
 
-* A 1x1 matrix [[p]] is normalized by the exact leading coefficient of p,
-  so the float sample set of p and of c*p is literally identical, and
+* A 1x1 matrix [[p]] is normalized by the exact leading coefficient of p
+  times the power of two 2^m <= max |coefficient| / |lead| < 2^(m+1), so
+  the float sample set of p and of c*p is literally identical, and
   thresholds are exact rationals rounded down to the nearest float.  The
   scaling identity F(c*p)(lambda) = F(p)(lambda/|c|) then holds at the
   level of integer sample counts.
@@ -158,7 +159,10 @@ def hermitian_eigenvalues(H: np.ndarray, out: np.ndarray | None = None, diagonal
 
     1x1 matrices are their own eigenvalue, a view of H.  2x2 matrices use
     the closed form mid -+ |(a - c)/2 + i|b||, each modulus one vectorised
-    complex abs, ten times faster than LAPACK and as accurate near zero.
+    complex abs, ten times faster than LAPACK.  The lower eigenvalue
+    cancels: it carries an absolute error of about eps * (a + c), so for
+    H = A A* a singular value of A below about sqrt(eps * (a + c)) is not
+    resolved.
     Rows 0 and 1 of ``out``, a C-contiguous float (3, npoints) array whose
     row 2 is scratch, receive the lower and upper eigenvalues; the result
     is an (npoints, 2) view of them.  ``diagonal`` asserts that
@@ -328,9 +332,11 @@ def matrix_density(
     A 1x1 matrix [[p]] is the fraction of the torus where |p| <= lambda.
     A zero p raises ``ZeroPolynomialError``.  A one-term p is the exact
     step at |lead|, with no quadrature.  Any other p is divided by its
-    exact leading coefficient, the lead of its width tower, and the
-    thresholds absorb the scale exactly, so p and c*p agree count for
-    count at corresponding lambdas.
+    exact leading coefficient, the lead of its width tower, times 2^m, m
+    = floor(log2(max |coefficient| / |lead|)), so every coefficient of the
+    quotient has modulus below 2 and none overflows a float.  The
+    thresholds absorb the scale exactly, and m is the same for c*p, so p
+    and c*p agree count for count at corresponding lambdas.
     """
     if grid.dim != A.dim:
         raise ValueError(f"grid dimension {grid.dim} != matrix dimension {A.dim}")
@@ -346,7 +352,13 @@ def matrix_density(
             # |p| is constant |lead| on the torus: the density is an exact step.
             counts = tuple(grid.total if Fraction(x) ** 2 >= scale2 else 0 for x in lam)
             return DensityCurve(lam, counts, grid.total, 0)
-        entries = [[p * (GaussianRational(1) / lead)]]
+        # r = (max |c| / |lead|)^2 >= 1, as lead is a coefficient of p, and
+        # m = floor(log2 r) // 2 = floor(log2 sqrt(r))
+        r = max(c.abs2() for c in p.terms.values()) / scale2
+        e = r.numerator.bit_length() - r.denominator.bit_length()
+        m = (e - (r.numerator < r.denominator << e)) // 2
+        scale2 *= 4**m  # a power of two scales the samples and thresholds exactly
+        entries = [[p * (GaussianRational(1) / (lead * 2**m))]]
     elif A.rows > A.cols:
         entries = tuple(zip(*entries))
     rank = len(A._first_basis()[0])

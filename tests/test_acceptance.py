@@ -19,17 +19,16 @@ from nsbound import (
     GaussianRational,
     LaurentPoly,
     PolyMatrix,
-    SPECTRAL_CONSTANT,
     TorusGrid,
     alpha_fit,
     analyze,
     determinant,
     determinant_cofactor,
     format_poly,
-    ns_lower_bound,
     parse_matrix,
     parse_poly,
 )
+from nsbound.bounds import SPECTRAL_CONSTANT
 from nsbound.cli import main
 from nsbound.density import hermitian_eigenvalues, matrix_density
 from conftest import EXAMPLE_MATRIX_TEXT, arc_measure, random_poly
@@ -205,7 +204,7 @@ def test_criterion_08_decay_exponent_tightness(capsys):
         a_hat, r2 = alpha_fit(curve, (1e-5, 1e-2))
         assert abs(a_hat - 1.0 / r) <= 0.05, (r, a_hat)
         assert r2 >= 0.99, (r, r2)
-        assert ns_lower_bound(1, r) == 1.0 / r
+        assert analyze(PolyMatrix([[p]])).alpha_lower == 1.0 / r
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     with capsys.disabled():

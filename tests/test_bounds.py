@@ -14,19 +14,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nsbound import (
-    SPECTRAL_CONSTANT,
     GaussianRational,
     LaurentPoly,
     PolyMatrix,
     analyze,
-    best_ordering,
-    bound_coefficient,
-    ns_lower_bound,
     parse_matrix,
     parse_poly,
     width_profile,
 )
 from nsbound import matrices
+from nsbound.bounds import SPECTRAL_CONSTANT, best_ordering
 from nsbound.matrices import ZeroMatrixError
 
 from conftest import (
@@ -70,11 +67,11 @@ def test_cosine_chord_inequality():
 
 
 def test_matrix_bound_example_coefficient():
-    params = dict(k=2, d=2, wd=2, lead_abs=2.0, b_l1=18.0)
-    coeff = bound_coefficient(**params)
+    report = _power_report(k=2, d=2, wd=2, lead_abs=2.0, b_l1=18.0)
+    coeff = report.coefficient
     assert coeff == pytest.approx(192.0 * math.sqrt(2.0) / math.sqrt(47.0), rel=1e-12)
     lam = 0.37
-    assert _power_report(**params).bound_at(lam) == pytest.approx(coeff * lam**0.25, rel=1e-12)
+    assert report.bound_at(lam) == pytest.approx(coeff * lam**0.25, rel=1e-12)
 
 
 def test_matrix_bound_zero_at_zero():
@@ -93,30 +90,9 @@ def test_matrix_bound_monotone_in_lambda():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
-def test_matrix_bound_rejects_step_case():
-    with pytest.raises(ValueError, match="step case"):
-        bound_coefficient(k=1, d=1, wd=0, lead_abs=1.0, b_l1=1.0)
-
-
-@pytest.mark.parametrize(
-    "k, d, wd, lead_abs, b_l1, match",
-    [
-        (0, 1, 1, 1.0, 1.0, "k >= 1"),
-        (1, 0, 1, 1.0, 1.0, "d >= 1"),
-        (1, 1, -1, 1.0, 1.0, "wd >= 0"),
-        (1, 1, 1, 0.0, 1.0, "lead_abs > 0"),
-        (1, 1, 1, -2.0, 1.0, "lead_abs > 0"),
-        (1, 1, 1, 1.0, -0.5, "b_l1 >= 0"),
-    ],
-)
-def test_bound_coefficient_rejects_bad_constants(k, d, wd, lead_abs, b_l1, match):
-    with pytest.raises(ValueError, match=match):
-        bound_coefficient(k, d, wd, lead_abs, b_l1)
-
-
 def _scalar_bound(d: int, wd: int, lead_abs: float, lam: float) -> float:
     """The bound for k = 1, through the library's one formula."""
-    return bound_coefficient(1, d, wd, lead_abs, 1.0) * lam ** (1.0 / (d * wd))
+    return _power_report(1, d, wd, lead_abs, 1.0).coefficient * lam ** (1.0 / (d * wd))
 
 
 def test_scalar_bound_linear_case():
@@ -141,9 +117,10 @@ def test_scalar_bound_at_lead():
 
 
 def test_ns_lower_bound_values():
-    assert ns_lower_bound(2, 2) == 0.25
-    assert ns_lower_bound(1, 1) == 1.0
-    assert ns_lower_bound(3, 0) == math.inf
+    assert _power_report(k=1, d=2, wd=2, lead_abs=1.0, b_l1=1.0).alpha_lower == 0.25
+    assert _power_report(k=1, d=1, wd=1, lead_abs=1.0, b_l1=1.0).alpha_lower == 1.0
+    step = analyze(parse_matrix("[[z1*z2*z3]]"))
+    assert (step.dim, step.profile.wd, step.alpha_lower) == (3, 0, math.inf)
 
 
 def test_rescale_lambda_values():
@@ -171,8 +148,9 @@ positive = st.floats(1e-6, 1e6)
 @example(1, 1.0, 1, 1, 14258.0, 2.2250738585072014e-308)
 def test_bound_rounds_up_against_decimal_evaluation(k, b1, d, wd, lead, lam):
     coeff, bound = decimal_bound(k, b1, d, wd, lead, lam)
-    got_coeff = Decimal(bound_coefficient(k, d, wd, lead, b1))
-    got_bound = Decimal(_power_report(k, d, wd, lead, b1).bound_at(lam))
+    report = _power_report(k, d, wd, lead, b1)
+    got_coeff = Decimal(report.coefficient)
+    got_bound = Decimal(report.bound_at(lam))
     # 1e-50 covers the decimal evaluation's own rounding; the excess is tiny,
     # except that a subnormal bound's rounding steps are absolute: two of the
     # smallest subnormal, for the product's rounding and the ulp above it
@@ -212,7 +190,8 @@ def test_matrix_bound_is_rescaled_scalar_bound():
         lam = rng.uniform(0, 10)
         e = 1.0 / (d * wd)
         expected = k * SPECTRAL_CONSTANT * d * wd * (rescale_lambda(k, b1, lam) / lead) ** e
-        assert bound_coefficient(k, d, wd, lead, b1) * lam**e == pytest.approx(expected, rel=1e-12)
+        coeff = _power_report(k, d, wd, lead, b1).coefficient
+        assert coeff * lam**e == pytest.approx(expected, rel=1e-12)
 
 
 def test_coefficient_scaling_covariance():

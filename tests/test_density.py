@@ -277,7 +277,7 @@ def test_poly_density_monomial_exact_step_any_grid():
 
 def test_poly_density_linear_domination_incl_complex_roots():
     # C*lambda dominates the density of z - a for real and complex a alike
-    from nsbound import SPECTRAL_CONSTANT
+    from nsbound.bounds import SPECTRAL_CONSTANT
 
     g = TorusGrid.midpoint(1, 20000)
     lams = np.linspace(0.0, 3.0, 31)[1:].tolist()
@@ -308,6 +308,7 @@ def test_poly_density_monotone_and_bounded():
 def test_poly_density_scaling_identity_exact_counts():
     rng = random.Random(404)
     g = TorusGrid.midpoint(1, 4096)
+    cases = []
     for _ in range(25):
         p = random_poly(rng, 1, max_terms=5, exp_range=4)
         if p.is_monomial():
@@ -318,10 +319,20 @@ def test_poly_density_scaling_identity_exact_counts():
         )
         if not c:
             continue
-        lams = sorted(rng.uniform(0.01, 5.0) for _ in range(16))
+        cases.append((p, c, sorted(rng.uniform(0.01, 5.0) for _ in range(16))))
+    # 10^-300*z1 + 1 and z1 + 10^300, each the other times c = 10^+-300: divided
+    # by its lead alone, either carries a coefficient 10^300, whose square overflows
+    tiny_lead = parse_poly("1/1" + "0" * 300 + "*z1 + 1")
+    big, small = GaussianRational(10**300), GaussianRational(Fraction(1, 10**300))
+    near_one = [0.5, 0.9, 0.99, 1.01, 1.1, 2.0]
+    cases += [(tiny_lead, big, [x * 1e300 for x in near_one]), (tiny_lead * big, small, near_one)]
+    for p, c, lams in cases:
         scaled = matrix_density(PolyMatrix([[p * c]]), lams, g)
         base = matrix_density(PolyMatrix([[p]]), [x / abs(c) for x in lams], g)
         assert scaled.counts == base.counts
+    # |10^-300*z1 + 1| is 1 up to 10^-300 on the torus
+    step = (0, 0, 0, g.total, g.total, g.total)
+    assert matrix_density(PolyMatrix([[tiny_lead]]), near_one, g).counts == step
 
 
 def test_poly_density_errors():
@@ -1091,6 +1102,46 @@ def test_power_of_z_minus_one_within_one_arc(r):
 def test_power_of_z_minus_one_within_one_arc_on_coarse_rules(r, n_points):
     p = _power_of_z_minus_one(r)
     _assert_midpoint_error(p, lambda lam: _arcsine_density(lam ** (1 / r)), 1, n_points)
+
+
+# -- below the float floor of a gram eigenvalue ------------------------------------------
+#
+# A = [[(z1 - 1)^3, 1], [0, 1]] has sigma_min^2 = |c|^2 / hi, c = (z - 1)^3, with
+# |c|^2 = 64 sin^6(theta/2), tr = |c|^2 + 2 and hi = (tr + sqrt(tr^2 - 4|c|^2)) / 2,
+# a form without cancellation; its 3x3 extension by a unit pivot has the same count.
+
+FLOAT_FLOOR_CUBE = "z1^3 - 3*z1^2 + 3*z1 - 1"
+FLOAT_FLOOR_MATRICES = {
+    "2x2": f"[[{FLOAT_FLOOR_CUBE}, 1], [0, 1]]",
+    "3x3": f"[[{FLOAT_FLOOR_CUBE}, 1, 0], [0, 1, 0], [0, 0, 1]]",
+}
+FLOAT_FLOOR_LAMBDAS = [1e-12, 1e-11, 1e-10, 1e-9, 1e-8]
+
+
+def _float_floor_oracle(n: int) -> list[int]:
+    """Midpoint points, of n, where sigma_min(A) <= lambda, from the stable closed form."""
+    theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    c2 = 64.0 * np.sin(theta / 2) ** 6
+    tr = c2 + 2.0
+    sigma2 = c2 / ((tr + np.sqrt(tr * tr - 4.0 * c2)) / 2.0)
+    return [int(np.count_nonzero(sigma2 <= lam * lam)) for lam in FLOAT_FLOOR_LAMBDAS]
+
+
+def test_float_floor_oracle_counts():
+    assert _float_floor_oracle(10**6) == [36, 76, 166, 358, 770]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP direction 11: a gram's lower eigenvalue carries an absolute error"
+    " of about eps * ||A||^2, so every sigma below about 1e-8 * ||A|| is miscounted",
+)
+@pytest.mark.parametrize("text", FLOAT_FLOOR_MATRICES.values(), ids=FLOAT_FLOOR_MATRICES.keys())
+def test_counts_below_the_float_floor_match_the_closed_form(text):
+    n = 10**6
+    got = matrix_density(parse_matrix(text), FLOAT_FLOOR_LAMBDAS, TorusGrid.midpoint(1, n))
+    want = _float_floor_oracle(n)
+    assert all(abs(g - w) <= 2 for g, w in zip(got.counts, want)), (got.counts, want)
 
 
 # -- inequality checks ------------------------------------------------------------------

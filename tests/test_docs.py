@@ -1,10 +1,11 @@
 """README against the package: its Library section, its command line, its exit codes
-and its input examples."""
+and its input examples; and the benchmark's imports against the public names."""
 
 from __future__ import annotations
 
 import argparse
 import ast
+import pkgutil
 import re
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import nsbound.cli
 from nsbound import parse_matrix
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PERFBENCH = README.parent / "perfbench"
 
 
 def _section(title: str) -> str:
@@ -40,6 +42,21 @@ def test_readme_export_list_names_nothing_beyond_all():
     exports = _section("Library").split("no others:\n", 1)[1].split("\n\n", 1)[0]
     listed = set(re.findall(r"`([A-Za-z_]\w*)`", exports))
     assert listed and listed <= set(nsbound.__all__), listed - set(nsbound.__all__)
+
+
+def test_benchmark_imports_only_public_names():
+    # `from nsbound import x` and `nsbound.x` in perfbench/, submodules aside
+    submodules = {m.name for m in pkgutil.iter_modules(nsbound.__path__)}
+    used = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "nsbound" and not node.level:
+                used.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "nsbound" and not node.attr.startswith("__"):
+                    used.add(node.attr)
+    used -= submodules
+    assert used and used <= set(nsbound.__all__), used - set(nsbound.__all__)
 
 
 def _exit_codes(text: str) -> set[int]:

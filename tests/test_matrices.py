@@ -19,9 +19,7 @@ from nsbound import (
     determinant,
     determinant_cofactor,
     format_poly,
-    iter_nonvanishing_minors,
     matrix_density,
-    max_nonvanishing_minor,
     minor,
     parse_matrix,
     parse_poly,
@@ -31,6 +29,8 @@ from nsbound.matrices import (
     MinorCertificate,
     MinorSearchCapExceeded,
     ZeroMatrixError,
+    iter_nonvanishing_minors,
+    max_nonvanishing_minor,
     maximal_minors,
 )
 
